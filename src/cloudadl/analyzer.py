@@ -306,14 +306,21 @@ def _check_connector(
 
 
 def _check_recursion(model: ArchitectureModel, diags: list[Diagnostic]) -> None:
+    # an explicit stack: containment depth must not hit the recursion limit
     DONE, VISITING = "done", "visiting"
     state: dict[str, str] = {}
-
-    def visit(name: str, stack: list[str]) -> None:
+    for name in model.component_types:
+        if state.get(name) == DONE:
+            continue
         state[name] = VISITING
-        stack.append(name)
-        cdef = model.component_types[name]
-        for sub in cdef.subcomponents:
+        stack = [name]  # the containment path being visited
+        subs = [iter(model.component_types[name].subcomponents)]
+        while subs:
+            sub = next(subs[-1], None)
+            if sub is None:
+                subs.pop()
+                state[stack.pop()] = DONE
+                continue
             ref = sub.type_ref
             if ref not in model.component_types:
                 continue
@@ -323,13 +330,9 @@ def _check_recursion(model: ArchitectureModel, diags: list[Diagnostic]) -> None:
                     _err(sub, f"component containment cycle: {cycle}", E_RECURSION)
                 )
             elif state.get(ref) != DONE:
-                visit(ref, stack)
-        stack.pop()
-        state[name] = DONE
-
-    for name in model.component_types:
-        if state.get(name) != DONE:
-            visit(name, [])
+                state[ref] = VISITING
+                stack.append(ref)
+                subs.append(iter(model.component_types[ref].subcomponents))
 
 
 def _err(node, message: str, code: str) -> Diagnostic:
@@ -415,18 +418,25 @@ def elaborate(model: ArchitectureModel, root_type: str) -> RuntimeTopology:
     """Build the instance tree and fused channels for a checked model."""
     if root_type not in model.component_types:
         raise ElaborationError(f"unknown root component type '{root_type}'")
+    # preorder with an explicit stack: depth must not hit the recursion limit
     instances: dict[str, InstanceSpec] = {}
-
-    def build(path: str, type_name: str, parent: str | None, replicating: bool) -> None:
+    stack = [(ROOT_PATH, root_type, None, False)]
+    while stack:
+        path, type_name, parent, replicating = stack.pop()
         tdef = model.component_types[type_name]
-        inst = InstanceSpec(path, tdef, parent, replicating)
-        instances[path] = inst
-        for sub in tdef.subcomponents:
-            child_path = f"{path}/{sub.name}"
-            inst.children.append(child_path)
-            build(child_path, sub.type_ref, path, sub.replicating)
+        instances[path] = InstanceSpec(path, tdef, parent, replicating)
+        if parent is not None:
+            # siblings come off the stack in declaration order
+            instances[parent].children.append(path)
+        for sub in reversed(tdef.subcomponents):
+            stack.append((f"{path}/{sub.name}", sub.type_ref, path, sub.replicating))
 
-    build(ROOT_PATH, root_type, None, False)
+    # each component type's connectors by source parts, last declared first
+    leaving: dict[str, dict[tuple[str, ...], list[ConnectorDecl]]] = {}
+    for name, tdef in model.component_types.items():
+        by_source = leaving[name] = {}
+        for conn in reversed(tdef.connectors):
+            by_source.setdefault(conn.source.parts, []).append(conn)
 
     channels: list[ChannelSpec] = []
     root = instances[ROOT_PATH]
@@ -436,7 +446,7 @@ def elaborate(model: ArchitectureModel, root_type: str) -> RuntimeTopology:
             if root.atomic:
                 _emit_channel(channels, occs, [], p.message_type, instances, external=False)
             else:
-                _walk_own_in(model, instances, root, p.name, occs, [], p.message_type, channels)
+                _fuse(instances, leaving, root, (p.name,), occs, p.message_type, channels)
     for inst in instances.values():
         if not inst.atomic:
             continue
@@ -447,9 +457,9 @@ def elaborate(model: ArchitectureModel, root_type: str) -> RuntimeTopology:
             if inst.path == ROOT_PATH:
                 _emit_channel(channels, occs, [], p.message_type, instances, external=True)
             else:
-                _walk_sub_out(
-                    model, instances, instances[inst.parent], inst, p.name, occs, [], p.message_type, channels
-                )
+                parent = instances[inst.parent]
+                source = (inst.name, p.name)
+                _fuse(instances, leaving, parent, source, occs, p.message_type, channels)
 
     ids = [ch.id for ch in channels]
     if len(set(ids)) != len(ids):
@@ -471,37 +481,39 @@ def _gates_of(
     return actions
 
 
-def _walk_own_in(model, instances, inst, port, occs, gates, mtype, channels) -> None:
-    for conn in inst.type_def.connectors:
-        if conn.source.parts == (port,):
-            _walk_target(model, instances, inst, conn, occs, gates, mtype, channels)
+def _fuse(instances, leaving, owner, source, occs, mtype, channels) -> None:
+    """Emit one channel per connector chain that leaves `source`.
 
-
-def _walk_sub_out(model, instances, parent, sub_inst, port, occs, gates, mtype, channels) -> None:
-    want = (sub_inst.name, port)
-    for conn in parent.type_def.connectors:
-        if conn.source.parts == want:
-            _walk_target(model, instances, parent, conn, occs, gates, mtype, channels)
-
-
-def _walk_target(model, instances, owner, conn, occs, gates, mtype, channels) -> None:
-    gates2 = gates + _gates_of(owner.type_def, conn)
-    tgt = conn.target
-    if tgt.is_own:
-        occs2 = occs + [(owner.path, tgt.port)]
-        if owner.path == ROOT_PATH:
-            _emit_channel(channels, occs2, gates2, mtype, instances, external=True)
+    `source` is the source parts of connectors declared in `owner`. Chains
+    are followed depth first in connector declaration order, with an
+    explicit stack so that nesting depth is not bounded by the
+    interpreter's recursion limit. A stack entry is one connector hop.
+    """
+    stack = _hops(leaving, owner, source, occs, [])
+    while stack:
+        owner, conn, occs, gates = stack.pop()
+        gates = gates + _gates_of(owner.type_def, conn)
+        tgt = conn.target
+        if tgt.is_own:
+            occs = occs + [(owner.path, tgt.port)]
+            if owner.path == ROOT_PATH:
+                _emit_channel(channels, occs, gates, mtype, instances, external=True)
+            else:
+                parent = instances[owner.parent]
+                stack += _hops(leaving, parent, (owner.name, tgt.port), occs, gates)
         else:
-            _walk_sub_out(
-                model, instances, instances[owner.parent], owner, tgt.port, occs2, gates2, mtype, channels
-            )
-    else:
-        child = instances[f"{owner.path}/{tgt.sub}"]
-        occs2 = occs + [(child.path, tgt.port)]
-        if child.atomic:
-            _emit_channel(channels, occs2, gates2, mtype, instances, external=False)
-        else:
-            _walk_own_in(model, instances, child, tgt.port, occs2, gates2, mtype, channels)
+            child = instances[f"{owner.path}/{tgt.sub}"]
+            occs = occs + [(child.path, tgt.port)]
+            if child.atomic:
+                _emit_channel(channels, occs, gates, mtype, instances, external=False)
+            else:
+                stack += _hops(leaving, child, (tgt.port,), occs, gates)
+
+
+def _hops(leaving, owner, source, occs, gates) -> list:
+    """The connectors of `owner` leaving `source` as stack entries, last first."""
+    conns = leaving[owner.type_def.name].get(source, ())
+    return [(owner, conn, occs, gates) for conn in conns]
 
 
 def _emit_channel(channels, occs, gates, mtype, instances, external: bool) -> None:

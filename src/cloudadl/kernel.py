@@ -2,14 +2,23 @@
 
 Time advances in integer steps. A step runs four phases:
 
-  1. scheduled directives (scale, fault, inject), in declaration order
-     per category;
+  1. scheduled directives: all scales, then all faults, then all injects,
+     each category in declaration order;
   2. delivery of every message whose arrival step is due, in the total
      order (arrival step, channel id, sequence number);
   3. one activation per delivered message, in the same total order, each
      popping the head of the receiving replica's per-port FIFO;
   4. a retirement sweep that removes drained replicas marked for
      shrinking.
+
+The run loop keeps an agenda: directives and in-flight messages are
+bucketed by step, and a heap holds the steps that have a bucket. After a
+step the kernel jumps straight to the next such step, so a step with no
+directive and no arrival costs nothing. Nothing can happen on such a step
+(no phase has work, and no replica can become drained), so step numbers
+in traces are those of a run that ticks through every step. A run that
+ends by quiescence stops on its last active step; a run whose next
+active step lies past `maxsteps` stops at `maxsteps + 1`, truncated.
 
 All choice points (replica selection, token binding, escalation) are
 functions of this order plus the scenario seed, so a run is reproducible
@@ -18,6 +27,7 @@ event for event.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from random import Random
@@ -191,7 +201,8 @@ class Kernel:
         self.seq_counters: dict[str, int] = {}
         self.token_counters: dict[str, int] = {}
         self.bindings: dict[tuple[str, tuple[str, int]], int] = {}
-        self.in_flight: list[Message] = []
+        # arrival step -> messages due then, in send order
+        self.in_flight: dict[int, list[Message]] = {}
         self.events: list[Event] = []
         self.out_streams: dict[str, list[tuple[tuple, Record]]] = {
             p.name: []
@@ -202,6 +213,18 @@ class Kernel:
         self.truncated = False
 
         self._validate_directives()
+
+        # step -> (scales, faults, injections) due then, each in declaration order
+        self._directives: dict[int, tuple[list, list, list]] = {}
+        for slot, batch in enumerate((self.scales, self.faults, self.injections)):
+            for d in batch:
+                self._directives.setdefault(d.step, ([], [], []))[slot].append(d)
+        # steps that have a directive or an in-flight bucket; may repeat
+        self._agenda: list[int] = list(self._directives)
+        heapq.heapify(self._agenda)
+        # groups with a retiring replica, visited by the sweep in group order
+        self._retiring: set[str] = set()
+        self._group_rank = {path: i for i, path in enumerate(self.groups)}
 
     # -- setup ------------------------------------------------------------
 
@@ -253,47 +276,43 @@ class Kernel:
 
     def run(self) -> None:
         """Execute until quiescence, a step budget, or an unhandled fault."""
+        agenda = self._agenda
         while self.step <= self.maxsteps:
             self._run_directives()
             self._deliver_and_activate()
             self._sweep()
-            if not self.in_flight and not self._pending_directives():
+            while agenda and agenda[0] <= self.step:
+                heapq.heappop(agenda)
+            if not agenda:
                 return
-            self.step += 1
+            self.step = min(heapq.heappop(agenda), self.maxsteps + 1)
         self.truncated = True
 
-    def _pending_directives(self) -> bool:
-        return any(
-            d.step > self.step
-            for batch in (self.injections, self.scales, self.faults)
-            for d in batch
-        )
-
     def _run_directives(self) -> None:
-        for sc in self.scales:
-            if sc.step == self.step:
-                self._scale(sc.path, sc.count)
-        for f in self.faults:
-            if f.step == self.step:
-                group = self.groups[f.path]
-                rid = f.rid
-                if rid is None:
-                    live = group.live()
-                    if not live:
-                        raise KernelError(f"no live replica of '{f.path}' to fault")
-                    rid = live[0].rid
-                self._fault(group.inst.path, rid, f.kind)
-        for inj in self.injections:
-            if inj.step == self.step:
-                for ch in self.channels_from.get((ROOT_PATH, inj.port), []):
-                    self._dispatch(ch, inj.payload, ())
+        due = self._directives.pop(self.step, None)
+        if due is None:
+            return
+        scales, faults, injections = due
+        for sc in scales:
+            self._scale(sc.path, sc.count)
+        for f in faults:
+            group = self.groups[f.path]
+            rid = f.rid
+            if rid is None:
+                live = group.live()
+                if not live:
+                    raise KernelError(f"no live replica of '{f.path}' to fault")
+                rid = live[0].rid
+            self._fault(group.inst.path, rid, f.kind)
+        for inj in injections:
+            for ch in self.channels_from.get((ROOT_PATH, inj.port), []):
+                self._dispatch(ch, inj.payload, ())
 
     def _deliver_and_activate(self) -> None:
-        due = [m for m in self.in_flight if m.arrive_step <= self.step]
-        if not due:
+        due = self.in_flight.pop(self.step, None)
+        if due is None:
             return
-        due.sort(key=lambda m: (m.arrive_step, m.channel.id, m.seq))
-        self.in_flight = [m for m in self.in_flight if m.arrive_step > self.step]
+        due.sort(key=lambda m: (m.channel.id, m.seq))
         activations: list[tuple[Group, Replica, str]] = []
         for m in due:
             ch = m.channel
@@ -436,9 +455,12 @@ class Kernel:
                     self._event(STRIP, ch.id, seq, stripped, "-", ch.id)
         final = tuple(sorted(toks))
         self._event(SEND, ch.id, seq, final, payload.render(), ch.id)
-        self.in_flight.append(
-            Message(ch, seq, payload, final, self.step, self.step + ch.latency, pinned, bind)
-        )
+        arrive = self.step + ch.latency
+        bucket = self.in_flight.get(arrive)
+        if bucket is None:
+            bucket = self.in_flight[arrive] = []
+            heapq.heappush(self._agenda, arrive)
+        bucket.append(Message(ch, seq, payload, final, self.step, arrive, pinned, bind))
 
     # -- supervision ---------------------------------------------------------
 
@@ -484,17 +506,26 @@ class Kernel:
         else:
             for replica in live[target:]:
                 replica.retiring = True
+            if len(live) > target:
+                self._retiring.add(path)
         self._event(
             SCALE, path, None, (), f"target={target},size={group.size()}"
         )
 
     def _sweep(self) -> None:
-        for group in self.groups.values():
-            removed = False
+        for path in sorted(self._retiring, key=self._group_rank.__getitem__):
+            group = self.groups[path]
+            removed = waiting = False
             for replica in list(group.replicas.values()):
-                if replica.retiring and self._drained(group, replica):
+                if not replica.retiring:
+                    continue
+                if self._drained(group, replica):
                     del group.replicas[replica.rid]
                     removed = True
+                else:
+                    waiting = True
+            if not waiting:
+                self._retiring.discard(path)
             if removed:
                 self._event(
                     SCALE,
@@ -510,12 +541,13 @@ class Kernel:
         for (gpath, _tok), rid in self.bindings.items():
             if gpath == group.path and rid == replica.rid:
                 return False
-        for m in self.in_flight:
-            if m.channel.external or m.channel.target_path != group.path:
-                continue
-            if m.pinned == replica.rid:
-                return False
-            for tok in m.tokens:
-                if self.bindings.get((group.path, tok)) == replica.rid:
+        for bucket in self.in_flight.values():
+            for m in bucket:
+                if m.channel.external or m.channel.target_path != group.path:
+                    continue
+                if m.pinned == replica.rid:
                     return False
+                for tok in m.tokens:
+                    if self.bindings.get((group.path, tok)) == replica.rid:
+                        return False
         return True

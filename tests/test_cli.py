@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from cloudadl.cli import main
@@ -156,3 +158,80 @@ def test_no_arguments_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# --- robustness and the refactoring contract ---
+
+
+def deep_nest_text(depth: int, outermost_first: bool) -> str:
+    """D0 is atomic; each Dk wraps D(k-1) and passes its ports through."""
+    types = ["component D0 { port in M i; port out M o; behavior forward(); }"]
+    for k in range(1, depth):
+        types.append(
+            f"component D{k} {{ port in M i; port out M o; component D{k - 1} c;"
+            " connect i -> c.i; connect c.o -> o; }"
+        )
+    if outermost_first:
+        types.reverse()
+    return "\n".join(["message M { n: integer; }", *types]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "depth, outermost_first", [(1200, False), (1200, True), (5000, False)]
+)
+def test_deep_nesting_checks_and_simulates(tmp_path, capsys, depth, outermost_first):
+    root = f"D{depth - 1}"
+    (tmp_path / "deep.arc").write_text(deep_nest_text(depth, outermost_first))
+    scn = tmp_path / "deep.scn"
+    scn.write_text(
+        f"scenario deep\nmodel deep.arc\nroot {root}\n"
+        "inject i at 1 M{n=1}\nexpect count o 1\n"
+    )
+    assert main(["check", str(tmp_path / "deep.arc"), "--root", root]) == 0
+    out = capsys.readouterr()
+    assert f"{depth} instances, 2 channels" in out.out
+    assert "Traceback" not in out.err
+    assert main(["sim", str(scn)]) == 0
+    out = capsys.readouterr()
+    assert ": pass (steps 3, events 4)" in out.out
+    assert "Traceback" not in out.err
+
+
+# SHA-256 of (trace, store, stdout) for each bundled scenario. Any change to
+# the kernel that alters a trace, however slightly, fails here.
+PINNED_OUTPUTS = {
+    "pipeline4.scn": (
+        "d683dc105c3e859738e0c458fe0c8cc7d9c1adda0d798ff5ade1f421dd98d32e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "6da41379623b921fb4195e756f4205417a190af777e9c3b2c508a4e4df7eb7e6",
+    ),
+    "request_chain.scn": (
+        "ca0f2574e57626abcc5e6f3d5178df0076041f35ee16d660c1b705691a27cf94",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "d2f03184a7f1d6e1fcbabfb730faffaba7cade5aa412edbbbe2eb47f94d8b607",
+    ),
+    "sensor_channel.scn": (
+        "0c6fc1978cc90735def0394476f3c67cb60eb3a917347babf170eaf75b720b31",
+        "783fb2bd4e5a8fdab54d8900edffcd095561c9230c10938e7cdbfb2464dbde95",
+        "0405ce3d6f0aee8e08de9283297bd0b487779a5d5d0db0b0ed3a8153b1916042",
+    ),
+    "supervised.scn": (
+        "c4e0990b7d21fd99af07d1d9568b633d4fbef07f886de0dd71b97e42917c2c56",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "491c12412d252e6d1b37a8453809c1d46ce3dd5efb1890b87f067cf5a30d8a29",
+    ),
+}
+
+
+def test_bundled_scenario_outputs_match_pinned_digests(tmp_path, capsys):
+    paths = sorted(SCENARIOS_DIR.glob("*.scn"))
+    assert sorted(p.name for p in paths) == sorted(PINNED_OUTPUTS)
+    for path in paths:
+        trace, store = tmp_path / "run.trace", tmp_path / "run.store"
+        assert main(["sim", str(path), "--trace", str(trace), "--store", str(store)]) == 0
+        stdout = capsys.readouterr().out.encode()
+        got = tuple(
+            hashlib.sha256(data).hexdigest()
+            for data in (trace.read_bytes(), store.read_bytes(), stdout)
+        )
+        assert got == PINNED_OUTPUTS[path.name], path.name

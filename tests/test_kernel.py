@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -17,6 +18,7 @@ from cloudadl.kernel import (
 )
 from cloudadl.model import make_record
 from cloudadl.parser import load_files, parse_model
+from cloudadl.scenario import build_kernel, load_scenario_text
 from cloudadl.trace import render_trace
 
 from helpers import MODELS_DIR, parse_ok
@@ -551,3 +553,90 @@ def test_injection_payload_type_checked():
         Kernel(model, topo, injections=[
             Injection(1, "feed", rec(model, "Other", s="x")),
         ])
+
+
+# --- agenda: step-indexed directives and arrivals ---
+
+
+def test_inject_past_maxsteps_truncates_at_the_budget():
+    model = parse_ok(POOL_TEXT)
+    _, _, k = pool(maxsteps=10, injections=jobs(model, "feed", [3, 20]))
+    k.run()
+    assert k.truncated
+    assert k.step == 11
+    assert k.events and max(e.step for e in k.events) <= 10
+    assert len(k.out_streams["drain"]) == 1  # the step-20 inject never ran
+
+
+def test_lone_late_inject_matches_an_early_one_shifted():
+    model = parse_ok(POOL_TEXT)
+    runs = []
+    for step in (1, 50_000):
+        _, _, k = pool(maxsteps=100_000, injections=jobs(model, "feed", [step]))
+        k.run()
+        assert not k.truncated
+        runs.append(k)
+    early, late = runs
+    shift = 50_000 - 1
+    assert late.step == early.step + shift
+    assert [replace(e, step=e.step + shift) for e in early.events] == late.events
+
+
+def test_same_step_directives_run_scales_then_faults_then_injects(tmp_path):
+    (tmp_path / "m.arc").write_text(POOL_TEXT)
+    scn, diags = load_scenario_text(
+        "scenario mixed\nmodel m.arc\nroot Pool\nstrategy root/w resume\n"
+        "inject feed at 2 Job{n=1}\n"
+        "fault root/w at 2 first\n"
+        "scale root/w 3 at 2\n"
+        "inject feed at 2 Job{n=2}\n"
+        "fault root/w at 2 second\n"
+        "scale root/w 2 at 2\n",
+        "<scn>",
+        str(tmp_path),
+    )
+    assert scn is not None, diags
+    k = build_kernel(scn)
+    k.run()
+    at_two = [(e.kind, e.payload) for e in k.events if e.step == 2]
+    assert at_two == [
+        ("SCALE", "target=3,size=3"),
+        ("SCALE", "target=2,size=3"),
+        ("RAISE", "first"),
+        ("RAISE", "second"),
+        ("SEND", "Job{n=1}"),
+        ("SEND", "Job{n=2}"),
+        ("SCALE", "target=2,size=2"),  # the retirement sweep ends the step
+    ]
+
+
+def test_groups_retiring_on_one_step_shrink_in_declaration_order():
+    text = (
+        "message M { n: integer; }\n"
+        "component H { port in M i; port out M o replicating;"
+        " behavior forward(out=o, broadcast=true); }\n"
+        "component W { port in M i; behavior store(); }\n"
+        "component Sys { port in M feed; component H ha; component H hb;"
+        " replicating component W a; replicating component W b;"
+        " connect feed -> ha.i; connect feed -> hb.i;"
+        " connect ha.o -> a.i; connect hb.o -> b.i; }"
+    )
+    model = parse_ok(text)
+    _, _, k = build(
+        text, "Sys",
+        overrides=[("root/h?.o->*", 5)],
+        scales=[
+            ScaleDirective(0, "root/b", 2),
+            ScaleDirective(0, "root/a", 2),
+            # declared b first; pinned broadcast copies keep both #1 busy
+            ScaleDirective(3, "root/b", 1),
+            ScaleDirective(3, "root/a", 1),
+        ],
+        injections=[Injection(1, "feed", rec(model, "M", n=0))],
+    )
+    k.run()
+    shrinks = [
+        (e.step, e.subject) for e in k.events
+        if e.kind == "SCALE" and e.payload == "target=1,size=1"
+    ]
+    assert shrinks == [(7, "root/a"), (7, "root/b")]
