@@ -389,25 +389,17 @@ class RuntimeTopology:
     root_type: str
     instances: dict[str, InstanceSpec]
     channels: list[ChannelSpec]
+    # (source path, source port) -> the channels leaving it, in channel order
+    channels_from: dict[tuple[str, str], list[ChannelSpec]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.channels_from = {}
+        for ch in self.channels:
+            self.channels_from.setdefault((ch.source_path, ch.source_port), []).append(ch)
 
     @property
     def root(self) -> InstanceSpec:
         return self.instances[ROOT_PATH]
-
-    def channels_from(self, path: str, port: str) -> list[ChannelSpec]:
-        return [
-            ch
-            for ch in self.channels
-            if ch.source_path == path and ch.source_port == port
-        ]
-
-    def context_names(self) -> list[str]:
-        names: list[str] = []
-        for inst in self.instances.values():
-            for ctx in inst.type_def.contexts:
-                if ctx.name not in names:
-                    names.append(ctx.name)
-        return names
 
 
 class ElaborationError(Exception):
@@ -465,6 +457,35 @@ def elaborate(model: ArchitectureModel, root_type: str) -> RuntimeTopology:
     if len(set(ids)) != len(ids):
         raise ElaborationError("internal error: channel ids are not unique")
     return RuntimeTopology(root_type, instances, channels)
+
+
+def check_selection_ports(
+    model: ArchitectureModel, topology: RuntimeTopology
+) -> list[Diagnostic]:
+    """route_by and forward(broadcast=true) choose among the live replicas
+    behind their out port, so that port must fuse into exactly one channel
+    and it must end at a replica group. Whether it does depends on how each
+    instance is wired, so the check runs on an elaborated topology."""
+    diags: list[Diagnostic] = []
+    by_type: dict[str, behaviors.Behavior] = {}
+    for inst in topology.instances.values():
+        tdef = inst.type_def
+        if tdef.behavior is None:
+            continue
+        if tdef.name not in by_type:
+            by_type[tdef.name] = behaviors.instantiate(tdef, model)
+        behavior = by_type[tdef.name]
+        if getattr(behavior, "mode", behaviors.MODE_ONE) == behaviors.MODE_ONE:
+            continue
+        port = behavior.out.name
+        chs = topology.channels_from.get((inst.path, port), [])
+        if len(chs) != 1 or not chs[0].group:
+            message = (
+                f"'{inst.path}' selects replicas with {tdef.behavior.builtin}, "
+                f"so its out port '{port}' must feed exactly one replica group"
+            )
+            diags.append(_err(tdef.behavior, message, E_REPL_PORT))
+    return diags
 
 
 def _gates_of(

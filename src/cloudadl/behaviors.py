@@ -60,7 +60,6 @@ class Raise:
 @dataclass
 class ActivationContext:
     step: int
-    counts: dict[str, int]
     rng: Random
 
 
@@ -236,6 +235,8 @@ class ForwardBehavior(Behavior):
 class RouteByBehavior(Behavior):
     """Pin the receiving replica by an integer payload field (mod group size)."""
 
+    mode = MODE_INDEX
+
     def __init__(self, tdef, model, clause):
         shape = _Shape(clause.builtin, tdef, model)
         bound = bind_args(clause, [("field", True), ("out", False)])
@@ -247,7 +248,7 @@ class RouteByBehavior(Behavior):
             shape.same_type(p, self.out)
 
     def handle(self, state, port, payload, ctx):
-        return state, [Emit(self.out.name, payload, MODE_INDEX, payload.get(self.field))]
+        return state, [Emit(self.out.name, payload, self.mode, payload.get(self.field))]
 
 
 class _VerdictBehavior(Behavior):

@@ -14,7 +14,7 @@ from .harness import (
     render_stores,
     run_file,
 )
-from .parser import load_files, parse_model
+from .parser import load_files, parse_model, read_source
 from .printer import pretty_print
 from .trace import render_trace
 
@@ -93,11 +93,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_fmt(args: argparse.Namespace) -> int:
     status = STATUS_PASS
     for path in args.files:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            print(f"{path}: {exc.strerror or exc}", file=sys.stderr)
+        text, diags = read_source(path)
+        if text is None:
+            print(render_all(diags), file=sys.stderr)
             status = STATUS_DIAGNOSTICS
             continue
         model, diags = parse_model(text, path)

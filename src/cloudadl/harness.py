@@ -6,7 +6,6 @@ model or scenario did not load, 3 a fault escalated past the root.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, render_all
@@ -57,17 +56,6 @@ def run_file(path: str, trace_path: str | None = None) -> RunReport:
         f"(steps {kernel.step}, events {len(kernel.events)})"
     )
     return RunReport(path, STATUS_PASS, [summary], [], result)
-
-
-def run_files(paths: list[str], trace_dir: str | None = None) -> list[RunReport]:
-    reports = []
-    for path in paths:
-        trace_path = None
-        if trace_dir is not None:
-            stem = os.path.splitext(os.path.basename(path))[0]
-            trace_path = os.path.join(trace_dir, f"{stem}.trace")
-        reports.append(run_file(path, trace_path))
-    return reports
 
 
 def overall_status(reports: list[RunReport]) -> int:

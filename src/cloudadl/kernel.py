@@ -80,9 +80,8 @@ class Message:
     channel: ChannelSpec
     seq: int
     payload: Record
+    text: str  # payload rendered once at send, reused for its DELIVER
     tokens: tuple[tuple[str, int], ...]
-    send_step: int
-    arrive_step: int
     pinned: int | None = None  # replica id fixed at send time
     bind: bool = True  # broadcast copies never bind tokens
 
@@ -194,10 +193,6 @@ class Kernel:
                 )
                 self.groups[inst.path] = Group(inst, behavior, seed)
 
-        self.channels_from: dict[tuple[str, str], list[ChannelSpec]] = {}
-        for ch in topology.channels:
-            self.channels_from.setdefault((ch.source_path, ch.source_port), []).append(ch)
-
         self.seq_counters: dict[str, int] = {}
         self.token_counters: dict[str, int] = {}
         self.bindings: dict[tuple[str, tuple[str, int]], int] = {}
@@ -305,7 +300,7 @@ class Kernel:
                 rid = live[0].rid
             self._fault(group.inst.path, rid, f.kind)
         for inj in injections:
-            for ch in self.channels_from.get((ROOT_PATH, inj.port), []):
+            for ch in self.topology.channels_from.get((ROOT_PATH, inj.port), []):
                 self._dispatch(ch, inj.payload, ())
 
     def _deliver_and_activate(self) -> None:
@@ -322,7 +317,7 @@ class Kernel:
                     f"{ROOT_PATH}.{ch.target_port}",
                     m.seq,
                     m.tokens,
-                    m.payload.render(),
+                    m.text,
                     ch.id,
                 )
                 self.out_streams[ch.target_port].append((m.tokens, m.payload))
@@ -334,7 +329,7 @@ class Kernel:
                 f"{group.path}#{replica.rid}.{ch.target_port}",
                 m.seq,
                 m.tokens,
-                m.payload.render(),
+                m.text,
                 ch.id,
             )
             replica.queues[ch.target_port].append(m)
@@ -377,7 +372,7 @@ class Kernel:
         return replica
 
     def _activate(self, group: Group, replica: Replica, port: str, m: Message) -> None:
-        ctx = ActivationContext(self.step, self._receiver_counts(group.inst), replica.rng)
+        ctx = ActivationContext(self.step, replica.rng)
         state, actions = group.behavior.handle(replica.state, port, m.payload, ctx)
         for act in actions:
             if isinstance(act, Raise):
@@ -392,26 +387,10 @@ class Kernel:
         if not emitted:
             replica.held.update(m.tokens)
 
-    def _receiver_counts(self, inst: InstanceSpec) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for p in inst.type_def.ports:
-            if p.direction != OUT:
-                continue
-            chs = self.channels_from.get((inst.path, p.name), [])
-            if len(chs) == 1:
-                ch = chs[0]
-                if ch.group:
-                    counts[p.name] = len(self.groups[ch.target_path].live())
-                else:
-                    counts[p.name] = 1
-            elif not chs:
-                counts[p.name] = 0
-        return counts
-
     # -- sending ------------------------------------------------------------
 
     def _send(self, path: str, emit: Emit, tokens: tuple) -> None:
-        channels = self.channels_from.get((path, emit.port), [])
+        channels = self.topology.channels_from.get((path, emit.port), [])
         if emit.mode == MODE_ONE:
             for ch in channels:
                 self._dispatch(ch, emit.payload, tokens)
@@ -454,13 +433,14 @@ class Kernel:
                     toks.difference_update(stripped)
                     self._event(STRIP, ch.id, seq, stripped, "-", ch.id)
         final = tuple(sorted(toks))
-        self._event(SEND, ch.id, seq, final, payload.render(), ch.id)
+        text = payload.render()
+        self._event(SEND, ch.id, seq, final, text, ch.id)
         arrive = self.step + ch.latency
         bucket = self.in_flight.get(arrive)
         if bucket is None:
             bucket = self.in_flight[arrive] = []
             heapq.heappush(self._agenda, arrive)
-        bucket.append(Message(ch, seq, payload, final, self.step, arrive, pinned, bind))
+        bucket.append(Message(ch, seq, payload, text, final, pinned, bind))
 
     # -- supervision ---------------------------------------------------------
 

@@ -106,10 +106,11 @@ def tokenize(source: str) -> list[Token]:
             tokens.append(Token(IDENT, source[start:i], line, start_col))
             continue
 
-        if ch.isdigit():
+        # isdecimal, not isdigit: int() rejects digits such as '²'
+        if ch.isdecimal():
             start_col = col
             start = i
-            while i < n and source[i].isdigit():
+            while i < n and source[i].isdecimal():
                 i += 1
                 col += 1
             tokens.append(Token(INT, source[start:i], line, start_col))

@@ -67,10 +67,6 @@ def predict(scenario: Scenario) -> OracleResult:
         behaviors[inst.path] = behavior
         states[inst.path] = behavior.initial_state()
 
-    channels_from: dict[tuple[str, str], list] = {}
-    for ch in topology.channels:
-        channels_from.setdefault((ch.source_path, ch.source_port), []).append(ch)
-
     result = OracleResult()
     for p in topology.root.type_def.ports:
         if p.direction == OUT:
@@ -80,13 +76,13 @@ def predict(scenario: Scenario) -> OracleResult:
             if inst.type_def.behavior.builtin == "store":
                 result.stores[inst.path] = []
 
-    ctx = ActivationContext(0, {}, Random(0))
+    ctx = ActivationContext(0, Random(0))
     work: deque = deque()
     for inj in sorted(
         enumerate(scenario.injections), key=lambda pair: (pair[1].step, pair[0])
     ):
         injection = inj[1]
-        for ch in channels_from.get(("root", injection.port), []):
+        for ch in topology.channels_from.get(("root", injection.port), []):
             work.append((ch, injection.payload))
 
     pops = 0
@@ -110,6 +106,6 @@ def predict(scenario: Scenario) -> OracleResult:
         if path in result.stores:
             result.stores[path] = [payload for _step, payload in state]
         for act in actions:
-            for ch2 in channels_from.get((path, act.port), []):
+            for ch2 in topology.channels_from.get((path, act.port), []):
                 work.append((ch2, act.payload))
     return result

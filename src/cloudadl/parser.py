@@ -471,17 +471,31 @@ def _cross_dup(kind: str, name: str, pos: Pos) -> Diagnostic:
     )
 
 
+def read_source(path: str) -> tuple[str | None, list[Diagnostic]]:
+    """Read a UTF-8 source file; failing that, one E_IO diagnostic."""
+    origin = os.fspath(path)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read(), []
+    except OSError as exc:
+        return None, [error(E_IO, origin, 0, 0, exc.strerror or str(exc))]
+    except UnicodeDecodeError as exc:
+        data, at = exc.object, exc.start
+        line = data.count(b"\n", 0, at) + 1
+        col = at - data.rfind(b"\n", 0, at)
+        message = f"not valid UTF-8: byte 0x{data[at]:02x}"
+        return None, [error(E_IO, origin, line, col, message)]
+
+
 def load_files(paths: list[str]) -> tuple[ArchitectureModel | None, list[Diagnostic]]:
     """Parse and merge a set of .arc files."""
     fragments: list[tuple[ArchitectureModel, str]] = []
     diags: list[Diagnostic] = []
     for path in paths:
         origin = os.fspath(path)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            diags.append(error(E_IO, origin, 0, 0, exc.strerror or str(exc)))
+        text, file_diags = read_source(path)
+        if text is None:
+            diags.extend(file_diags)
             continue
         fragment, file_diags = parse_model(text, origin)
         if fragment is None:

@@ -31,10 +31,10 @@ from .analyzer import (
     RuntimeTopology,
     apply_latency_overrides,
     check,
+    check_selection_ports,
     elaborate,
 )
 from .diagnostics import (
-    E_IO,
     E_SYNTAX,
     E_TYPE_MISMATCH,
     E_UNRESOLVED,
@@ -60,7 +60,7 @@ from .kernel import (
     ScaleDirective,
 )
 from .model import IN, OUT, ArchitectureModel, Record, make_record
-from .parser import ParseError, TokenCursor, load_files
+from .parser import ParseError, TokenCursor, load_files, read_source
 
 EVENT_KINDS = (
     SEND,
@@ -139,10 +139,6 @@ class ScenarioResult:
     failures: list[str]
     kernel: Kernel
     fatal: FatalUnhandled | None = None
-
-    @property
-    def events(self):
-        return self.kernel.events
 
 
 def strip_comment(line: str) -> str:
@@ -317,11 +313,9 @@ def _parse_payloads(text: str) -> list[tuple[str, dict[str, object]]]:
 
 
 def load_scenario(path: str) -> tuple[Scenario | None, list[Diagnostic]]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        return None, [error(E_IO, os.fspath(path), 0, 0, exc.strerror or str(exc))]
+    text, diags = read_source(path)
+    if text is None:
+        return None, diags
     return load_scenario_text(text, os.fspath(path), os.path.dirname(path))
 
 
@@ -357,6 +351,9 @@ def load_scenario_text(
     if diags:
         return None, diags
     topology = elaborate(model, raw.root_type)
+    diags = check_selection_ports(model, topology)
+    if diags:
+        return None, diags
 
     name = raw.name or os.path.splitext(os.path.basename(origin))[0]
     scenario = Scenario(

@@ -144,7 +144,7 @@ def test_a03_context_tokens_pin_chains_to_their_opening_replica():
 
 def test_a04_broadcast_and_index_selection_against_group_sizes():
     """Broadcast reaches each of n replicas once; index(i) picks replica i;
-    the sender-visible receiver count follows scaling."""
+    broadcast reaches the new group size after scaling."""
     text = (
         "message M { v: integer; }\n"
         "component W { port in M i; port out M o; behavior forward(out=o); }\n"
@@ -185,7 +185,7 @@ def test_a04_broadcast_and_index_selection_against_group_sizes():
                    if e.kind == "DELIVER" and e.channel == "root/r.o->root/w.i"]
             assert got == [f"root/w#{i}.i"]
 
-        # receiver count tracks the group across a scale event
+        # broadcast tracks the group across a scale event
         topo = elaborate(model, "BSys")
         k = Kernel(model, topo,
                    scales=[ScaleDirective(0, "root/w", n),
@@ -198,8 +198,7 @@ def test_a04_broadcast_and_index_selection_against_group_sizes():
         before = [e for e in ch_delis if e.payload == "M{v=0}"]
         after = [e for e in ch_delis if e.payload == "M{v=1}"]
         assert len(before) == n and len(after) == n + 1
-        assert k._receiver_counts(k.groups["root/h"].inst) == {"o": n + 1}
-    print("PASS: broadcast fan, index pick, and receiver counts exact "
+    print("PASS: broadcast fan, index pick, and fan after rescaling exact "
           "for n in {1,3,7}")
 
 

@@ -310,7 +310,6 @@ def test_sensor_topology():
         ("root/auth.result->root/handler.authResult", False, False, (), "Verdict"),
         ("root/validator.result->root/handler.valResult", False, False, (), "Verdict"),
     ]
-    assert topo.context_names() == ["session"]
 
 
 def test_nested_passthrough_fuses_hops():
@@ -366,7 +365,7 @@ def test_fan_out_two_channels_one_source():
         "root.x->root/b1.i",
         "root.x->root/b2.i",
     ]
-    assert topo.channels_from("root", "x") == list(topo.channels)
+    assert topo.channels_from[("root", "x")] == list(topo.channels)
 
 
 def test_latency_overrides():

@@ -31,8 +31,8 @@ def rec(model, tname, **vals):
     return make_record(model.message_types[tname], vals)
 
 
-def ctx(step: int = 0, counts=None, seed: int = 0) -> ActivationContext:
-    return ActivationContext(step, counts or {}, Random(seed))
+def ctx(step: int = 0, seed: int = 0) -> ActivationContext:
+    return ActivationContext(step, Random(seed))
 
 
 def errors(text: str, name: str = "A") -> list[str]:
@@ -224,7 +224,7 @@ def test_sample_uses_activation_rng():
     s = b.initial_state()
     hits = 0
     for i in range(100):
-        s, acts = b.handle(s, "u", rec(m, "U", v=i), ActivationContext(0, {}, rng))
+        s, acts = b.handle(s, "u", rec(m, "U", v=i), ActivationContext(0, rng))
         hits += bool(acts)
     assert hits == 42  # frozen for Random(1)'s stream
 

@@ -197,6 +197,94 @@ def test_deep_nesting_checks_and_simulates(tmp_path, capsys, depth, outermost_fi
     assert "Traceback" not in out.err
 
 
+ONE_STORE = (
+    "message M { n: integer; }\n"
+    "component W { port in M i; behavior store(); }\n"
+    "component Sys { port in M feed; component W w; connect feed -> w.i; }\n"
+)
+ONE_GROUP = (
+    "message M { n: integer; }\n"
+    "component W { port in M i; port out M o; behavior forward(); }\n"
+    "component Sys { port in M feed; replicating component W w;"
+    " connect feed -> w.i; }\n"
+)
+
+
+def miswired(behavior: str) -> str:
+    """A selection behavior whose out port feeds a plain instance."""
+    return (
+        "message M { n: integer; }\n"
+        f"component R {{ port in M i; port out M o; behavior {behavior}; }}\n"
+        "component W { port in M i; behavior store(); }\n"
+        "component Sys { port in M feed; component R r; component W w;"
+        " connect feed -> r.i; connect r.o -> w.i; }\n"
+    )
+
+
+def scenario(*lines: str) -> str:
+    return "scenario s\nmodel m.arc\nroot Sys\n" + "".join(f"{line}\n" for line in lines)
+
+
+INJECT = "inject feed at 1 M{n=1}"
+NOT_UTF8 = ONE_STORE.encode() + b"// \xff\n"
+
+# (files, command line, exit status, text expected on stderr)
+PATHOLOGICAL = {
+    "route_by_miswired": (
+        {"m.arc": miswired("route_by(field=n)"), "s.scn": scenario(INJECT)},
+        ["sim", "s.scn"], 2, "E_REPL_PORT",
+    ),
+    "broadcast_miswired": (
+        {"m.arc": miswired("forward(broadcast=true)"), "s.scn": scenario(INJECT)},
+        ["sim", "s.scn"], 2, "E_REPL_PORT",
+    ),
+    "check_not_utf8": ({"m.arc": NOT_UTF8}, ["check", "m.arc"], 2, "E_IO"),
+    "fmt_not_utf8": ({"m.arc": NOT_UTF8}, ["fmt", "m.arc"], 2, "E_IO"),
+    "sim_model_not_utf8": (
+        {"m.arc": NOT_UTF8, "s.scn": scenario(INJECT)}, ["sim", "s.scn"], 2, "E_IO",
+    ),
+    "sim_scenario_not_utf8": (
+        {"m.arc": ONE_STORE, "s.scn": scenario(INJECT).encode() + b"\xff\n"},
+        ["sim", "s.scn"], 2, "E_IO",
+    ),
+    "inject_superscript_digit": (
+        {"m.arc": ONE_STORE, "s.scn": scenario("inject feed at 1 M{n=²}")},
+        ["sim", "s.scn"], 2, "E_SYNTAX",
+    ),
+    "behavior_arg_superscript_digit": (
+        {"m.arc": "message M { n: integer; }\n"
+         "component C { port in M i; port out M o; behavior collect(n=²); }\n"},
+        ["check", "m.arc"], 2, "E_SYNTAX",
+    ),
+    "maxsteps_0": (
+        {"m.arc": ONE_STORE, "s.scn": scenario("maxsteps 0", INJECT)},
+        ["sim", "s.scn"], 1, "",
+    ),
+    "unwired_out_port": (
+        {"m.arc": ONE_GROUP, "s.scn": scenario(INJECT)}, ["sim", "s.scn"], 0, "",
+    ),
+    "fault_on_retired_replica": (
+        {"m.arc": ONE_GROUP, "s.scn": scenario(
+            "scale root/w 2 at 0", "scale root/w 1 at 2", "fault root/w#1 at 5 boom"
+        )},
+        ["sim", "s.scn"], 3, "",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PATHOLOGICAL))
+def test_pathological_input_ends_in_a_status(tmp_path, capsys, case):
+    files, argv, status, expected_err = PATHOLOGICAL[case]
+    for name, content in files.items():
+        data = content if isinstance(content, bytes) else content.encode()
+        (tmp_path / name).write_bytes(data)
+    argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
+    assert main(argv) == status
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert expected_err in err
+
+
 # SHA-256 of (trace, store, stdout) for each bundled scenario. Any change to
 # the kernel that alters a trace, however slightly, fails here.
 PINNED_OUTPUTS = {

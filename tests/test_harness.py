@@ -10,7 +10,6 @@ from cloudadl.harness import (
     overall_status,
     render_stores,
     run_file,
-    run_files,
 )
 from cloudadl.scenario import load_scenario, run_scenario
 
@@ -93,14 +92,10 @@ def test_run_files_and_overall_status(tmp_path):
     failing = write_case(
         tmp_path, "root Pool\nexpect count drain 5\n", name="failing"
     )
-    trace_dir = tmp_path / "traces"
-    trace_dir.mkdir()
-    reports = run_files([ok, failing], str(trace_dir))
+    reports = [run_file(ok), run_file(failing)]
     assert [r.status for r in reports] == [STATUS_PASS, STATUS_FAIL]
     assert overall_status(reports) == STATUS_FAIL
     assert overall_status([]) == STATUS_PASS
-    assert (trace_dir / "ok.trace").exists()
-    assert (trace_dir / "failing.trace").exists()
 
 
 def test_render_stores():

@@ -484,28 +484,6 @@ def test_held_tokens_block_retirement():
     assert group.replicas[1].retiring
 
 
-# --- activation context ---
-
-
-def test_receiver_counts_shape():
-    text = (
-        "message M { n: integer; }\n"
-        "component H { port in M i; port out M togroup replicating;"
-        " port out M single; port out M unwired;"
-        " behavior forward(out=togroup); }\n"
-        "component W { port in M i; behavior store(); }\n"
-        "component B { port in M i; behavior store(); }\n"
-        "component Sys { port in M feed; component H h;"
-        " replicating component W w; component B b;"
-        " connect feed -> h.i; connect h.togroup -> w.i;"
-        " connect h.single -> b.i; }"
-    )
-    _, _, k = build(text, "Sys", scales=[ScaleDirective(0, "root/w", 5)])
-    k._run_directives()
-    counts = k._receiver_counts(k.groups["root/h"].inst)
-    assert counts == {"togroup": 5, "single": 1, "unwired": 0}
-
-
 # --- caps and validation ---
 
 

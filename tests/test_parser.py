@@ -76,6 +76,10 @@ def test_tokenize_errors():
         lexer.tokenize('"raw\nnewline"')
     with pytest.raises(lexer.LexError):
         lexer.tokenize("a @ b")
+    # '²' passes str.isdigit, but int() rejects it
+    with pytest.raises(lexer.LexError) as exc:
+        lexer.tokenize("n=1\nn=²")
+    assert (exc.value.line, exc.value.col) == (2, 3)
 
 
 # --- grammar ---
