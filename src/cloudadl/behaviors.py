@@ -37,7 +37,7 @@ class BehaviorConfigError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Emit:
     """Send payload through an out port.
 
@@ -57,7 +57,7 @@ class Raise:
     kind: str
 
 
-@dataclass
+@dataclass(slots=True)
 class ActivationContext:
     step: int
     rng: Random

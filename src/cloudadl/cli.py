@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analyzer import check, elaborate
+from .analyzer import check, check_selection_ports, elaborate
 from .diagnostics import render_all
 from .harness import (
     STATUS_DIAGNOSTICS,
@@ -70,12 +70,17 @@ def cmd_check(args: argparse.Namespace) -> int:
     if diags:
         print(render_all(diags), file=sys.stderr)
         return STATUS_DIAGNOSTICS
+    topology = elaborate(model, args.root) if args.root else None
+    if topology is not None:
+        diags = check_selection_ports(model, topology)
+        if diags:
+            print(render_all(diags), file=sys.stderr)
+            return STATUS_DIAGNOSTICS
     print(
         f"ok: {len(model.message_types)} message types, "
         f"{len(model.component_types)} component types"
     )
-    if args.root:
-        topology = elaborate(model, args.root)
+    if topology is not None:
         print(
             f"root {args.root}: {len(topology.instances)} instances, "
             f"{len(topology.channels)} channels"

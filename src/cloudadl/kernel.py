@@ -63,7 +63,7 @@ STRATEGIES = (RESUME, RESTART_STRATEGY, ESCALATE_STRATEGY)
 # Tokens are (context name, serial) pairs; serials count up per context.
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Event:
     step: int
     kind: str
@@ -75,7 +75,7 @@ class Event:
     channel: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     channel: ChannelSpec
     seq: int
@@ -108,9 +108,12 @@ class Group:
         self.next_rid = 0
         self.rr = 0  # round-robin cursor, advanced only on round-robin picks
         self.target = 1
+        # live replicas in id order; None until the next live() rebuilds it
+        self._live: list[Replica] | None = None
         self.grow(1)
 
     def grow(self, count: int) -> None:
+        self._live = None
         for _ in range(count):
             rid = self.next_rid
             self.next_rid += 1
@@ -121,14 +124,30 @@ class Group:
             }
             self.replicas[rid] = Replica(rid, state, rng, queues)
 
+    def shrink(self, target: int) -> bool:
+        """Mark the live replicas past the first `target` retiring; True if
+        any were marked."""
+        extra = self.live()[target:]
+        for replica in extra:
+            replica.retiring = True
+        if extra:
+            self._live = None
+        return bool(extra)
+
     def live(self) -> list[Replica]:
-        return [r for _, r in sorted(self.replicas.items()) if not r.retiring]
+        """Non-retiring replicas in id order. Callers must not mutate the
+        list; anything that adds a replica or marks one retiring clears it."""
+        if self._live is None:
+            self._live = [
+                r for _, r in sorted(self.replicas.items()) if not r.retiring
+            ]
+        return self._live
 
     def size(self) -> int:
         return len(self.replicas)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Injection:
     step: int
     port: str
@@ -264,7 +283,7 @@ class Kernel:
         channel: str = "",
     ) -> None:
         self.events.append(
-            Event(self.step, kind, subject, seq, tuple(tokens), payload, channel)
+            Event(self.step, kind, subject, seq, tokens, payload, channel)
         )
 
     # -- run loop ----------------------------------------------------------
@@ -483,11 +502,8 @@ class Kernel:
         live = group.live()
         if target > len(live):
             group.grow(target - len(live))
-        else:
-            for replica in live[target:]:
-                replica.retiring = True
-            if len(live) > target:
-                self._retiring.add(path)
+        elif group.shrink(target):
+            self._retiring.add(path)
         self._event(
             SCALE, path, None, (), f"target={target},size={group.size()}"
         )

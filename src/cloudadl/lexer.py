@@ -40,7 +40,7 @@ _PUNCTS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
     type: str  # IDENT, INT, STRING, EOF, or the punct itself
     value: str

@@ -195,8 +195,13 @@ class Record:
         raise KeyError(name)
 
     def render(self) -> str:
-        inner = ",".join(f"{k}={render_value(v)}" for k, v in self.values)
-        return f"{self.type_name}{{{inner}}}"
+        # One payload crosses many channels; keep its text on the instance,
+        # outside the fields, so eq, hash and repr do not see it.
+        text = self.__dict__.get("_text")
+        if text is None:
+            inner = ",".join(f"{k}={render_value(v)}" for k, v in self.values)
+            text = self.__dict__["_text"] = f"{self.type_name}{{{inner}}}"
+        return text
 
 
 def render_value(v: object) -> str:
@@ -230,7 +235,8 @@ def make_record(type_def: MessageTypeDef, values: dict[str, object]) -> Record:
     missing = [f.name for f in type_def.fields if f.name not in values]
     if missing:
         raise ValueError(f"{type_def.name}: missing fields {', '.join(missing)}")
-    extra = [k for k in values if type_def.field_map().get(k) is None]
+    field_map = type_def.field_map()
+    extra = [k for k in values if k not in field_map]
     if extra:
         raise ValueError(f"{type_def.name}: unknown fields {', '.join(extra)}")
     ordered = []

@@ -238,6 +238,10 @@ PATHOLOGICAL = {
         {"m.arc": miswired("forward(broadcast=true)"), "s.scn": scenario(INJECT)},
         ["sim", "s.scn"], 2, "E_REPL_PORT",
     ),
+    "check_route_by_miswired": (
+        {"m.arc": miswired("route_by(field=n)")},
+        ["check", "m.arc", "--root", "Sys"], 2, "E_REPL_PORT",
+    ),
     "check_not_utf8": ({"m.arc": NOT_UTF8}, ["check", "m.arc"], 2, "E_IO"),
     "fmt_not_utf8": ({"m.arc": NOT_UTF8}, ["fmt", "m.arc"], 2, "E_IO"),
     "sim_model_not_utf8": (

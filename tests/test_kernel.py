@@ -618,3 +618,52 @@ def test_groups_retiring_on_one_step_shrink_in_declaration_order():
         if e.kind == "SCALE" and e.payload == "target=1,size=1"
     ]
     assert shrinks == [(7, "root/a"), (7, "root/b")]
+
+
+def test_live_list_follows_scaling_and_the_sweep():
+    _, _, k = pool()
+    group = k.groups["root/w"]
+
+    def live():
+        return [r.rid for r in group.live()]
+
+    assert live() == [0]
+    k._scale("root/w", 3)
+    assert live() == [0, 1, 2]
+    k._scale("root/w", 1)
+    assert live() == [0]  # 1 and 2 are retiring but still present
+    assert sorted(group.replicas) == [0, 1, 2]
+    k._sweep()
+    assert sorted(group.replicas) == [0]
+    assert live() == [0]
+    k._scale("root/w", 2)
+    assert live() == [0, 3]
+
+
+def test_round_robin_follows_scale_up_shrink_and_regrowth():
+    model = parse_ok(POOL_TEXT)
+    _, _, k = pool(
+        scales=[
+            ScaleDirective(0, "root/w", 3),
+            ScaleDirective(3, "root/w", 1),
+            ScaleDirective(5, "root/w", 2),
+        ],
+        injections=jobs(model, "feed", [1, 1, 1, 3, 3, 5, 5]),
+    )
+    k.run()
+    picks = [(e.step, e.subject) for e in deliveries(k, "root/w")]
+    assert picks == [
+        (2, "root/w#0.i"), (2, "root/w#1.i"), (2, "root/w#2.i"),
+        (4, "root/w#0.i"), (4, "root/w#0.i"),
+        # the cursor stands at 5, so the regrown pair [0, 3] starts at #3
+        (6, "root/w#3.i"), (6, "root/w#0.i"),
+    ]
+    scales = [(e.step, e.payload) for e in k.events if e.kind == "SCALE"]
+    assert scales == [
+        (0, "target=3,size=3"),
+        (3, "target=1,size=3"),
+        (3, "target=1,size=1"),  # the sweep removes #1 and #2
+        (5, "target=2,size=2"),
+    ]
+    group = k.groups["root/w"]
+    assert [r.rid for r in group.live()] == [0, 3]
