@@ -4,6 +4,13 @@ A behavior is configuration shared by every replica of an instance; the
 per-replica state lives in the kernel and is threaded through handle().
 handle() returns the successor state plus a list of actions, so a restart
 can reset a replica by going back to initial_state().
+
+store is the one exception to immutable states: its handle() appends the
+new row to its row list in place and returns that same list, so an
+activation costs O(1) however many rows are kept. The kernel's rule that
+an activation which raises commits no state is unaffected, because store
+never raises; initial_state() returns a fresh list on every call, so a
+restart still empties the rows and no two replicas share one.
 """
 
 from __future__ import annotations
@@ -314,10 +321,11 @@ class StoreBehavior(Behavior):
         bind_args(clause, [])
 
     def initial_state(self):
-        return ()
+        return []
 
     def handle(self, state, port, payload, ctx):
-        return state + ((ctx.step, payload),), []
+        state.append((ctx.step, payload))
+        return state, []
 
 
 class CollectBehavior(Behavior):

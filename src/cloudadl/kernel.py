@@ -30,6 +30,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from random import Random
 
 from .analyzer import OPEN, ROOT_PATH, ChannelSpec, InstanceSpec, RuntimeTopology
@@ -81,9 +82,15 @@ class Message:
     seq: int
     payload: Record
     text: str  # payload rendered once at send, reused for its DELIVER
+    # () or the tuple(sorted(...)) of a gated dispatch: always sorted and
+    # free of duplicates, so a gateless hop can pass it on as it is
     tokens: tuple[tuple[str, int], ...]
     pinned: int | None = None  # replica id fixed at send time
     bind: bool = True  # broadcast copies never bind tokens
+
+
+# delivery order within one arrival step
+_arrival_order = attrgetter("channel.id", "seq")
 
 
 @dataclass
@@ -326,31 +333,25 @@ class Kernel:
         due = self.in_flight.pop(self.step, None)
         if due is None:
             return
-        due.sort(key=lambda m: (m.channel.id, m.seq))
+        due.sort(key=_arrival_order)
+        step = self.step
+        events = self.events
         activations: list[tuple[Group, Replica, str]] = []
         for m in due:
             ch = m.channel
             if ch.external:
-                self._event(
-                    DELIVER,
-                    f"{ROOT_PATH}.{ch.target_port}",
-                    m.seq,
-                    m.tokens,
-                    m.text,
-                    ch.id,
-                )
+                events.append(Event(
+                    step, DELIVER, f"{ROOT_PATH}.{ch.target_port}",
+                    m.seq, m.tokens, m.text, ch.id,
+                ))
                 self.out_streams[ch.target_port].append((m.tokens, m.payload))
                 continue
             group = self.groups[ch.target_path]
             replica = self._select(group, m)
-            self._event(
-                DELIVER,
-                f"{group.path}#{replica.rid}.{ch.target_port}",
-                m.seq,
-                m.tokens,
-                m.text,
-                ch.id,
-            )
+            events.append(Event(
+                step, DELIVER, f"{group.path}#{replica.rid}.{ch.target_port}",
+                m.seq, m.tokens, m.text, ch.id,
+            ))
             replica.queues[ch.target_port].append(m)
             activations.append((group, replica, ch.target_port))
         for group, replica, port in activations:
@@ -360,6 +361,7 @@ class Kernel:
             self._activate(group, replica, port, queue.popleft())
 
     def _select(self, group: Group, m: Message) -> Replica:
+        tokens = m.tokens
         if m.pinned is not None:
             replica = group.replicas.get(m.pinned)
             if replica is None:
@@ -367,20 +369,23 @@ class Kernel:
                     f"message pinned to missing replica {group.path}#{m.pinned}"
                 )
         else:
-            bound = sorted(
-                tok for tok in m.tokens if (group.path, tok) in self.bindings
-            )
-            if bound:
-                replica = group.replicas[self.bindings[(group.path, bound[0])]]
+            # tokens are sorted, so the first bound one is the least
+            rid = None
+            for tok in tokens:
+                rid = self.bindings.get((group.path, tok))
+                if rid is not None:
+                    break
+            if rid is not None:
+                replica = group.replicas[rid]
             else:
                 live = group.live()
                 if not live:
                     raise KernelError(f"no live replica of '{group.path}'")
                 replica = live[group.rr % len(live)]
                 group.rr += 1
-        if m.bind and m.channel.group:
+        if tokens and m.bind and m.channel.group:
             fresh = tuple(
-                tok for tok in m.tokens if (group.path, tok) not in self.bindings
+                tok for tok in tokens if (group.path, tok) not in self.bindings
             )
             if fresh:
                 for tok in fresh:
@@ -393,18 +398,18 @@ class Kernel:
     def _activate(self, group: Group, replica: Replica, port: str, m: Message) -> None:
         ctx = ActivationContext(self.step, replica.rng)
         state, actions = group.behavior.handle(replica.state, port, m.payload, ctx)
+        if not actions:
+            replica.state = state
+            replica.held.update(m.tokens)
+            return
         for act in actions:
             if isinstance(act, Raise):
                 # a fault abandons the activation: no state commit, no sends
                 self._fault(group.path, replica.rid, act.kind)
                 return
         replica.state = state
-        emitted = False
         for act in actions:
             self._send(group.path, act, m.tokens)
-            emitted = True
-        if not emitted:
-            replica.held.update(m.tokens)
 
     # -- sending ------------------------------------------------------------
 
@@ -438,28 +443,30 @@ class Kernel:
     ) -> None:
         seq = self.seq_counters.get(ch.id, 0) + 1
         self.seq_counters[ch.id] = seq
-        toks = set(tokens)
-        for action, ctx_name in ch.gates:
-            if action == OPEN:
-                serial = self.token_counters.get(ctx_name, 0)
-                self.token_counters[ctx_name] = serial + 1
-                tok = (ctx_name, serial)
-                toks.add(tok)
-                self._event(MINT, ch.id, seq, (tok,), "-", ch.id)
-            else:
-                stripped = tuple(sorted(t for t in toks if t[0] == ctx_name))
-                if stripped:
-                    toks.difference_update(stripped)
-                    self._event(STRIP, ch.id, seq, stripped, "-", ch.id)
-        final = tuple(sorted(toks))
+        # a gateless hop passes the sender's tokens on as they are
+        if ch.gates:
+            toks = set(tokens)
+            for action, ctx_name in ch.gates:
+                if action == OPEN:
+                    serial = self.token_counters.get(ctx_name, 0)
+                    self.token_counters[ctx_name] = serial + 1
+                    tok = (ctx_name, serial)
+                    toks.add(tok)
+                    self._event(MINT, ch.id, seq, (tok,), "-", ch.id)
+                else:
+                    stripped = tuple(sorted(t for t in toks if t[0] == ctx_name))
+                    if stripped:
+                        toks.difference_update(stripped)
+                        self._event(STRIP, ch.id, seq, stripped, "-", ch.id)
+            tokens = tuple(sorted(toks))
         text = payload.render()
-        self._event(SEND, ch.id, seq, final, text, ch.id)
+        self.events.append(Event(self.step, SEND, ch.id, seq, tokens, text, ch.id))
         arrive = self.step + ch.latency
         bucket = self.in_flight.get(arrive)
         if bucket is None:
             bucket = self.in_flight[arrive] = []
             heapq.heappush(self._agenda, arrive)
-        bucket.append(Message(ch, seq, payload, text, final, pinned, bind))
+        bucket.append(Message(ch, seq, payload, text, tokens, pinned, bind))
 
     # -- supervision ---------------------------------------------------------
 

@@ -71,11 +71,6 @@ def predict(scenario: Scenario) -> OracleResult:
     for p in topology.root.type_def.ports:
         if p.direction == OUT:
             result.streams[p.name] = []
-    for inst in topology.instances.values():
-        if inst.atomic and inst.type_def.behavior is not None:
-            if inst.type_def.behavior.builtin == "store":
-                result.stores[inst.path] = []
-
     ctx = ActivationContext(0, Random(0))
     work: deque = deque()
     for inj in sorted(
@@ -103,9 +98,12 @@ def predict(scenario: Scenario) -> OracleResult:
             if act.mode != MODE_ONE:
                 raise OracleInapplicable("behavior uses replica selection")
         states[path] = state
-        if path in result.stores:
-            result.stores[path] = [payload for _step, payload in state]
         for act in actions:
             for ch2 in topology.channels_from.get((path, act.port), []):
                 work.append((ch2, act.payload))
+    # store rows are read once, from the final states
+    for inst in topology.instances.values():
+        if inst.atomic and inst.type_def.behavior is not None:
+            if inst.type_def.behavior.builtin == "store":
+                result.stores[inst.path] = [row[1] for row in states[inst.path]]
     return result

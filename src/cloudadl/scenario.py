@@ -142,6 +142,8 @@ class ScenarioResult:
 
 
 def strip_comment(line: str) -> str:
+    if "//" not in line:
+        return line
     in_string = False
     i = 0
     while i < len(line):

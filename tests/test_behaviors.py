@@ -178,7 +178,22 @@ def test_store_accumulates_rows():
     s, acts = b.handle(s, "u", rec(m, "U", v=9), ctx(step=4))
     assert acts == []
     s, _ = b.handle(s, "u", rec(m, "U", v=10), ctx(step=6))
-    assert s == ((4, rec(m, "U", v=9)), (6, rec(m, "U", v=10)))
+    assert s == [(4, rec(m, "U", v=9)), (6, rec(m, "U", v=10))]
+
+
+def test_store_appends_to_the_list_it_was_given():
+    b, m = make(U + "component A { port in U u; behavior store(); }")
+    rows = b.initial_state()
+    rows.append((1, rec(m, "U", v=1)))
+    s, acts = b.handle(rows, "u", rec(m, "U", v=2), ctx(step=3))
+    assert s is rows and acts == []
+    assert rows == [(1, rec(m, "U", v=1)), (3, rec(m, "U", v=2))]
+
+
+def test_store_initial_states_are_distinct_lists():
+    b, _ = make(U + "component A { port in U u; behavior store(); }")
+    first, second = b.initial_state(), b.initial_state()
+    assert first == [] and second == [] and first is not second
 
 
 def test_collect_every_nth():

@@ -145,6 +145,10 @@ def test_round_robin_over_live_replicas():
     rids = [e.subject for e in deliveries(k, "root/w")]
     assert rids == [f"root/w#{i}.i" for i in (0, 1, 2, 0, 1, 2)]
     assert len(k.out_streams["drain"]) == 6
+    # untokened messages bind nothing and leave nothing held
+    assert not [e for e in k.events if e.kind == "BIND"]
+    assert all(e.tokens == () for e in k.events)
+    assert all(not r.held for r in k.groups["root/w"].replicas.values())
 
 
 def test_group_starts_at_size_one():
@@ -234,6 +238,15 @@ def test_tokens_mint_bind_stick_and_strip():
         for tok in e.tokens:
             rid = e.subject.split(".")[0]
             assert bound_to[tok].startswith(rid)
+    # gateless hops (a.toB, b.next, c.back) carry each request's one token,
+    # and the callbacks on c.back come home to the replica that token bound
+    gateless = {ch.id for ch in topo.channels if not ch.gates}
+    hops = [e for e in k.events if e.kind == "SEND" and e.channel in gateless]
+    assert len(hops) == 12
+    assert all(len(e.tokens) == 1 and e.tokens[0] in bound_to for e in hops)
+    backs = [e for e in deliveries(k) if e.channel == "root/c.back->root/a.back"]
+    assert len(backs) == 4
+    assert all(e.subject == bound_to[e.tokens[0]] + ".back" for e in backs)
     strips = [e for e in k.events if e.kind == "STRIP"]
     assert [e.tokens for e in strips] == [e.tokens for e in mints]
     assert len(k.out_streams["done"]) == 4
@@ -667,3 +680,48 @@ def test_round_robin_follows_scale_up_shrink_and_regrowth():
     ]
     group = k.groups["root/w"]
     assert [r.rid for r in group.live()] == [0, 3]
+
+
+# --- store rows ---
+
+
+TWO_STORES = (
+    "message M { n: integer; }\n"
+    "component W { port in M i; behavior store(); }\n"
+    "component Sys { port in M feed; port in M side;"
+    " replicating component W w; replicating component W v;"
+    " connect feed -> w.i; connect side -> v.i; }"
+)
+
+
+def store_payloads(kernel, path):
+    return {
+        rid: [p.get("n") for _step, p in replica.state]
+        for rid, replica in kernel.groups[path].replicas.items()
+    }
+
+
+def test_store_rows_stay_with_their_replica_across_a_restart():
+    model = parse_ok(TWO_STORES)
+    feed = [Injection(1, "feed", rec(model, "M", n=i)) for i in range(4)]
+    side = [Injection(1, "side", rec(model, "M", n=10 + i)) for i in range(2)]
+    scales = [ScaleDirective(0, "root/w", 2), ScaleDirective(0, "root/v", 2)]
+    _, _, k = build(TWO_STORES, "Sys", scales=scales, injections=feed + side)
+    k.run()
+    assert store_payloads(k, "root/w") == {0: [0, 2], 1: [1, 3]}
+    assert store_payloads(k, "root/v") == {0: [10], 1: [11]}
+
+    # restarting root/w empties both of its replicas; root/v keeps its rows
+    _, _, k = build(
+        TWO_STORES, "Sys",
+        scales=scales,
+        injections=feed + side + [Injection(4, "feed", rec(model, "M", n=4))],
+        faults=[FaultDirective(3, "root/w", "wedge", rid=1)],
+        strategies={"root/w": "restart"},
+    )
+    k.run()
+    assert [e.subject for e in k.events if e.kind == "RESTART"] == ["root/w"]
+    assert store_payloads(k, "root/w") == {0: [4], 1: []}
+    assert store_payloads(k, "root/v") == {0: [10], 1: [11]}
+    rows = [r.state for g in k.groups.values() for r in g.replicas.values()]
+    assert len({id(r) for r in rows}) == len(rows)

@@ -56,6 +56,9 @@ def test_strip_comment():
         'inject x at 1 M{s="a//b"} '
     )
     assert strip_comment('M{s="a\\"//b"} // c') == 'M{s="a\\"//b"} '
+    assert strip_comment('inject x at 1 M{s="http://h"}') == (
+        'inject x at 1 M{s="http://h"}'
+    )
 
 
 # --- loading ---
