@@ -352,7 +352,6 @@ class InstanceSpec:
     type_def: ComponentTypeDef
     parent: str | None
     replicating: bool
-    children: list[str] = field(default_factory=list)
 
     @property
     def atomic(self) -> bool:
@@ -417,9 +416,6 @@ def elaborate(model: ArchitectureModel, root_type: str) -> RuntimeTopology:
         path, type_name, parent, replicating = stack.pop()
         tdef = model.component_types[type_name]
         instances[path] = InstanceSpec(path, tdef, parent, replicating)
-        if parent is not None:
-            # siblings come off the stack in declaration order
-            instances[parent].children.append(path)
         for sub in reversed(tdef.subcomponents):
             stack.append((f"{path}/{sub.name}", sub.type_ref, path, sub.replicating))
 

@@ -6,8 +6,9 @@ Time advances in integer steps. A step runs four phases:
      each category in declaration order;
   2. delivery of every message whose arrival step is due, in the total
      order (arrival step, channel id, sequence number);
-  3. one activation per delivered message, in the same total order, each
-     popping the head of the receiving replica's per-port FIFO;
+  3. one activation per delivered message, in the same total order; a
+     replica keeps no mailbox, since the channels already give FIFO order
+     and every message delivered in a step is handled in that step;
   4. a retirement sweep that removes drained replicas marked for
      shrinking.
 
@@ -28,7 +29,6 @@ event for event.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
 from random import Random
@@ -98,7 +98,6 @@ class Replica:
     rid: int
     state: object
     rng: Random
-    queues: dict[str, deque] = field(default_factory=dict)
     held: set = field(default_factory=set)
     retiring: bool = False
 
@@ -126,10 +125,7 @@ class Group:
             self.next_rid += 1
             state = self.behavior.initial_state() if self.behavior else None
             rng = Random(f"{self.seed}:{self.path}#{rid}")
-            queues = {
-                p.name: deque() for p in self.inst.type_def.ports if p.direction == IN
-            }
-            self.replicas[rid] = Replica(rid, state, rng, queues)
+            self.replicas[rid] = Replica(rid, state, rng)
 
     def shrink(self, target: int) -> bool:
         """Mark the live replicas past the first `target` retiring; True if
@@ -225,7 +221,8 @@ class Kernel:
         # arrival step -> messages due then, in send order
         self.in_flight: dict[int, list[Message]] = {}
         self.events: list[Event] = []
-        self.out_streams: dict[str, list[tuple[tuple, Record]]] = {
+        # root out port -> (arrival step, payload) per delivered message
+        self.out_streams: dict[str, list[tuple[int, Record]]] = {
             p.name: []
             for p in topology.root.type_def.ports
             if p.direction == OUT
@@ -336,7 +333,7 @@ class Kernel:
         due.sort(key=_arrival_order)
         step = self.step
         events = self.events
-        activations: list[tuple[Group, Replica, str]] = []
+        activations: list[tuple[Group, Replica, Message]] = []
         for m in due:
             ch = m.channel
             if ch.external:
@@ -344,7 +341,7 @@ class Kernel:
                     step, DELIVER, f"{ROOT_PATH}.{ch.target_port}",
                     m.seq, m.tokens, m.text, ch.id,
                 ))
-                self.out_streams[ch.target_port].append((m.tokens, m.payload))
+                self.out_streams[ch.target_port].append((step, m.payload))
                 continue
             group = self.groups[ch.target_path]
             replica = self._select(group, m)
@@ -352,13 +349,10 @@ class Kernel:
                 step, DELIVER, f"{group.path}#{replica.rid}.{ch.target_port}",
                 m.seq, m.tokens, m.text, ch.id,
             ))
-            replica.queues[ch.target_port].append(m)
-            activations.append((group, replica, ch.target_port))
-        for group, replica, port in activations:
-            queue = replica.queues.get(port)
-            if not queue:
-                continue
-            self._activate(group, replica, port, queue.popleft())
+            activations.append((group, replica, m))
+        # every delivery is traced before the first activation runs
+        for group, replica, m in activations:
+            self._activate(group, replica, m)
 
     def _select(self, group: Group, m: Message) -> Replica:
         tokens = m.tokens
@@ -395,9 +389,11 @@ class Kernel:
                 )
         return replica
 
-    def _activate(self, group: Group, replica: Replica, port: str, m: Message) -> None:
+    def _activate(self, group: Group, replica: Replica, m: Message) -> None:
         ctx = ActivationContext(self.step, replica.rng)
-        state, actions = group.behavior.handle(replica.state, port, m.payload, ctx)
+        state, actions = group.behavior.handle(
+            replica.state, m.channel.target_port, m.payload, ctx
+        )
         if not actions:
             replica.state = state
             replica.held.update(m.tokens)
@@ -499,7 +495,8 @@ class Kernel:
                     group.behavior.initial_state() if group.behavior else None
                 )
                 replica.held.clear()
-                # queued messages survive a restart and are processed fresh
+                # later activations of this step and messages still in
+                # flight are handled against the fresh state
 
     # -- scaling ---------------------------------------------------------------
 
@@ -539,7 +536,7 @@ class Kernel:
                 )
 
     def _drained(self, group: Group, replica: Replica) -> bool:
-        if replica.held or any(replica.queues.values()):
+        if replica.held:
             return False
         for (gpath, _tok), rid in self.bindings.items():
             if gpath == group.path and rid == replica.rid:

@@ -18,26 +18,11 @@ INT = "INT"
 STRING = "STRING"
 EOF = "EOF"
 
-# Multi-character puncts must come before their prefixes.
-_PUNCTS = (
-    "->",
-    ">=",
-    "<=",
-    "!=",
-    "{",
-    "}",
-    "(",
-    ")",
-    ";",
-    ",",
-    ":",
-    ".",
-    "=",
-    "-",
-    "<",
-    ">",
-    "*",
-)
+# A two-character punct wins over its one-character prefix.
+_PUNCTS = frozenset((
+    "->", ">=", "<=", "!=",
+    "{", "}", "(", ")", ";", ",", ":", ".", "=", "-", "<", ">", "*",
+))
 
 
 @dataclass(slots=True)
@@ -116,14 +101,14 @@ def tokenize(source: str) -> list[Token]:
             tokens.append(Token(INT, source[start:i], line, start_col))
             continue
 
-        for p in _PUNCTS:
-            if source.startswith(p, i):
-                tokens.append(Token(p, p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise LexError(f"unexpected character {ch!r}", line, col)
+        p = source[i : i + 2]
+        if p not in _PUNCTS:
+            p = ch
+            if p not in _PUNCTS:
+                raise LexError(f"unexpected character {ch!r}", line, col)
+        tokens.append(Token(p, p, line, col))
+        i += len(p)
+        col += len(p)
 
     tokens.append(Token(EOF, "", line, col))
     return tokens

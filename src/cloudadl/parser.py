@@ -506,25 +506,3 @@ def load_files(paths: list[str]) -> tuple[ArchitectureModel | None, list[Diagnos
         return None, diags
     return merge_models(fragments)
 
-
-def parse_payload_literal(
-    text: str, origin: str = "<payload>"
-) -> tuple[str, dict[str, object]]:
-    """Parse a standalone `Type{field=value,...}` literal.
-
-    Raises ParseError on malformed input.
-    """
-    try:
-        tokens = lexer.tokenize(text)
-    except lexer.LexError as exc:
-        raise ParseError(exc.message, exc.line, exc.col) from exc
-    cursor = TokenCursor(tokens)
-    type_name, values, _ = cursor.parse_payload_record()
-    trailing = cursor.peek()
-    if trailing.type != lexer.EOF:
-        raise ParseError(
-            f"unexpected input after payload literal: {describe(trailing)}",
-            trailing.line,
-            trailing.col,
-        )
-    return type_name, values

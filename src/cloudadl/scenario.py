@@ -560,23 +560,20 @@ def _judge(exp, kernel: Kernel) -> str | None:
         if len(stream) != exp.count:
             return f"saw {len(stream)} messages"
         if exp.by is not None and exp.count > 0:
-            steps = [
-                ev.step
-                for ev in kernel.events
-                if ev.kind == DELIVER and ev.subject == f"root.{exp.port}"
-            ]
-            if steps[exp.count - 1] > exp.by:
-                return f"message {exp.count} arrived at step {steps[exp.count - 1]}"
+            arrived = stream[exp.count - 1][0]
+            if arrived > exp.by:
+                return f"message {exp.count} arrived at step {arrived}"
         return None
     if isinstance(exp, SeqPrefix):
-        stream = [payload for _tokens, payload in kernel.out_streams[exp.port]]
+        stream = [payload for _step, payload in kernel.out_streams[exp.port]]
         got = tuple(stream[: len(exp.payloads)])
         if got != exp.payloads:
             rendered = ", ".join(r.render() for r in got) or "nothing"
             return f"stream starts with {rendered}"
         return None
     if isinstance(exp, StoreContains):
-        total = len(store_rows(kernel, exp.path))
+        group = kernel.groups[exp.path]
+        total = sum(len(r.state) for r in group.replicas.values())
         if total != exp.count:
             return f"stores hold {total} rows"
         return None

@@ -111,6 +111,34 @@ def test_arrival_step_dominates_channel_order():
     assert got == [(2, "root/b2#0.i"), (4, "root/b1#0.i")]
 
 
+def test_one_replica_handles_same_step_arrivals_in_channel_order():
+    # y's two messages are sent first, x's last; all three land at step 4
+    text = (
+        "message M { n: integer; }\n"
+        "component B { port in M i; behavior store(); }\n"
+        "component A { port in M x; port in M y; component B b;"
+        " connect x -> b.i; connect y -> b.i; }"
+    )
+    model = parse_ok(text)
+    _, _, k = build(
+        text, "A",
+        overrides=[("root.x->root/b.i", 2), ("root.y->root/b.i", 3)],
+        injections=[
+            Injection(1, "y", rec(model, "M", n=1)),
+            Injection(1, "y", rec(model, "M", n=2)),
+            Injection(2, "x", rec(model, "M", n=3)),
+        ],
+    )
+    k.run()
+    assert [(e.step, e.channel, e.seq) for e in deliveries(k)] == [
+        (4, "root.x->root/b.i", 1),
+        (4, "root.y->root/b.i", 1),
+        (4, "root.y->root/b.i", 2),
+    ]
+    rows = k.groups["root/b"].replicas[0].state
+    assert [(step, p.get("n")) for step, p in rows] == [(4, 3), (4, 1), (4, 2)]
+
+
 def test_identical_runs_identical_traces():
     for seed in (0, 7):
         text, root, _ = pipeline_text(Random(3))
@@ -384,8 +412,8 @@ def test_escalation_stops_at_restarting_ancestor():
 
 
 def test_restart_preserves_queued_messages():
-    # two messages land together; the first activation faults, the second
-    # message stays queued across the restart and is still processed
+    # two messages land together; the first activation faults, and the
+    # second, delivered in the same step, still runs after the restart
     text = (
         "message M { n: integer; }\n"
         "component W { port in M i; port out M o; behavior automaton("

@@ -8,12 +8,7 @@ import pytest
 
 from cloudadl import lexer
 from cloudadl.model import Ident
-from cloudadl.parser import (
-    ParseError,
-    load_files,
-    parse_model,
-    parse_payload_literal,
-)
+from cloudadl.parser import load_files, parse_model
 from cloudadl.printer import pretty_print
 
 from helpers import codes, parse_ok
@@ -44,6 +39,18 @@ def test_tokenize_punct_and_arrow():
     # comparison punctuation used by automaton guards
     assert [t.type for t in lexer.tokenize("< <= > >= != =")][:-1] == [
         "<", "<=", ">", ">=", "!=", "=",
+    ]
+    # unspaced: a two-character punct wins whenever its pair matches
+    toks = lexer.tokenize("->>=<=!=-<>*")
+    assert [(t.type, t.col) for t in toks] == [
+        ("->", 1), (">=", 3), ("<=", 5), ("!=", 7),
+        ("-", 9), ("<", 10), (">", 11), ("*", 12), ("EOF", 13),
+    ]
+    assert kinds("a-->b") == [
+        ("IDENT", "a"), ("-", "-"), ("->", "->"), ("IDENT", "b"), ("EOF", ""),
+    ]
+    assert kinds("x<=-1") == [
+        ("IDENT", "x"), ("<=", "<="), ("-", "-"), ("INT", "1"), ("EOF", ""),
     ]
 
 
@@ -76,6 +83,12 @@ def test_tokenize_errors():
         lexer.tokenize('"raw\nnewline"')
     with pytest.raises(lexer.LexError):
         lexer.tokenize("a @ b")
+    # '!' is only a prefix of '!='
+    for text, col in (("!", 1), ("!=!", 3)):
+        with pytest.raises(lexer.LexError) as exc:
+            lexer.tokenize(text)
+        assert exc.value.message == "unexpected character '!'"
+        assert (exc.value.line, exc.value.col) == (1, col)
     # '²' passes str.isdigit, but int() rejects it
     with pytest.raises(lexer.LexError) as exc:
         lexer.tokenize("n=1\nn=²")
@@ -249,38 +262,6 @@ def test_duplicate_field_port_sub():
 
 def test_second_behavior_rejected():
     assert codes(fails("component A { behavior f(); behavior g(); }")) == ["E_SYNTAX"]
-
-
-# --- payload literals ---
-
-
-def test_parse_payload_literal():
-    type_name, values = parse_payload_literal(
-        'Update{value=3, cred="ok", flag=true}', "<t>"
-    )
-    assert type_name == "Update"
-    assert values == {"value": 3, "cred": "ok", "flag": True}
-
-
-def test_parse_payload_literal_negative_and_escape():
-    type_name, values = parse_payload_literal(r'M{n=-5, s="a\"b"}', "<t>")
-    assert type_name == "M"
-    assert values == {"n": -5, "s": 'a"b'}
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "M{n=1} extra",
-        "M{n=1, n=2}",
-        "M{n=x}",
-        "M{n=}",
-        "M{",
-    ],
-)
-def test_parse_payload_literal_errors(text):
-    with pytest.raises(ParseError):
-        parse_payload_literal(text, "<t>")
 
 
 # --- files ---

@@ -150,6 +150,47 @@ def test_load_rejections(tmp_path, body):
     assert all(d.severity == "error" for d in diags)
 
 
+LITERAL_TEXT = (
+    "message Update { value: integer; cred: text; flag: boolean; }\n"
+    "message M { n: integer; s: text; }\n"
+    "component Keeper { port in Update u; port in M m; behavior store(); }\n"
+    "component Sys { port in Update upd; port in M feed; component Keeper k;"
+    " connect upd -> k.u; connect feed -> k.m; }\n"
+)
+
+
+def test_inject_payload_literal(tmp_path):
+    s = good(
+        tmp_path, LITERAL_TEXT,
+        'root Sys\ninject upd at 1 Update{value=3, cred="ok", flag=true}\n',
+    )
+    payload = s.injections[0].payload
+    assert payload.type_name == "Update"
+    assert dict(payload.values) == {"value": 3, "cred": "ok", "flag": True}
+
+
+def test_inject_payload_literal_negative_and_escape(tmp_path):
+    s = good(tmp_path, LITERAL_TEXT, 'root Sys\ninject feed at 1 M{n=-5, s="a\\"b"}\n')
+    payload = s.injections[0].payload
+    assert payload.type_name == "M"
+    assert dict(payload.values) == {"n": -5, "s": 'a"b'}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "M{n=1} extra",
+        "M{n=1, n=2}",
+        "M{n=x}",
+        "M{n=}",
+        "M{",
+    ],
+)
+def test_inject_payload_literal_errors(tmp_path, text):
+    diags = bad(tmp_path, LITERAL_TEXT, f"root Sys\ninject feed at 1 {text}\n")
+    assert [(d.code, d.line) for d in diags] == [("E_SYNTAX", 4)]
+
+
 def test_model_file_missing(tmp_path):
     scenario, diags = load_scenario_text(
         "scenario t\nmodel absent.arc\nroot Pool\n", "<scn>", str(tmp_path)
@@ -200,6 +241,52 @@ def test_run_count_by_deadline(tmp_path):
     result = run_scenario(s)
     assert result.verdict == "fail"
     assert "by" in result.failures[0] or "step" in result.failures[0]
+
+
+@pytest.mark.parametrize(
+    "by, failure",
+    [
+        (4, None),
+        (3, "count drain 2 by step 3: message 2 arrived at step 4"),
+    ],
+)
+def test_count_deadline_is_inclusive(tmp_path, by, failure):
+    # message 2 enters at step 2 and reaches drain at step 4
+    s = good(
+        tmp_path, POOL_TEXT,
+        "root Pool\n"
+        "inject feed at 1 Job{n=1}\n"
+        "inject feed at 2 Job{n=2}\n"
+        f"expect count drain 2 by {by}\n",
+    )
+    result = run_scenario(s)
+    assert result.failures == ([failure] if failure else [])
+
+
+SCALED_STORE_TEXT = (
+    "message Job { n: integer; }\n"
+    "component Keeper { port in Job i; behavior store(); }\n"
+    "component Sys { port in Job feed; replicating component Keeper k;"
+    " connect feed -> k.i; }\n"
+)
+
+
+def test_store_expectation_counts_rows_on_every_replica(tmp_path):
+    body = (
+        "root Sys\n"
+        "scale root/k 2 at 0\n"
+        "inject feed at 1 Job{n=1}\n"
+        "inject feed at 1 Job{n=2}\n"
+        "inject feed at 1 Job{n=3}\n"
+    )
+    s = good(tmp_path, SCALED_STORE_TEXT, body + "expect store root/k 3\n")
+    result = run_scenario(s)
+    assert result.verdict == "pass"
+    rids = [rid for _step, rid, _i, _p in store_rows(result.kernel, "root/k")]
+    assert sorted(set(rids)) == [0, 1]
+    s = good(tmp_path, SCALED_STORE_TEXT, body + "expect store root/k 2\n")
+    result = run_scenario(s)
+    assert result.failures == ["store root/k 2: stores hold 3 rows"]
 
 
 def test_run_fatal_verdict(tmp_path):
