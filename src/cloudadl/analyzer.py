@@ -41,10 +41,6 @@ from .model import (
 
 ROOT_PATH = "root"
 
-# Gate actions accumulated along a fused channel, in traversal order.
-OPEN = "open"
-CLOSE = "close"
-
 
 def check(model: ArchitectureModel, root_type: str | None = None) -> list[Diagnostic]:
     """Validate the model; an empty result means it is safe to elaborate."""
@@ -432,7 +428,7 @@ def elaborate(model: ArchitectureModel, root_type: str) -> RuntimeTopology:
         if p.direction == IN:
             occs = [(ROOT_PATH, p.name)]
             if root.atomic:
-                _emit_channel(channels, occs, [], p.message_type, instances, external=False)
+                _emit_channel(channels, occs, (), p.message_type, instances, external=False)
             else:
                 _fuse(instances, leaving, root, (p.name,), occs, p.message_type, channels)
     for inst in instances.values():
@@ -443,7 +439,7 @@ def elaborate(model: ArchitectureModel, root_type: str) -> RuntimeTopology:
                 continue
             occs = [(inst.path, p.name)]
             if inst.path == ROOT_PATH:
-                _emit_channel(channels, occs, [], p.message_type, instances, external=True)
+                _emit_channel(channels, occs, (), p.message_type, instances, external=True)
             else:
                 parent = instances[inst.parent]
                 source = (inst.name, p.name)
@@ -484,20 +480,6 @@ def check_selection_ports(
     return diags
 
 
-def _gates_of(
-    cdef: ComponentTypeDef, conn: ConnectorDecl
-) -> list[tuple[str, str]]:
-    key = (conn.source.parts, conn.target.parts)
-    actions: list[tuple[str, str]] = []
-    for ctx in cdef.contexts:
-        if any(g.key() == key for g in ctx.opening):
-            actions.append((OPEN, ctx.name))
-    for ctx in cdef.contexts:
-        if any(g.key() == key for g in ctx.closing):
-            actions.append((CLOSE, ctx.name))
-    return actions
-
-
 def _fuse(instances, leaving, owner, source, occs, mtype, channels) -> None:
     """Emit one channel per connector chain that leaves `source`.
 
@@ -506,10 +488,10 @@ def _fuse(instances, leaving, owner, source, occs, mtype, channels) -> None:
     explicit stack so that nesting depth is not bounded by the
     interpreter's recursion limit. A stack entry is one connector hop.
     """
-    stack = _hops(leaving, owner, source, occs, [])
+    stack = _hops(leaving, owner, source, occs, ())
     while stack:
         owner, conn, occs, gates = stack.pop()
-        gates = gates + _gates_of(owner.type_def, conn)
+        gates = gates + owner.type_def.gates_of(conn)
         tgt = conn.target
         if tgt.is_own:
             occs = occs + [(owner.path, tgt.port)]
@@ -547,7 +529,7 @@ def _emit_channel(channels, occs, gates, mtype, instances, external: bool) -> No
             message_type=mtype,
             external=external,
             group=group,
-            gates=tuple(gates),
+            gates=gates,
         )
     )
 

@@ -11,6 +11,12 @@ activation costs O(1) however many rows are kept. The kernel's rule that
 an activation which raises commits no state is unaffected, because store
 never raises; initial_state() returns a fresh list on every call, so a
 restart still empties the rows and no two replicas share one.
+
+Verdict records are shared immutable values: approve_if, validate_range
+and approval_join build their false and their true record once, when the
+behavior is configured, and every activation emits one of the two. A
+Record is frozen and keeps its rendered text, so each verdict is checked
+and rendered once per kernel, not once per activation.
 """
 
 from __future__ import annotations
@@ -258,16 +264,22 @@ class RouteByBehavior(Behavior):
         return state, [Emit(self.out.name, payload, self.mode, payload.get(self.field))]
 
 
+def _verdict_records(shape: _Shape, port: PortDecl) -> dict[bool, Record]:
+    """The false and the true record a verdict port can carry."""
+    flag = shape.verdict_field(port)
+    mdef = shape.message_type(port)
+    return {ok: make_record(mdef, {flag: ok}) for ok in (False, True)}
+
+
 class _VerdictBehavior(Behavior):
     """Shared emit logic for behaviors that answer with a boolean record."""
 
     def __init__(self, shape: _Shape, bound: dict[str, object]):
         self.out = shape.pick_out(bound)
-        self.flag_field = shape.verdict_field(self.out)
-        self.out_type = shape.message_type(self.out)
+        self.verdicts = _verdict_records(shape, self.out)
 
     def verdict(self, ok: bool) -> Emit:
-        return Emit(self.out.name, make_record(self.out_type, {self.flag_field: ok}))
+        return Emit(self.out.name, self.verdicts[ok])
 
 
 class ApproveIfBehavior(_VerdictBehavior):
@@ -439,8 +451,7 @@ class ApprovalJoinBehavior(Behavior):
         )
         self.item = shape.port(as_name(clause.builtin, "item", bound["item"]), IN)
         self.respond = shape.port(as_name(clause.builtin, "respond", bound["respond"]), OUT)
-        self.respond_field = shape.verdict_field(self.respond)
-        self.respond_type = shape.message_type(self.respond)
+        self.verdicts = _verdict_records(shape, self.respond)
         self.request = (
             shape.port(as_name(clause.builtin, "request", bound["request"]), OUT)
             if "request" in bound
@@ -485,12 +496,7 @@ class ApprovalJoinBehavior(Behavior):
                 ok = ok and bool(verdict.get(vfield))
             if ok and self.forward is not None:
                 actions.append(Emit(self.forward.name, item))
-            actions.append(
-                Emit(
-                    self.respond.name,
-                    make_record(self.respond_type, {self.respond_field: ok}),
-                )
-            )
+            actions.append(Emit(self.respond.name, self.verdicts[ok]))
         return queues, actions
 
 

@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from .analyzer import check, check_selection_ports, elaborate
-from .diagnostics import render_all
+from .diagnostics import io_error, render_all
 from .harness import (
     STATUS_DIAGNOSTICS,
     STATUS_PASS,
@@ -123,6 +123,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
         print("--trace and --store take a single scenario", file=sys.stderr)
         return STATUS_DIAGNOSTICS
     reports = []
+    status = STATUS_PASS
     for path in args.files:
         trace_path = args.trace if args.trace and args.trace != "-" else None
         report = run_file(path, trace_path)
@@ -133,9 +134,13 @@ def cmd_sim(args: argparse.Namespace) -> int:
             if args.trace == "-":
                 sys.stdout.write(render_trace(report.result.kernel.events))
             if args.store:
-                with open(args.store, "w", encoding="utf-8") as fh:
-                    fh.write(render_stores(report.result.kernel))
-    return overall_status(reports)
+                try:
+                    with open(args.store, "w", encoding="utf-8") as fh:
+                        fh.write(render_stores(report.result.kernel))
+                except OSError as exc:
+                    print(io_error(args.store, exc).render(), file=sys.stderr)
+                    status = STATUS_DIAGNOSTICS
+    return max(overall_status(reports), status)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -41,5 +41,10 @@ def error(code: str, origin: str, line: int, col: int, message: str) -> Diagnost
     return Diagnostic("error", code, origin, line, col, message)
 
 
+def io_error(path: str, exc: OSError) -> Diagnostic:
+    """A file that could not be opened, read or written."""
+    return error(E_IO, path, 0, 0, exc.strerror or str(exc))
+
+
 def render_all(diagnostics: list[Diagnostic]) -> str:
     return "\n".join(d.render() for d in diagnostics)

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diagnostics import Diagnostic, render_all
-from .kernel import Kernel
+from .diagnostics import E_UNRESOLVED, Diagnostic, error, io_error, render_all
+from .kernel import Kernel, KernelError
 from .scenario import ScenarioResult, load_scenario, run_scenario, store_rows
 from .trace import render_trace
 
@@ -34,13 +34,20 @@ class RunReport:
 def run_file(path: str, trace_path: str | None = None) -> RunReport:
     scenario, diags = load_scenario(path)
     if scenario is None:
-        lines = [render_all(diags), f"scenario {path}: not loadable"]
-        return RunReport(path, STATUS_DIAGNOSTICS, lines, diags)
-    result = run_scenario(scenario)
-    if trace_path is not None:
-        with open(trace_path, "w", encoding="utf-8") as fh:
-            fh.write(render_trace(result.kernel.events))
+        return _diagnosed(path, diags, f"scenario {path}: not loadable")
     name = scenario.name
+    try:
+        result = run_scenario(scenario)
+    except KernelError as exc:
+        diag = error(E_UNRESOLVED, path, exc.line, 1 if exc.line else 0, str(exc))
+        return _diagnosed(path, [diag], f"scenario {name}: not runnable")
+    if trace_path is not None:
+        try:
+            with open(trace_path, "w", encoding="utf-8") as fh:
+                fh.write(render_trace(result.kernel.events))
+        except OSError as exc:
+            diags = [io_error(trace_path, exc)]
+            return _diagnosed(path, diags, f"scenario {name}: trace not written")
     if result.verdict == "fatal":
         detail = f"unhandled fault '{result.fatal.kind}' from {result.fatal.path}"
         return RunReport(
@@ -56,6 +63,10 @@ def run_file(path: str, trace_path: str | None = None) -> RunReport:
         f"(steps {kernel.step}, events {len(kernel.events)})"
     )
     return RunReport(path, STATUS_PASS, [summary], [], result)
+
+
+def _diagnosed(path: str, diags: list[Diagnostic], summary: str) -> RunReport:
+    return RunReport(path, STATUS_DIAGNOSTICS, [render_all(diags), summary], diags)
 
 
 def overall_status(reports: list[RunReport]) -> int:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from random import Random
 
-from .analyzer import OPEN, ROOT_PATH, ChannelSpec, InstanceSpec, RuntimeTopology
+from .analyzer import ROOT_PATH, ChannelSpec, InstanceSpec, RuntimeTopology
 from .behaviors import (
     MODE_BROADCAST,
     MODE_ONE,
@@ -43,7 +43,7 @@ from .behaviors import (
     Raise,
     instantiate,
 )
-from .model import IN, OUT, ArchitectureModel, Record
+from .model import IN, OPEN, OUT, ArchitectureModel, Record
 
 SEND = "SEND"
 DELIVER = "DELIVER"
@@ -170,10 +170,15 @@ class FaultDirective:
     path: str
     kind: str
     rid: int | None = None  # None faults the lowest live replica
+    line: int = 0  # scenario line of the directive, 0 when built directly
 
 
 class KernelError(Exception):
-    pass
+    """A run that cannot go on; line is the scenario line at fault, or 0."""
+
+    def __init__(self, message: str, line: int = 0):
+        super().__init__(message)
+        self.line = line
 
 
 class FatalUnhandled(Exception):
@@ -319,8 +324,12 @@ class Kernel:
             if rid is None:
                 live = group.live()
                 if not live:
-                    raise KernelError(f"no live replica of '{f.path}' to fault")
+                    raise KernelError(f"no live replica of '{f.path}' to fault", f.line)
                 rid = live[0].rid
+            elif rid not in group.replicas:
+                raise KernelError(
+                    f"no replica {f.path}#{rid} at step {self.step} to fault", f.line
+                )
             self._fault(group.inst.path, rid, f.kind)
         for inj in injections:
             for ch in self.topology.channels_from.get((ROOT_PATH, inj.port), []):

@@ -13,6 +13,10 @@ PRIMITIVES = ("integer", "text", "boolean")
 IN = "in"
 OUT = "out"
 
+# Gate actions accumulated along a fused channel, in traversal order.
+OPEN = "open"
+CLOSE = "close"
+
 
 @dataclass(frozen=True)
 class Pos:
@@ -152,17 +156,34 @@ class ComponentTypeDef:
     def is_decomposed(self) -> bool:
         return len(self.subcomponents) > 0
 
+    # The lookups below are indexed once per type. Each index lives on the
+    # instance, outside the fields, so eq, hash and repr do not see it.
+
     def port(self, name: str) -> PortDecl | None:
-        for p in self.ports:
-            if p.name == name:
-                return p
-        return None
+        return self._first_by_name("_ports", self.ports).get(name)
 
     def subcomponent(self, name: str) -> SubcomponentDecl | None:
-        for s in self.subcomponents:
-            if s.name == name:
-                return s
-        return None
+        return self._first_by_name("_subcomponents", self.subcomponents).get(name)
+
+    def gates_of(self, conn: ConnectorDecl) -> tuple[tuple[str, str], ...]:
+        """(OPEN | CLOSE, context name) for each context gating `conn`: all
+        opens in context order, then all closes."""
+        index = self.__dict__.get("_gates")
+        if index is None:
+            found: dict[tuple, list[tuple[str, str]]] = {}
+            for action, side in ((OPEN, "opening"), (CLOSE, "closing")):
+                for ctx in self.contexts:
+                    for key in dict.fromkeys(g.key() for g in getattr(ctx, side)):
+                        found.setdefault(key, []).append((action, ctx.name))
+            index = self.__dict__["_gates"] = {k: tuple(v) for k, v in found.items()}
+        return index.get((conn.source.parts, conn.target.parts), ())
+
+    def _first_by_name(self, attr: str, decls: tuple) -> dict:
+        index = self.__dict__.get(attr)
+        if index is None:
+            # reversed, so the first declaration of a duplicated name wins
+            index = self.__dict__[attr] = {d.name: d for d in reversed(decls)}
+        return index
 
 
 @dataclass

@@ -27,7 +27,7 @@ from __future__ import annotations
 import os
 
 from . import lexer
-from .diagnostics import E_DUP_DEF, E_IO, E_SYNTAX, Diagnostic, error
+from .diagnostics import E_DUP_DEF, E_IO, E_SYNTAX, Diagnostic, error, io_error
 from .model import (
     ArchitectureModel,
     BehaviorArg,
@@ -478,7 +478,7 @@ def read_source(path: str) -> tuple[str | None, list[Diagnostic]]:
         with open(path, encoding="utf-8") as fh:
             return fh.read(), []
     except OSError as exc:
-        return None, [error(E_IO, origin, 0, 0, exc.strerror or str(exc))]
+        return None, [io_error(origin, exc)]
     except UnicodeDecodeError as exc:
         data, at = exc.object, exc.start
         line = data.count(b"\n", 0, at) + 1

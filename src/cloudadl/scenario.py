@@ -414,7 +414,7 @@ def _resolve_directives(
         elif step < 0:
             fail(lineno, E_SYNTAX, "step must not be negative")
         else:
-            scenario.faults.append(FaultDirective(step, path, kind, rid))
+            scenario.faults.append(FaultDirective(step, path, kind, rid, lineno))
 
     for lineno, port, step, payload_text in raw.injections:
         record = _build_payload(payload_text, port, root_ports, model, fail, lineno, IN)

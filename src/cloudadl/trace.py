@@ -17,14 +17,16 @@ def render_tokens(tokens: tuple[tuple[str, int], ...]) -> str:
     return ",".join(f"{name}#{serial}" for name, serial in sorted(tokens))
 
 
-def render_event(ev: Event) -> str:
-    seq = "-" if ev.seq is None else str(ev.seq)
-    return "\t".join(
-        [str(ev.step), ev.kind, ev.subject, seq, render_tokens(ev.tokens), ev.payload]
-    )
-
-
 def render_trace(events: list[Event]) -> str:
-    if not events:
-        return ""
-    return "\n".join(render_event(ev) for ev in events) + "\n"
+    # Events share tokens tuples: a message's SEND and DELIVER, its gateless
+    # hops, and every untokened event. Render each distinct tuple once.
+    columns: dict[tuple, str] = {(): "-"}
+    lines = []
+    append = lines.append
+    for ev in events:
+        toks = columns.get(ev.tokens)
+        if toks is None:
+            toks = columns[ev.tokens] = render_tokens(ev.tokens)
+        seq = "-" if ev.seq is None else ev.seq
+        append(f"{ev.step}\t{ev.kind}\t{ev.subject}\t{seq}\t{toks}\t{ev.payload}\n")
+    return "".join(lines)

@@ -342,6 +342,44 @@ def test_approval_join_queues_are_fifo_per_port():
     assert fwd == [2]
 
 
+def verdicts_of(b, m, port, payloads):
+    """The verdict payload each activation emits, in order."""
+    s = b.initial_state()
+    out = []
+    for in_port, payload in payloads:
+        s, acts = b.handle(s, in_port, payload, ctx())
+        out.extend(a.payload for a in acts if a.port == port)
+    return out
+
+
+@pytest.mark.parametrize("builtin", ["approve_if", "validate_range", "approval_join"])
+def test_equal_verdicts_are_one_shared_record(builtin):
+    if builtin == "approval_join":
+        b, m = make(JOIN, "J")
+        feed = []
+        for ok in (True, True, False, False):
+            feed += [
+                ("item", rec(m, "U", v=1)),
+                ("ver1", rec(m, "V", ok=ok)),
+                ("ver2", rec(m, "V", ok=True)),
+            ]
+        port, tname = "ack", "A2"
+    else:
+        clause = {
+            "approve_if": "approve_if(field=v, equals=1)",
+            "validate_range": "validate_range(field=v, max=1)",
+        }[builtin]
+        b, m = make(UV + f"component A {{ port in U u; port out V r; behavior {clause}; }}")
+        feed = [("u", rec(m, "U", v=v)) for v in (1, 1, 2, 2)]
+        port, tname = "r", "V"
+    got = verdicts_of(b, m, port, feed)
+    assert got[0] is got[1] and got[2] is got[3]
+    for record, ok in zip(got[1:3], (True, False)):
+        fresh = rec(m, tname, ok=ok)
+        assert record == fresh
+        assert record.render() == fresh.render() == f"{tname}{{ok={str(ok).lower()}}}"
+
+
 def test_approval_join_config_errors():
     bad = JOIN.replace("respond=ack", "respond=req")
     assert errors(bad, "J")  # respond port must carry a single boolean field

@@ -271,7 +271,20 @@ PATHOLOGICAL = {
         {"m.arc": ONE_GROUP, "s.scn": scenario(
             "scale root/w 2 at 0", "scale root/w 1 at 2", "fault root/w#1 at 5 boom"
         )},
-        ["sim", "s.scn"], 3, "",
+        ["sim", "s.scn"], 2, "s.scn:6:1: E_UNRESOLVED: no replica root/w#1 at step 5",
+    ),
+    "fault_on_replica_never_started": (
+        {"m.arc": ONE_GROUP, "s.scn": scenario(INJECT, "fault root/w#99 at 5 boom")},
+        ["sim", "s.scn"], 2, "s.scn:5:1: E_UNRESOLVED: no replica root/w#99 at step 5",
+    ),
+    # a path below a regular file can never be created
+    "trace_target_unwritable": (
+        {"m.arc": ONE_STORE, "s.scn": scenario(INJECT)},
+        ["sim", "s.scn", "--trace", "s.scn/t.tsv"], 2, "s.scn/t.tsv:0:0: E_IO:",
+    ),
+    "store_target_unwritable": (
+        {"m.arc": ONE_STORE, "s.scn": scenario(INJECT)},
+        ["sim", "s.scn", "--store", "s.scn/s.tsv"], 2, "s.scn/s.tsv:0:0: E_IO:",
     ),
 }
 
@@ -282,7 +295,7 @@ def test_pathological_input_ends_in_a_status(tmp_path, capsys, case):
     for name, content in files.items():
         data = content if isinstance(content, bytes) else content.encode()
         (tmp_path / name).write_bytes(data)
-    argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
+    argv = [str(tmp_path / arg) if arg.split("/")[0] in files else arg for arg in argv]
     assert main(argv) == status
     err = capsys.readouterr().err
     assert "Traceback" not in err

@@ -85,6 +85,21 @@ def test_trace_written(tmp_path):
     assert any("\tDELIVER\t" in line for line in lines)
 
 
+def test_kernel_error_is_a_diagnostic_and_writes_no_trace(tmp_path):
+    # root/w has one replica, #0; the fault names #3
+    path = write_case(
+        tmp_path, "root Pool\ninject feed at 1 Job{n=1}\nfault root/w#3 at 2 boom\n"
+    )
+    trace_path = tmp_path / "out.trace"
+    report = run_file(path, str(trace_path))
+    assert report.status == STATUS_DIAGNOSTICS
+    assert report.lines == [
+        f"{path}:5:1: E_UNRESOLVED: no replica root/w#3 at step 2 to fault",
+        "scenario case: not runnable",
+    ]
+    assert not trace_path.exists()
+
+
 def test_run_files_and_overall_status(tmp_path):
     ok = write_case(
         tmp_path, "root Pool\ninject feed at 1 Job{n=1}\n", name="ok"
