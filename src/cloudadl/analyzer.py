@@ -6,6 +6,11 @@ kernel executes. Connector chains are fused end to end: a message emitted
 by an atomic instance (or injected at the root boundary) traverses pass
 and cross connectors in one hop, so intermediate decomposed components
 never buffer anything.
+
+elaborate() is also the one place where a run's behaviors are configured:
+one behavior object per atomic component type, carried by every instance
+of that type. The kernel, the oracle and check_selection_ports() read it
+from the instance.
 """
 
 from __future__ import annotations
@@ -348,6 +353,11 @@ class InstanceSpec:
     type_def: ComponentTypeDef
     parent: str | None
     replicating: bool
+    # configured once per type and shared by its instances; None when the
+    # type has no behavior clause
+    behavior: behaviors.Behavior | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def atomic(self) -> bool:
@@ -402,16 +412,30 @@ class ElaborationError(Exception):
 
 
 def elaborate(model: ArchitectureModel, root_type: str) -> RuntimeTopology:
-    """Build the instance tree and fused channels for a checked model."""
+    """Build the instance tree and fused channels for a model that passed
+    check(), and configure one behavior per atomic component type.
+
+    A bad behavior clause raises BehaviorConfigError here; check() reports
+    it as E_BEHAVIOR first, so only a caller that skips check() sees it.
+    """
     if root_type not in model.component_types:
         raise ElaborationError(f"unknown root component type '{root_type}'")
+    configured: dict[str, behaviors.Behavior | None] = {}
     # preorder with an explicit stack: depth must not hit the recursion limit
     instances: dict[str, InstanceSpec] = {}
     stack = [(ROOT_PATH, root_type, None, False)]
     while stack:
         path, type_name, parent, replicating = stack.pop()
         tdef = model.component_types[type_name]
-        instances[path] = InstanceSpec(path, tdef, parent, replicating)
+        if type_name not in configured:
+            configured[type_name] = (
+                behaviors.instantiate(tdef, model)
+                if tdef.behavior is not None and not tdef.is_decomposed
+                else None
+            )
+        instances[path] = InstanceSpec(
+            path, tdef, parent, replicating, configured[type_name]
+        )
         for sub in reversed(tdef.subcomponents):
             stack.append((f"{path}/{sub.name}", sub.type_ref, path, sub.replicating))
 
@@ -451,24 +475,17 @@ def elaborate(model: ArchitectureModel, root_type: str) -> RuntimeTopology:
     return RuntimeTopology(root_type, instances, channels)
 
 
-def check_selection_ports(
-    model: ArchitectureModel, topology: RuntimeTopology
-) -> list[Diagnostic]:
+def check_selection_ports(topology: RuntimeTopology) -> list[Diagnostic]:
     """route_by and forward(broadcast=true) choose among the live replicas
     behind their out port, so that port must fuse into exactly one channel
     and it must end at a replica group. Whether it does depends on how each
     instance is wired, so the check runs on an elaborated topology."""
     diags: list[Diagnostic] = []
-    by_type: dict[str, behaviors.Behavior] = {}
     for inst in topology.instances.values():
+        behavior = inst.behavior
+        if behavior is None or behavior.mode == behaviors.MODE_ONE:
+            continue
         tdef = inst.type_def
-        if tdef.behavior is None:
-            continue
-        if tdef.name not in by_type:
-            by_type[tdef.name] = behaviors.instantiate(tdef, model)
-        behavior = by_type[tdef.name]
-        if getattr(behavior, "mode", behaviors.MODE_ONE) == behaviors.MODE_ONE:
-            continue
         port = behavior.out.name
         chs = topology.channels_from.get((inst.path, port), [])
         if len(chs) != 1 or not chs[0].group:

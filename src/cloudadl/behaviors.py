@@ -1,9 +1,11 @@
 """Builtin behaviors for atomic components.
 
-A behavior is configuration shared by every replica of an instance; the
-per-replica state lives in the kernel and is threaded through handle().
-handle() returns the successor state plus a list of actions, so a restart
-can reset a replica by going back to initial_state().
+A behavior is configuration shared by every instance of a component type
+and by all their replicas: analyzer.elaborate() configures it once per
+elaboration. The per-replica state lives in the kernel and is threaded
+through handle(), which never writes to the behavior itself. handle()
+returns the successor state plus a list of actions, so a restart can
+reset a replica by going back to initial_state().
 
 store is the one exception to immutable states: its handle() appends the
 new row to its row list in place and returns that same list, so an
@@ -16,7 +18,7 @@ Verdict records are shared immutable values: approve_if, validate_range
 and approval_join build their false and their true record once, when the
 behavior is configured, and every activation emits one of the two. A
 Record is frozen and keeps its rendered text, so each verdict is checked
-and rendered once per kernel, not once per activation.
+and rendered once per elaboration, not once per activation.
 """
 
 from __future__ import annotations
@@ -77,6 +79,8 @@ class ActivationContext:
 
 
 class Behavior:
+    mode = MODE_ONE  # how its emits pick receivers; see Emit
+
     def initial_state(self) -> object:
         return None
 

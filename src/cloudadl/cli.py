@@ -72,7 +72,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         return STATUS_DIAGNOSTICS
     topology = elaborate(model, args.root) if args.root else None
     if topology is not None:
-        diags = check_selection_ports(model, topology)
+        diags = check_selection_ports(topology)
         if diags:
             print(render_all(diags), file=sys.stderr)
             return STATUS_DIAGNOSTICS
@@ -111,8 +111,12 @@ def cmd_fmt(args: argparse.Namespace) -> int:
         formatted = pretty_print(model)
         if args.write:
             if formatted != text:
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(formatted)
+                try:
+                    with open(path, "w", encoding="utf-8") as fh:
+                        fh.write(formatted)
+                except OSError as exc:
+                    print(io_error(path, exc).render(), file=sys.stderr)
+                    status = STATUS_DIAGNOSTICS
         else:
             sys.stdout.write(formatted)
     return status

@@ -24,6 +24,11 @@ active step lies past `maxsteps` stops at `maxsteps + 1`, truncated.
 All choice points (replica selection, token binding, escalation) are
 functions of this order plus the scenario seed, so a run is reproducible
 event for event.
+
+The kernel configures no behaviors: each group runs the behavior that
+analyzer.elaborate() configured for its component type and put on the
+instance, shared with every other instance of that type. Only the
+per-replica states are the kernel's own.
 """
 
 from __future__ import annotations
@@ -41,9 +46,8 @@ from .behaviors import (
     Behavior,
     Emit,
     Raise,
-    instantiate,
 )
-from .model import IN, OPEN, OUT, ArchitectureModel, Record
+from .model import IN, OPEN, OUT, Record
 
 SEND = "SEND"
 DELIVER = "DELIVER"
@@ -55,6 +59,7 @@ RESTART = "RESTART"
 ESCALATE = "ESCALATE"
 SCALE = "SCALE"
 FATAL = "FATAL"
+EVENT_KINDS = (SEND, DELIVER, MINT, STRIP, BIND, RAISE, RESTART, ESCALATE, SCALE, FATAL)
 
 RESUME = "resume"
 RESTART_STRATEGY = "restart"
@@ -191,7 +196,6 @@ class FatalUnhandled(Exception):
 class Kernel:
     def __init__(
         self,
-        model: ArchitectureModel,
         topology: RuntimeTopology,
         *,
         seed: int = 0,
@@ -201,7 +205,6 @@ class Kernel:
         faults: list[FaultDirective] | None = None,
         maxsteps: int = 1000,
     ):
-        self.model = model
         self.topology = topology
         self.seed = seed
         self.strategies = dict(strategies or {})
@@ -210,15 +213,11 @@ class Kernel:
         self.faults = list(faults or [])
         self.maxsteps = maxsteps
 
-        self.groups: dict[str, Group] = {}
-        for inst in topology.instances.values():
-            if inst.atomic:
-                behavior = (
-                    instantiate(inst.type_def, model)
-                    if inst.type_def.behavior is not None
-                    else None
-                )
-                self.groups[inst.path] = Group(inst, behavior, seed)
+        self.groups: dict[str, Group] = {
+            inst.path: Group(inst, inst.behavior, seed)
+            for inst in topology.instances.values()
+            if inst.atomic
+        }
 
         self.seq_counters: dict[str, int] = {}
         self.token_counters: dict[str, int] = {}
@@ -556,7 +555,4 @@ class Kernel:
                     continue
                 if m.pinned == replica.rid:
                     return False
-                for tok in m.tokens:
-                    if self.bindings.get((group.path, tok)) == replica.rid:
-                        return False
         return True

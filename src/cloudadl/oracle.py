@@ -22,12 +22,7 @@ from dataclasses import dataclass, field
 from random import Random
 
 from .analyzer import elaborate
-from .behaviors import (
-    MODE_ONE,
-    ActivationContext,
-    Raise,
-    instantiate,
-)
+from .behaviors import MODE_ONE, ActivationContext, Raise
 from .model import OUT, Record
 from .scenario import Scenario
 
@@ -61,8 +56,8 @@ def predict(scenario: Scenario) -> OracleResult:
         clause = inst.type_def.behavior
         if clause.builtin in EXCLUDED_BUILTINS:
             raise OracleInapplicable(f"behavior '{clause.builtin}' is timing-dependent")
-        behavior = instantiate(inst.type_def, scenario.model)
-        if getattr(behavior, "mode", MODE_ONE) != MODE_ONE:
+        behavior = inst.behavior
+        if behavior.mode != MODE_ONE:
             raise OracleInapplicable("behavior uses broadcast selection")
         behaviors[inst.path] = behavior
         states[inst.path] = behavior.initial_state()

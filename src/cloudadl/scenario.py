@@ -42,38 +42,16 @@ from .diagnostics import (
     error,
 )
 from .kernel import (
-    DELIVER,
-    FATAL,
-    BIND,
-    ESCALATE,
+    EVENT_KINDS,
+    STRATEGIES,
     FatalUnhandled,
     FaultDirective,
     Injection,
     Kernel,
-    MINT,
-    RAISE,
-    RESTART,
-    SCALE,
-    SEND,
-    STRATEGIES,
-    STRIP,
     ScaleDirective,
 )
 from .model import IN, OUT, ArchitectureModel, Record, make_record
 from .parser import ParseError, TokenCursor, load_files, read_source
-
-EVENT_KINDS = (
-    SEND,
-    DELIVER,
-    MINT,
-    STRIP,
-    BIND,
-    RAISE,
-    RESTART,
-    ESCALATE,
-    SCALE,
-    FATAL,
-)
 
 DEFAULT_MAXSTEPS = 1000
 
@@ -353,7 +331,7 @@ def load_scenario_text(
     if diags:
         return None, diags
     topology = elaborate(model, raw.root_type)
-    diags = check_selection_ports(model, topology)
+    diags = check_selection_ports(topology)
     if diags:
         return None, diags
 
@@ -515,7 +493,6 @@ def build_kernel(scenario: Scenario) -> Kernel:
     topology = elaborate(scenario.model, scenario.root_type)
     apply_latency_overrides(topology, scenario.latency_overrides)
     return Kernel(
-        scenario.model,
         topology,
         seed=scenario.seed,
         strategies=scenario.strategies,

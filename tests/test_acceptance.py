@@ -58,7 +58,7 @@ def test_a01_per_channel_fifo_holds_across_1000_random_cases():
             Injection(rng.randint(1, 6), "feed", rec(model, "Item", n=i))
             for i in range(rng.randint(1, 12))
         ]
-        k = Kernel(model, topo, seed=case, injections=injections)
+        k = Kernel(topo, seed=case, injections=injections)
         k.run()
         assert not k.truncated, case
         for ch in topo.channels:
@@ -84,7 +84,7 @@ def test_a02_each_of_10000_routed_messages_delivered_exactly_once():
             for i in range(1250)
         ]
         k = Kernel(
-            model, topo,
+            topo,
             scales=[ScaleDirective(0, "root/w", size)],
             injections=injections,
         )
@@ -114,7 +114,7 @@ def test_a03_context_tokens_pin_chains_to_their_opening_replica():
         for seed in range(20):
             topo = elaborate(model, "RequestChain")
             kernel = Kernel(
-                model, topo, seed=seed,
+                topo, seed=seed,
                 scales=[ScaleDirective(0, "root/a", k_replicas)],
                 injections=[
                     Injection(1 + i, "task", rec(model, "Req", body=f"r{i}"))
@@ -164,7 +164,7 @@ def test_a04_broadcast_and_index_selection_against_group_sizes():
     for n in (1, 3, 7):
         # broadcast: one copy per live replica
         topo = elaborate(model, "BSys")
-        k = Kernel(model, topo,
+        k = Kernel(topo,
                    scales=[ScaleDirective(0, "root/w", n)],
                    injections=[Injection(1, "feed", rec(model, "M", v=0))])
         k.run()
@@ -177,7 +177,7 @@ def test_a04_broadcast_and_index_selection_against_group_sizes():
         # index: v=i lands exactly on replica i
         for i in range(n):
             topo = elaborate(model, "ISys")
-            k = Kernel(model, topo,
+            k = Kernel(topo,
                        scales=[ScaleDirective(0, "root/w", n)],
                        injections=[Injection(1, "feed", rec(model, "M", v=i))])
             k.run()
@@ -187,7 +187,7 @@ def test_a04_broadcast_and_index_selection_against_group_sizes():
 
         # broadcast tracks the group across a scale event
         topo = elaborate(model, "BSys")
-        k = Kernel(model, topo,
+        k = Kernel(topo,
                    scales=[ScaleDirective(0, "root/w", n),
                            ScaleDirective(3, "root/w", n + 1)],
                    injections=[Injection(1, "feed", rec(model, "M", v=0)),
@@ -216,7 +216,7 @@ def test_a05_root_stream_invariant_under_10_latency_assignments():
         apply_latency_overrides(
             topo, [(ch.id, rng.randint(1, 6)) for ch in topo.channels]
         )
-        k = Kernel(model, topo, injections=injections)
+        k = Kernel(topo, injections=injections)
         k.run()
         stream = "\n".join(p.render() for _t, p in k.out_streams["drain"])
         renders.add(stream)
@@ -232,7 +232,7 @@ def test_a06_supervision_escalates_twice_then_restarts_the_failed_subtree():
     model, diags = load_files([str(MODELS_DIR / "supervised.arc")])
     assert not diags
     topo = elaborate(model, "Supervised")
-    k = Kernel(model, topo,
+    k = Kernel(topo,
                strategies={"root/mid": "restart"},
                faults=[FaultDirective(1, "root/mid/sub/leaf", "overload")])
     k.run()
@@ -245,7 +245,7 @@ def test_a06_supervision_escalates_twice_then_restarts_the_failed_subtree():
     ]
 
     topo = elaborate(model, "Supervised")
-    k = Kernel(model, topo,
+    k = Kernel(topo,
                faults=[FaultDirective(1, "root/mid/sub/leaf", "overload")])
     with pytest.raises(FatalUnhandled):
         k.run()
@@ -432,7 +432,7 @@ def test_acceptance_suite_is_fast_enough():
         text, root, _stages = pipeline_text(rng)
         model, _diags = parse_model(text, "<speed>")
         topo = elaborate(model, root)
-        k = Kernel(model, topo, injections=[Injection(1, "feed", rec(model, "Item", n=0))])
+        k = Kernel(topo, injections=[Injection(1, "feed", rec(model, "Item", n=0))])
         k.run()
     per_case = (time.perf_counter() - t0) / 20
     assert per_case < 0.05, per_case

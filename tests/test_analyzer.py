@@ -368,6 +368,23 @@ def test_fan_out_two_channels_one_source():
     assert topo.channels_from[("root", "x")] == list(topo.channels)
 
 
+def test_instances_of_one_type_carry_one_behavior():
+    text = M + (
+        "component B { port in M i; behavior store(); }\n"
+        "component A { port in M x; component B b1; component B b2;"
+        " connect x -> b1.i; connect x -> b2.i; }"
+    )
+    model, topo = checked(text, "A")
+    behavior = topo.instances["root/b1"].behavior
+    assert behavior is not None
+    assert topo.instances["root/b2"].behavior is behavior
+    assert topo.root.behavior is None
+    # each elaboration configures its own, and eq ignores the field
+    again = elaborate(model, "A")
+    assert again.instances["root/b1"].behavior is not behavior
+    assert again == topo
+
+
 def test_latency_overrides():
     model, _ = load_files([str(MODELS_DIR / "pipeline4.arc")])
     topo = elaborate(model, "Pipeline")

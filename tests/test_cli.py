@@ -6,6 +6,7 @@ import hashlib
 
 import pytest
 
+from cloudadl import cli
 from cloudadl.cli import main
 
 from helpers import MODELS_DIR, SCENARIOS_DIR
@@ -68,6 +69,29 @@ def test_fmt_write_updates_file_once(tmp_path):
     before = messy.stat().st_mtime_ns
     assert main(["fmt", "--write", str(messy)]) == 0
     assert messy.stat().st_mtime_ns == before
+
+
+def test_fmt_write_reports_an_unwritable_file_and_goes_on(tmp_path, monkeypatch, capsys):
+    locked = tmp_path / "locked.arc"
+    other = tmp_path / "other.arc"
+    messy = "message M{n:integer;}\n"
+    locked.write_text(messy)
+    other.write_text(messy)
+    real_open = open
+
+    def open_refusing_locked(path, mode="r", *args, **kwargs):
+        if str(path) == str(locked) and "w" in mode:
+            raise PermissionError(13, "Permission denied", str(path))
+        return real_open(path, mode, *args, **kwargs)
+
+    # chmod cannot make a file unwritable for root, so fail the open itself
+    monkeypatch.setattr(cli, "open", open_refusing_locked, raising=False)
+    assert main(["fmt", "--write", str(locked), str(other)]) == 2
+    err = capsys.readouterr().err
+    assert f"{locked}:0:0: E_IO: Permission denied" in err
+    assert "Traceback" not in err
+    assert locked.read_text() == messy
+    assert other.read_text() == "message M {\n  n: integer;\n}\n"
 
 
 def test_fmt_rejects_broken_file(tmp_path, capsys):
@@ -221,6 +245,19 @@ def miswired(behavior: str) -> str:
     )
 
 
+def fan_out(width: int) -> str:
+    """A root in port feeding `width` forward instances of one type."""
+    subs = "".join(
+        f" component F f{i}; connect feed -> f{i}.i; connect f{i}.o -> drain;"
+        for i in range(width)
+    )
+    return (
+        "message M { n: integer; }\n"
+        "component F { port in M i; port out M o; behavior forward(); }\n"
+        f"component Sys {{ port in M feed; port out M drain;{subs} }}\n"
+    )
+
+
 def scenario(*lines: str) -> str:
     return "scenario s\nmodel m.arc\nroot Sys\n" + "".join(f"{line}\n" for line in lines)
 
@@ -263,6 +300,10 @@ PATHOLOGICAL = {
     "maxsteps_0": (
         {"m.arc": ONE_STORE, "s.scn": scenario("maxsteps 0", INJECT)},
         ["sim", "s.scn"], 1, "",
+    ),
+    "huge_fan_out": (
+        {"m.arc": fan_out(3000), "s.scn": scenario(INJECT, "expect count drain 3000")},
+        ["sim", "s.scn"], 0, "",
     ),
     "unwired_out_port": (
         {"m.arc": ONE_GROUP, "s.scn": scenario(INJECT)}, ["sim", "s.scn"], 0, "",

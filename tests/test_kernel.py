@@ -32,7 +32,7 @@ def build(text: str, root: str, *, overrides=(), **kw):
     topo = elaborate(model, root)
     if overrides:
         apply_latency_overrides(topo, list(overrides))
-    return model, topo, Kernel(model, topo, **kw)
+    return model, topo, Kernel(topo, **kw)
 
 
 def rec(model, tname, **vals):
@@ -65,7 +65,7 @@ def test_per_channel_fifo_under_random_latencies():
         Injection(rng.randint(1, 5), "feed", rec(model, "Item", n=i))
         for i in range(30)
     ]
-    k = Kernel(model, topo, injections=inj)
+    k = Kernel(topo, injections=inj)
     k.run()
     assert not k.truncated
     for ch in topo.channels:
@@ -103,7 +103,7 @@ def test_arrival_step_dominates_channel_order():
     model = parse_ok(text)
     topo = elaborate(model, "A")
     apply_latency_overrides(topo, [("root.x->root/b1.i", 3)])
-    k = Kernel(model, topo, injections=[
+    k = Kernel(topo, injections=[
         Injection(1, "x", rec(model, "M", n=0)),
     ])
     k.run()
@@ -146,7 +146,7 @@ def test_identical_runs_identical_traces():
         runs = []
         for _ in range(2):
             topo = elaborate(model, root)
-            k = Kernel(model, topo, seed=seed, injections=[
+            k = Kernel(topo, seed=seed, injections=[
                 Injection(s, "feed", rec(model, "Item", n=s)) for s in (1, 1, 2, 5)
             ])
             k.run()
@@ -160,7 +160,7 @@ def test_identical_runs_identical_traces():
 def pool(**kw):
     model = parse_ok(POOL_TEXT)
     topo = elaborate(model, "Pool")
-    return model, topo, Kernel(model, topo, **kw)
+    return model, topo, Kernel(topo, **kw)
 
 
 def test_round_robin_over_live_replicas():
@@ -244,7 +244,7 @@ def test_tokens_mint_bind_stick_and_strip():
     model, diags = load_files([str(MODELS_DIR / "request_chain.arc")])
     assert not diags
     topo = elaborate(model, "RequestChain")
-    k = Kernel(model, topo,
+    k = Kernel(topo,
                scales=[ScaleDirective(0, "root/a", 2)],
                injections=[
                    Injection(s, "task", rec(model, "Req", body=f"r{s}"))
@@ -286,7 +286,7 @@ def test_tokens_mint_bind_stick_and_strip():
 def test_token_rides_interior_hops():
     model, _ = load_files([str(MODELS_DIR / "request_chain.arc")])
     topo = elaborate(model, "RequestChain")
-    k = Kernel(model, topo, injections=[
+    k = Kernel(topo, injections=[
         Injection(1, "task", rec(model, "Req", body="x")),
     ])
     k.run()
@@ -377,7 +377,7 @@ def test_resume_keeps_state():
 def test_escalation_walks_to_root_and_goes_fatal():
     model, _ = load_files([str(MODELS_DIR / "supervised.arc")])
     topo = elaborate(model, "Supervised")
-    k = Kernel(model, topo, faults=[
+    k = Kernel(topo, faults=[
         FaultDirective(1, "root/mid/sub/leaf", "overload"),
     ])
     with pytest.raises(FatalUnhandled) as exc:
@@ -397,7 +397,7 @@ def test_escalation_walks_to_root_and_goes_fatal():
 def test_escalation_stops_at_restarting_ancestor():
     model, _ = load_files([str(MODELS_DIR / "supervised.arc")])
     topo = elaborate(model, "Supervised")
-    k = Kernel(model, topo,
+    k = Kernel(topo,
                strategies={"root/mid": "restart"},
                faults=[FaultDirective(1, "root/mid/sub/leaf", "overload")])
     k.run()
@@ -562,14 +562,14 @@ def test_directive_validation(kw):
     if kw.get("injections"):
         kw["injections"] = [Injection(1, "nope", rec(model, "Job", n=0))]
     with pytest.raises(KernelError):
-        Kernel(model, topo, **kw)
+        Kernel(topo, **kw)
 
 
 def test_injection_payload_type_checked():
     model = parse_ok(POOL_TEXT + "message Other { s: text; }\n")
     topo = elaborate(model, "Pool")
     with pytest.raises(KernelError):
-        Kernel(model, topo, injections=[
+        Kernel(topo, injections=[
             Injection(1, "feed", rec(model, "Other", s="x")),
         ])
 
@@ -708,6 +708,46 @@ def test_round_robin_follows_scale_up_shrink_and_regrowth():
     ]
     group = k.groups["root/w"]
     assert [r.rid for r in group.live()] == [0, 3]
+
+
+# --- instances of one type ---
+
+
+TWO_COLLECTORS = (
+    "message M { n: integer; }\n"
+    "component W { port in M i; port out M o; behavior collect(n=2); }\n"
+    "component Sys { port in M fa; port in M fb; port out M da; port out M db;"
+    " component W a; component W b;"
+    " connect fa -> a.i; connect fb -> b.i; connect a.o -> da; connect b.o -> db; }"
+)
+
+
+def test_instances_of_one_type_share_the_behavior_not_the_state():
+    model = parse_ok(TWO_COLLECTORS)
+    feed = [Injection(s, "fa", rec(model, "M", n=s)) for s in (1, 2, 3)]
+    feed.append(Injection(1, "fb", rec(model, "M", n=10)))
+    _, _, k = build(TWO_COLLECTORS, "Sys", injections=feed)
+    assert k.groups["root/a"].behavior is k.groups["root/b"].behavior
+    k.run()
+    assert [p.get("n") for _t, p in k.out_streams["da"]] == [2]
+    assert k.out_streams["db"] == []
+    assert k.groups["root/a"].replicas[0].state == 3
+    assert k.groups["root/b"].replicas[0].state == 1
+
+    # restarting root/a resets its count only: b's next message pairs up
+    later = [Injection(5, "fa", rec(model, "M", n=5)), Injection(5, "fb", rec(model, "M", n=11))]
+    _, _, k = build(
+        TWO_COLLECTORS, "Sys",
+        injections=feed + later,
+        faults=[FaultDirective(5, "root/a", "wedge")],
+        strategies={"root/a": "restart"},
+    )
+    k.run()
+    assert [e.subject for e in k.events if e.kind == "RESTART"] == ["root/a"]
+    assert [p.get("n") for _t, p in k.out_streams["da"]] == [2]
+    assert [p.get("n") for _t, p in k.out_streams["db"]] == [11]
+    assert k.groups["root/a"].replicas[0].state == 1
+    assert k.groups["root/b"].replicas[0].state == 2
 
 
 # --- store rows ---

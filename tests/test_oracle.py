@@ -70,7 +70,7 @@ def test_prediction_is_latency_free():
         apply_latency_overrides(
             topo, [(ch.id, rng.randint(1, 5)) for ch in topo.channels]
         )
-        k = Kernel(model, topo, injections=injections)
+        k = Kernel(topo, injections=injections)
         k.run()
         assert [p for _t, p in k.out_streams["drain"]] == want
 
