@@ -14,6 +14,10 @@ an activation which raises commits no state is unaffected, because store
 never raises; initial_state() returns a fresh list on every call, so a
 restart still empties the rows and no two replicas share one.
 
+A behavior whose handle() reads ctx.rng sets the class attribute draws;
+the kernel seeds a generator only for the replicas of such a behavior, and
+hands every other one rng None. sample is the one builtin that draws.
+
 Verdict records are shared immutable values: approve_if, validate_range
 and approval_join build their false and their true record once, when the
 behavior is configured, and every activation emits one of the two. A
@@ -75,11 +79,12 @@ class Raise:
 @dataclass(slots=True)
 class ActivationContext:
     step: int
-    rng: Random
+    rng: Random | None  # the replica's generator; None unless the behavior draws
 
 
 class Behavior:
     mode = MODE_ONE  # how its emits pick receivers; see Emit
+    draws = False  # True if handle() reads ctx.rng
 
     def initial_state(self) -> object:
         return None
@@ -373,6 +378,8 @@ class SampleBehavior(Behavior):
     Uses the replica's own seeded generator, so a run is reproducible for
     a fixed scenario seed.
     """
+
+    draws = True
 
     def __init__(self, tdef, model, clause):
         shape = _Shape(clause.builtin, tdef, model)

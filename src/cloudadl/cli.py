@@ -136,11 +136,11 @@ def cmd_sim(args: argparse.Namespace) -> int:
         print(report.render(), file=out)
         if report.result is not None:
             if args.trace == "-":
-                sys.stdout.write(render_trace(report.result.kernel.events))
+                render_trace(report.result.kernel.events, sys.stdout)
             if args.store:
                 try:
                     with open(args.store, "w", encoding="utf-8") as fh:
-                        fh.write(render_stores(report.result.kernel))
+                        render_stores(report.result.kernel, fh)
                 except OSError as exc:
                     print(io_error(args.store, exc).render(), file=sys.stderr)
                     status = STATUS_DIAGNOSTICS
@@ -148,7 +148,10 @@ def cmd_sim(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "check" and args.topology and not args.root:
+        parser.error("check: --topology needs --root")
     return args.func(args)
 
 

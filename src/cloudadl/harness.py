@@ -7,6 +7,7 @@ model or scenario did not load, 3 a fault escalated past the root.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TextIO
 
 from .diagnostics import E_UNRESOLVED, Diagnostic, error, io_error, render_all
 from .kernel import Kernel, KernelError
@@ -44,7 +45,7 @@ def run_file(path: str, trace_path: str | None = None) -> RunReport:
     if trace_path is not None:
         try:
             with open(trace_path, "w", encoding="utf-8") as fh:
-                fh.write(render_trace(result.kernel.events))
+                render_trace(result.kernel.events, fh)
         except OSError as exc:
             diags = [io_error(trace_path, exc)]
             return _diagnosed(path, diags, f"scenario {name}: trace not written")
@@ -73,13 +74,13 @@ def overall_status(reports: list[RunReport]) -> int:
     return max((r.status for r in reports), default=STATUS_PASS)
 
 
-def render_stores(kernel: Kernel) -> str:
-    """Dump every store instance: path#rid, arrival step, payload."""
-    lines = []
+def render_stores(kernel: Kernel, out: TextIO) -> None:
+    """Write every store instance's rows: path#rid, arrival step, payload."""
     for path, group in kernel.groups.items():
         clause = group.inst.type_def.behavior
         if clause is None or clause.builtin != "store":
             continue
-        for step, rid, _index, payload in store_rows(kernel, path):
-            lines.append(f"{path}#{rid}\t{step}\t{payload.render()}")
-    return "\n".join(lines) + "\n" if lines else ""
+        out.writelines(
+            f"{path}#{rid}\t{step}\t{payload.render()}\n"
+            for step, rid, _index, payload in store_rows(kernel, path)
+        )

@@ -29,6 +29,12 @@ The kernel configures no behaviors: each group runs the behavior that
 analyzer.elaborate() configured for its component type and put on the
 instance, shared with every other instance of that type. Only the
 per-replica states are the kernel's own.
+
+A replica gets a random generator, seeded from the scenario seed and its
+"path#rid", only when its behavior draws (Behavior.draws); every other
+replica's ActivationContext carries rng None. A replica also builds the
+subject strings of its events once, when it starts, and every event it
+is the subject of shares them.
 """
 
 from __future__ import annotations
@@ -102,7 +108,10 @@ _arrival_order = attrgetter("channel.id", "seq")
 class Replica:
     rid: int
     state: object
-    rng: Random
+    rng: Random | None  # seeded only when the group's behavior draws
+    name: str  # "path#rid", the subject of its BIND events
+    # in port -> "path#rid.port", the subject of its DELIVER events
+    subjects: dict[str, str]
     held: set = field(default_factory=set)
     retiring: bool = False
 
@@ -119,18 +128,22 @@ class Group:
         self.next_rid = 0
         self.rr = 0  # round-robin cursor, advanced only on round-robin picks
         self.target = 1
+        self.in_ports = [p.name for p in inst.type_def.ports if p.direction == IN]
         # live replicas in id order; None until the next live() rebuilds it
         self._live: list[Replica] | None = None
         self.grow(1)
 
     def grow(self, count: int) -> None:
         self._live = None
+        behavior = self.behavior
         for _ in range(count):
             rid = self.next_rid
             self.next_rid += 1
-            state = self.behavior.initial_state() if self.behavior else None
-            rng = Random(f"{self.seed}:{self.path}#{rid}")
-            self.replicas[rid] = Replica(rid, state, rng)
+            state = behavior.initial_state() if behavior else None
+            name = f"{self.path}#{rid}"
+            rng = Random(f"{self.seed}:{name}") if behavior and behavior.draws else None
+            subjects = {port: f"{name}.{port}" for port in self.in_ports}
+            self.replicas[rid] = Replica(rid, state, rng, name, subjects)
 
     def shrink(self, target: int) -> bool:
         """Mark the live replicas past the first `target` retiring; True if
@@ -231,6 +244,8 @@ class Kernel:
             for p in topology.root.type_def.ports
             if p.direction == OUT
         }
+        # root out port -> "root.port", the subject of its DELIVER events
+        self._root_subjects = {port: f"{ROOT_PATH}.{port}" for port in self.out_streams}
         self.step = 0
         self.truncated = False
 
@@ -346,7 +361,7 @@ class Kernel:
             ch = m.channel
             if ch.external:
                 events.append(Event(
-                    step, DELIVER, f"{ROOT_PATH}.{ch.target_port}",
+                    step, DELIVER, self._root_subjects[ch.target_port],
                     m.seq, m.tokens, m.text, ch.id,
                 ))
                 self.out_streams[ch.target_port].append((step, m.payload))
@@ -354,7 +369,7 @@ class Kernel:
             group = self.groups[ch.target_path]
             replica = self._select(group, m)
             events.append(Event(
-                step, DELIVER, f"{group.path}#{replica.rid}.{ch.target_port}",
+                step, DELIVER, replica.subjects[ch.target_port],
                 m.seq, m.tokens, m.text, ch.id,
             ))
             activations.append((group, replica, m))
@@ -392,9 +407,7 @@ class Kernel:
             if fresh:
                 for tok in fresh:
                     self.bindings[(group.path, tok)] = replica.rid
-                self._event(
-                    BIND, f"{group.path}#{replica.rid}", m.seq, fresh, "-", m.channel.id
-                )
+                self._event(BIND, replica.name, m.seq, fresh, "-", m.channel.id)
         return replica
 
     def _activate(self, group: Group, replica: Replica, m: Message) -> None:

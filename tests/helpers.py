@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import io
 import pathlib
 
 from cloudadl.analyzer import check, elaborate
 from cloudadl.parser import parse_model
+from cloudadl.trace import render_trace
 
 PKG_ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODELS_DIR = PKG_ROOT / "models"
@@ -27,3 +29,10 @@ def checked(text: str, root: str):
 
 def codes(diags) -> list[str]:
     return [d.code for d in diags]
+
+
+def trace_text(events) -> str:
+    """The trace render_trace writes for these events, as one string."""
+    out = io.StringIO()
+    render_trace(events, out)
+    return out.getvalue()

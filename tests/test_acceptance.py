@@ -7,6 +7,7 @@ unless a test says otherwise; random cases are seeded and reproducible.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from random import Random
 
 import pytest
@@ -32,9 +33,8 @@ from cloudadl.scenario import (
     run_scenario,
     store_rows,
 )
-from cloudadl.trace import render_trace
 
-from helpers import MODELS_DIR, SCENARIOS_DIR, parse_ok
+from helpers import MODELS_DIR, SCENARIOS_DIR, parse_ok, trace_text
 from modelgen import POOL_TEXT, pipeline_text, random_model
 
 
@@ -390,22 +390,40 @@ def test_a10_equal_seeds_give_byte_identical_traces(tmp_path):
         for _ in range(2):
             k = build_kernel(scenario)
             k.run()
-            traces.append(render_trace(k.events).encode())
+            traces.append(trace_text(k.events).encode())
         assert traces[0] == traces[1], path.name
 
-    # a behavior that consults the seeded rng still replays identically
+    # a behavior that consults the seeded rng still replays identically, and
+    # draws what it drew when the digests below were pinned: a change to a
+    # replica's seed string or to its draw sequence changes them
     (tmp_path / "m.arc").write_text(
         "message M { n: integer; }\n"
         "component S { port in M i; port out M o; behavior sample(percent=50); }\n"
         "component Sys { port in M feed; port out M drain; component S s;"
         " connect feed -> s.i; connect s.o -> drain; }\n"
     )
+    (tmp_path / "pool.arc").write_text(
+        (tmp_path / "m.arc").read_text().replace(
+            "component S s;", "replicating component S s;"
+        )
+    )
     from cloudadl.scenario import load_scenario_text
 
-    by_seed = {}
-    for seed in (0, 1):
+    pinned = {
+        ("m.arc", 0, ""):
+            "e8bfbd08b413a5a076a92d2d50379a9c9ec7fede77fc36d16fce191634408c8f",
+        ("m.arc", 1, ""):
+            "b86e2b93e6b8d3e5a4ba49d4983308f516b6a8bea128bb88dfffbb7350d12008",
+        # three replicas, each drawing from its own generator
+        ("pool.arc", 0, "scale root/s 3 at 0\n"):
+            "1e5ccf77e340aab5915a518ecbe70091f898c6ab8357d8083b60ed65a9b27faf",
+    }
+    by_case = {}
+    for case in pinned:
+        model_file, seed, directives = case
         body = (
-            f"scenario sampled\nmodel m.arc\nroot Sys\nseed {seed}\n"
+            f"scenario sampled\nmodel {model_file}\nroot Sys\nseed {seed}\n"
+            + directives
             + "".join(f"inject feed at {s} M{{n={s}}}\n" for s in range(1, 41))
         )
         scenario, diags = load_scenario_text(body, "<scn>", str(tmp_path))
@@ -414,10 +432,12 @@ def test_a10_equal_seeds_give_byte_identical_traces(tmp_path):
         for _ in range(2):
             k = build_kernel(scenario)
             k.run()
-            pair.append(render_trace(k.events).encode())
+            pair.append(trace_text(k.events).encode())
         assert pair[0] == pair[1]
-        by_seed[seed] = pair[0]
-    assert by_seed[0] != by_seed[1]  # the seed does reach the behaviors
+        assert hashlib.sha256(pair[0]).hexdigest() == pinned[case], case
+        by_case[case] = pair[0]
+    # the seed does reach the behaviors
+    assert by_case[("m.arc", 0, "")] != by_case[("m.arc", 1, "")]
     print("PASS: byte-identical traces per seed; seeds diverge under sampling")
 
 

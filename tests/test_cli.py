@@ -49,6 +49,15 @@ def test_check_topology_listing(capsys):
     assert "root.update->root/handler.update [latency 1]" in out
 
 
+def test_check_topology_without_root_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", SENSOR, "--topology"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--topology needs --root" in captured.err
+
+
 # --- fmt ---
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+
 from cloudadl.harness import (
     STATUS_DIAGNOSTICS,
     STATUS_FAIL,
@@ -117,8 +119,9 @@ def test_render_stores():
     scenario, diags = load_scenario(str(SCENARIOS_DIR / "sensor_channel.scn"))
     assert scenario is not None, diags
     result = run_scenario(scenario)
-    dump = render_stores(result.kernel)
-    lines = dump.splitlines()
+    out = io.StringIO()
+    render_stores(result.kernel, out)
+    lines = out.getvalue().splitlines()
     assert len(lines) == 83
     assert lines[0].startswith("root/store#")
     subject, step, payload = lines[0].split("\t")

@@ -19,9 +19,8 @@ from cloudadl.kernel import (
 from cloudadl.model import make_record
 from cloudadl.parser import load_files, parse_model
 from cloudadl.scenario import build_kernel, load_scenario_text
-from cloudadl.trace import render_trace
 
-from helpers import MODELS_DIR, parse_ok
+from helpers import MODELS_DIR, parse_ok, trace_text
 from modelgen import POOL_TEXT, pipeline_text
 
 
@@ -150,7 +149,7 @@ def test_identical_runs_identical_traces():
                 Injection(s, "feed", rec(model, "Item", n=s)) for s in (1, 1, 2, 5)
             ])
             k.run()
-            runs.append(render_trace(k.events))
+            runs.append(trace_text(k.events))
         assert runs[0] == runs[1]
 
 
@@ -793,3 +792,83 @@ def test_store_rows_stay_with_their_replica_across_a_restart():
     assert store_payloads(k, "root/v") == {0: [10], 1: [11]}
     rows = [r.state for g in k.groups.values() for r in g.replicas.values()]
     assert len({id(r) for r in rows}) == len(rows)
+
+
+# --- what a replica allocates ---
+
+
+def test_deliveries_to_one_port_share_one_subject_object():
+    model = parse_ok(POOL_TEXT)
+    _, _, k = build(
+        POOL_TEXT, "Pool",
+        scales=[ScaleDirective(0, "root/w", 2)],
+        injections=jobs(model, "feed", [1, 1, 2, 2, 3, 3]),
+    )
+    k.run()
+    by_subject: dict[str, set[int]] = {}
+    for ev in deliveries(k):
+        by_subject.setdefault(ev.subject, set()).add(id(ev.subject))
+    assert sorted(by_subject) == ["root.drain", "root/w#0.i", "root/w#1.i"]
+    assert all(len(ids) == 1 for ids in by_subject.values())
+    assert len(deliveries(k, "root.drain")) == 6
+
+
+def counting_random(monkeypatch) -> list[str]:
+    """Record the seed of every Random the kernel constructs."""
+    seeds: list[str] = []
+
+    def make(seed):
+        seeds.append(seed)
+        return Random(seed)
+
+    monkeypatch.setattr("cloudadl.kernel.Random", make)
+    return seeds
+
+
+def test_behaviors_that_never_draw_get_no_generator(monkeypatch):
+    chain = "".join(
+        f" component Hop h{i}; connect {'feed' if i == 0 else f'h{i - 1}.o'} -> h{i}.i;"
+        for i in range(50)
+    )
+    text = (
+        "message M { n: integer; }\n"
+        "component Hop { port in M i; port out M o; behavior forward(out=o); }\n"
+        f"component Sys {{ port in M feed; port out M drain;{chain}"
+        " connect h49.o -> drain; }\n"
+    )
+    seeds = counting_random(monkeypatch)
+    model = parse_ok(text)
+    _, _, k = build(text, "Sys", injections=jobs(model, "feed", [1, 2], "M"))
+    k.run()
+    assert len(k.groups) == 50
+    assert seeds == []
+    assert all(r.rng is None for g in k.groups.values() for r in g.replicas.values())
+    assert len(deliveries(k, "root.drain")) == 2
+
+
+SAMPLED_POOL = """
+message M { n: integer; }
+component S { port in M i; port out M o; behavior sample(percent=50); }
+component Sys {
+  port in M feed;
+  port out M drain;
+  replicating component S s;
+  connect feed -> s.i;
+  connect s.o -> drain;
+}
+"""
+
+
+def test_sampling_replicas_each_get_their_own_generator(monkeypatch):
+    seeds = counting_random(monkeypatch)
+    model = parse_ok(SAMPLED_POOL)
+    _, _, k = build(
+        SAMPLED_POOL, "Sys", seed=5,
+        scales=[ScaleDirective(2, "root/s", 3)],
+        injections=jobs(model, "feed", range(1, 9), "M"),
+    )
+    assert seeds == ["5:root/s#0"]
+    k.run()
+    assert seeds == ["5:root/s#0", "5:root/s#1", "5:root/s#2"]
+    rngs = [r.rng for r in k.groups["root/s"].replicas.values()]
+    assert len({id(rng) for rng in rngs}) == 3 and None not in rngs
