@@ -15,7 +15,6 @@ from the instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 
 from . import behaviors
@@ -43,6 +42,7 @@ from .model import (
     Endpoint,
     PortDecl,
 )
+from .values import Value
 
 ROOT_PATH = "root"
 
@@ -147,14 +147,22 @@ def _check_component(
                 diags.append(_err(cdef.behavior, message, E_BEHAVIOR))
 
 
-@dataclass
-class _End:
+class _End(Value):
     """A resolved connector endpoint inside one component type."""
 
-    port: PortDecl
-    sub_name: str | None  # None for the component's own port
-    sub_replicating: bool = False
-    sub_decomposed: bool = False
+    _fields = ("port", "sub_name", "sub_replicating", "sub_decomposed")
+
+    def __init__(
+        self,
+        port: PortDecl,
+        sub_name: str | None,
+        sub_replicating: bool = False,
+        sub_decomposed: bool = False,
+    ):
+        self.port = port
+        self.sub_name = sub_name  # None for the component's own port
+        self.sub_replicating = sub_replicating
+        self.sub_decomposed = sub_decomposed
 
 
 def _resolve_end(
@@ -345,19 +353,27 @@ def _err(node, message: str, code: str) -> Diagnostic:
 # Elaboration
 
 
-@dataclass
-class InstanceSpec:
+class InstanceSpec(Value):
     """One node of the instance tree (a replica group counts as one node)."""
 
-    path: str
-    type_def: ComponentTypeDef
-    parent: str | None
-    replicating: bool
-    # configured once per type and shared by its instances; None when the
-    # type has no behavior clause
-    behavior: behaviors.Behavior | None = field(
-        default=None, compare=False, repr=False
-    )
+    # behavior is left out of repr and ==
+    _fields = ("path", "type_def", "parent", "replicating")
+
+    def __init__(
+        self,
+        path: str,
+        type_def: ComponentTypeDef,
+        parent: str | None,
+        replicating: bool,
+        behavior: behaviors.Behavior | None = None,
+    ):
+        self.path = path
+        self.type_def = type_def
+        self.parent = parent
+        self.replicating = replicating
+        # configured once per type and shared by its instances; None when
+        # the type has no behavior clause
+        self.behavior = behavior
 
     @property
     def atomic(self) -> bool:
@@ -368,8 +384,7 @@ class InstanceSpec:
         return self.path.rsplit("/", 1)[-1]
 
 
-@dataclass
-class ChannelSpec:
+class ChannelSpec(Value):
     """A fused connector chain from one emitter to one consumer.
 
     The id lists every port the chain passes through, so latency patterns
@@ -377,29 +392,59 @@ class ChannelSpec:
     message in order while it is in flight.
     """
 
-    id: str
-    source_path: str
-    source_port: str
-    target_path: str
-    target_port: str
-    message_type: str
-    external: bool  # target is the root boundary, not an instance queue
-    group: bool  # target instance is a replica group
-    gates: tuple[tuple[str, str], ...]
-    latency: int = 1
+    _fields = (
+        "id",
+        "source_path",
+        "source_port",
+        "target_path",
+        "target_port",
+        "message_type",
+        "external",
+        "group",
+        "gates",
+        "latency",
+    )
+
+    def __init__(
+        self,
+        id: str,
+        source_path: str,
+        source_port: str,
+        target_path: str,
+        target_port: str,
+        message_type: str,
+        external: bool,
+        group: bool,
+        gates: tuple[tuple[str, str], ...],
+        latency: int = 1,
+    ):
+        self.id = id
+        self.source_path = source_path
+        self.source_port = source_port
+        self.target_path = target_path
+        self.target_port = target_port
+        self.message_type = message_type
+        self.external = external  # target is the root boundary, not an instance queue
+        self.group = group  # target instance is a replica group
+        self.gates = gates
+        self.latency = latency
 
 
-@dataclass
-class RuntimeTopology:
-    root_type: str
-    instances: dict[str, InstanceSpec]
-    channels: list[ChannelSpec]
-    # (source path, source port) -> the channels leaving it, in channel order
-    channels_from: dict[tuple[str, str], list[ChannelSpec]] = field(init=False)
+class RuntimeTopology(Value):
+    _fields = ("root_type", "instances", "channels", "channels_from")
 
-    def __post_init__(self) -> None:
-        self.channels_from = {}
-        for ch in self.channels:
+    def __init__(
+        self,
+        root_type: str,
+        instances: dict[str, InstanceSpec],
+        channels: list[ChannelSpec],
+    ):
+        self.root_type = root_type
+        self.instances = instances
+        self.channels = channels
+        # (source path, source port) -> the channels leaving it, in channel order
+        self.channels_from: dict[tuple[str, str], list[ChannelSpec]] = {}
+        for ch in channels:
             self.channels_from.setdefault((ch.source_path, ch.source_port), []).append(ch)
 
     @property

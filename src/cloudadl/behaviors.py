@@ -27,7 +27,6 @@ and rendered once per elaboration, not once per activation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
 
 from . import lexer
@@ -46,6 +45,7 @@ from .model import (
     render_value,
 )
 from .parser import ParseError, TokenCursor, describe
+from .values import Frozen, Value, set_field
 
 MODE_ONE = "one"
 MODE_BROADCAST = "broadcast"
@@ -56,8 +56,7 @@ class BehaviorConfigError(Exception):
     pass
 
 
-@dataclass(slots=True)
-class Emit:
+class Emit(Value):
     """Send payload through an out port.
 
     mode "one" picks a single receiver per attached channel (sticky or
@@ -65,21 +64,30 @@ class Emit:
     replica; "index" pins the receiver by position in the live list.
     """
 
-    port: str
-    payload: Record
-    mode: str = MODE_ONE
-    index: int = 0
+    __slots__ = ("port", "payload", "mode", "index")
+    _fields = __slots__
+
+    def __init__(self, port: str, payload: Record, mode: str = MODE_ONE, index: int = 0):
+        self.port = port
+        self.payload = payload
+        self.mode = mode
+        self.index = index
 
 
-@dataclass(frozen=True)
-class Raise:
-    kind: str
+class Raise(Frozen):
+    _fields = ("kind",)
+
+    def __init__(self, kind: str):
+        set_field(self, "kind", kind)
 
 
-@dataclass(slots=True)
-class ActivationContext:
-    step: int
-    rng: Random | None  # the replica's generator; None unless the behavior draws
+class ActivationContext(Value):
+    __slots__ = ("step", "rng")
+    _fields = __slots__
+
+    def __init__(self, step: int, rng: Random | None):
+        self.step = step
+        self.rng = rng  # the replica's generator; None unless the behavior draws
 
 
 class Behavior:
@@ -517,11 +525,13 @@ class ApprovalJoinBehavior(Behavior):
 GUARD_OPS = ("=", "!=", "<", "<=", ">", ">=")
 
 
-@dataclass(frozen=True)
-class Guard:
-    field: str | None  # None means match-all
-    op: str = "="
-    literal: object = None
+class Guard(Frozen):
+    _fields = ("field", "op", "literal")
+
+    def __init__(self, field: str | None, op: str = "=", literal: object = None):
+        set_field(self, "field", field)  # None means match-all
+        set_field(self, "op", op)
+        set_field(self, "literal", literal)
 
     def matches(self, payload: Record) -> bool:
         if self.field is None:
@@ -545,19 +555,30 @@ class Guard:
         return f"{self.field} {self.op} {render_value(self.literal)}"
 
 
-@dataclass(frozen=True)
-class Emission:
-    port: str
-    payload: Record | None  # None forwards the triggering payload
+class Emission(Frozen):
+    _fields = ("port", "payload")
+
+    def __init__(self, port: str, payload: Record | None):
+        set_field(self, "port", port)
+        set_field(self, "payload", payload)  # None forwards the triggering payload
 
 
-@dataclass(frozen=True)
-class Transition:
-    state: str
-    port: str
-    guard: Guard
-    next_state: str
-    emissions: tuple[Emission, ...]
+class Transition(Frozen):
+    _fields = ("state", "port", "guard", "next_state", "emissions")
+
+    def __init__(
+        self,
+        state: str,
+        port: str,
+        guard: Guard,
+        next_state: str,
+        emissions: tuple[Emission, ...],
+    ):
+        set_field(self, "state", state)
+        set_field(self, "port", port)
+        set_field(self, "guard", guard)
+        set_field(self, "next_state", next_state)
+        set_field(self, "emissions", emissions)
 
 
 class AutomatonBehavior(Behavior):

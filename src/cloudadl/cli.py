@@ -55,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--store",
         metavar="FILE",
-        help="write store contents of a single scenario after the run",
+        help="write store contents of a single scenario after the run"
+        " ('-' for stdout, after the trace)",
     )
     p_sim.set_defaults(func=cmd_sim)
     return parser
@@ -137,7 +138,9 @@ def cmd_sim(args: argparse.Namespace) -> int:
         if report.result is not None:
             if args.trace == "-":
                 render_trace(report.result.kernel.events, sys.stdout)
-            if args.store:
+            if args.store == "-":
+                render_stores(report.result.kernel, sys.stdout)
+            elif args.store:
                 try:
                     with open(args.store, "w", encoding="utf-8") as fh:
                         render_stores(report.result.kernel, fh)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .values import Frozen, set_field
 
 # Parser / loader codes
 E_SYNTAX = "E_SYNTAX"
@@ -24,14 +24,18 @@ E_REPL_PORT = "E_REPL_PORT"
 E_REPL_SUB = "E_REPL_SUB"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str  # "error" | "warning"
-    code: str
-    origin: str
-    line: int
-    col: int
-    message: str
+class Diagnostic(Frozen):
+    _fields = ("severity", "code", "origin", "line", "col", "message")
+
+    def __init__(
+        self, severity: str, code: str, origin: str, line: int, col: int, message: str
+    ):
+        set_field(self, "severity", severity)  # "error" | "warning"
+        set_field(self, "code", code)
+        set_field(self, "origin", origin)
+        set_field(self, "line", line)
+        set_field(self, "col", col)
+        set_field(self, "message", message)
 
     def render(self) -> str:
         return f"{self.origin}:{self.line}:{self.col}: {self.code}: {self.message}"

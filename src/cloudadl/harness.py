@@ -6,13 +6,13 @@ model or scenario did not load, 3 a fault escalated past the root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TextIO
 
 from .diagnostics import E_UNRESOLVED, Diagnostic, error, io_error, render_all
 from .kernel import Kernel, KernelError
 from .scenario import ScenarioResult, load_scenario, run_scenario, store_rows
 from .trace import render_trace
+from .values import Value
 
 STATUS_PASS = 0
 STATUS_FAIL = 1
@@ -20,13 +20,22 @@ STATUS_DIAGNOSTICS = 2
 STATUS_FATAL = 3
 
 
-@dataclass
-class RunReport:
-    path: str
-    status: int
-    lines: list[str] = field(default_factory=list)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-    result: ScenarioResult | None = None
+class RunReport(Value):
+    _fields = ("path", "status", "lines", "diagnostics", "result")
+
+    def __init__(
+        self,
+        path: str,
+        status: int,
+        lines: list[str] | None = None,
+        diagnostics: list[Diagnostic] | None = None,
+        result: ScenarioResult | None = None,
+    ):
+        self.path = path
+        self.status = status
+        self.lines = [] if lines is None else lines
+        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.result = result
 
     def render(self) -> str:
         return "\n".join(self.lines)

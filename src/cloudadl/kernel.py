@@ -40,7 +40,6 @@ is the subject of shares them.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from operator import attrgetter
 from random import Random
 
@@ -54,6 +53,7 @@ from .behaviors import (
     Raise,
 )
 from .model import IN, OPEN, OUT, Record
+from .values import Frozen, Value, set_field
 
 SEND = "SEND"
 DELIVER = "DELIVER"
@@ -75,45 +75,80 @@ STRATEGIES = (RESUME, RESTART_STRATEGY, ESCALATE_STRATEGY)
 # Tokens are (context name, serial) pairs; serials count up per context.
 
 
-@dataclass(slots=True)
-class Event:
-    step: int
-    kind: str
-    subject: str
-    seq: int | None
-    tokens: tuple[tuple[str, int], ...]
-    payload: str
-    # source channel for message events; kept out of the rendered trace
-    channel: str = ""
+class Event(Value):
+    __slots__ = ("step", "kind", "subject", "seq", "tokens", "payload", "channel")
+    _fields = __slots__
+
+    def __init__(
+        self,
+        step: int,
+        kind: str,
+        subject: str,
+        seq: int | None,
+        tokens: tuple[tuple[str, int], ...],
+        payload: str,
+        channel: str = "",
+    ):
+        self.step = step
+        self.kind = kind
+        self.subject = subject
+        self.seq = seq
+        self.tokens = tokens
+        self.payload = payload
+        # source channel for message events; kept out of the rendered trace
+        self.channel = channel
 
 
-@dataclass(slots=True)
-class Message:
-    channel: ChannelSpec
-    seq: int
-    payload: Record
-    text: str  # payload rendered once at send, reused for its DELIVER
-    # () or the tuple(sorted(...)) of a gated dispatch: always sorted and
-    # free of duplicates, so a gateless hop can pass it on as it is
-    tokens: tuple[tuple[str, int], ...]
-    pinned: int | None = None  # replica id fixed at send time
-    bind: bool = True  # broadcast copies never bind tokens
+class Message(Value):
+    __slots__ = ("channel", "seq", "payload", "text", "tokens", "pinned", "bind")
+    _fields = __slots__
+
+    def __init__(
+        self,
+        channel: ChannelSpec,
+        seq: int,
+        payload: Record,
+        text: str,
+        tokens: tuple[tuple[str, int], ...],
+        pinned: int | None = None,
+        bind: bool = True,
+    ):
+        self.channel = channel
+        self.seq = seq
+        self.payload = payload
+        self.text = text  # payload rendered once at send, reused for its DELIVER
+        # () or the tuple(sorted(...)) of a gated dispatch: always sorted and
+        # free of duplicates, so a gateless hop can pass it on as it is
+        self.tokens = tokens
+        self.pinned = pinned  # replica id fixed at send time
+        self.bind = bind  # broadcast copies never bind tokens
 
 
 # delivery order within one arrival step
 _arrival_order = attrgetter("channel.id", "seq")
 
 
-@dataclass
-class Replica:
-    rid: int
-    state: object
-    rng: Random | None  # seeded only when the group's behavior draws
-    name: str  # "path#rid", the subject of its BIND events
-    # in port -> "path#rid.port", the subject of its DELIVER events
-    subjects: dict[str, str]
-    held: set = field(default_factory=set)
-    retiring: bool = False
+class Replica(Value):
+    _fields = ("rid", "state", "rng", "name", "subjects", "held", "retiring")
+
+    def __init__(
+        self,
+        rid: int,
+        state: object,
+        rng: Random | None,
+        name: str,
+        subjects: dict[str, str],
+        held: set | None = None,
+        retiring: bool = False,
+    ):
+        self.rid = rid
+        self.state = state
+        self.rng = rng  # seeded only when the group's behavior draws
+        self.name = name  # "path#rid", the subject of its BIND events
+        # in port -> "path#rid.port", the subject of its DELIVER events
+        self.subjects = subjects
+        self.held = set() if held is None else held
+        self.retiring = retiring
 
 
 class Group:
@@ -168,27 +203,37 @@ class Group:
         return len(self.replicas)
 
 
-@dataclass(slots=True)
-class Injection:
-    step: int
-    port: str
-    payload: Record
+class Injection(Value):
+    __slots__ = ("step", "port", "payload")
+    _fields = __slots__
+
+    def __init__(self, step: int, port: str, payload: Record):
+        self.step = step
+        self.port = port
+        self.payload = payload
 
 
-@dataclass(frozen=True)
-class ScaleDirective:
-    step: int
-    path: str
-    count: int
+class ScaleDirective(Frozen):
+    _fields = ("step", "path", "count")
+
+    def __init__(self, step: int, path: str, count: int):
+        set_field(self, "step", step)
+        set_field(self, "path", path)
+        set_field(self, "count", count)
 
 
-@dataclass(frozen=True)
-class FaultDirective:
-    step: int
-    path: str
-    kind: str
-    rid: int | None = None  # None faults the lowest live replica
-    line: int = 0  # scenario line of the directive, 0 when built directly
+class FaultDirective(Frozen):
+    _fields = ("step", "path", "kind", "rid", "line")
+
+    def __init__(
+        self, step: int, path: str, kind: str, rid: int | None = None, line: int = 0
+    ):
+        set_field(self, "step", step)
+        set_field(self, "path", path)
+        set_field(self, "kind", kind)
+        set_field(self, "rid", rid)  # None faults the lowest live replica
+        # scenario line of the directive, 0 when built directly
+        set_field(self, "line", line)
 
 
 class KernelError(Exception):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .values import Value
 
 
 class LexError(Exception):
@@ -25,12 +25,15 @@ _PUNCTS = frozenset((
 ))
 
 
-@dataclass(slots=True)
-class Token:
-    type: str  # IDENT, INT, STRING, EOF, or the punct itself
-    value: str
-    line: int
-    col: int
+class Token(Value):
+    __slots__ = ("type", "value", "line", "col")
+    _fields = __slots__
+
+    def __init__(self, type: str, value: str, line: int, col: int):
+        self.type = type  # IDENT, INT, STRING, EOF, or the punct itself
+        self.value = value
+        self.line = line
+        self.col = col
 
 
 def tokenize(source: str) -> list[Token]:

@@ -6,7 +6,7 @@ from equality, so two parses of equivalent text compare structurally equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .values import Frozen, Value, set_field
 
 PRIMITIVES = ("integer", "text", "boolean")
 
@@ -18,57 +18,82 @@ OPEN = "open"
 CLOSE = "close"
 
 
-@dataclass(frozen=True)
-class Pos:
-    origin: str = field(compare=False, default="<none>")
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
+class Pos(Frozen):
+    _fields = ("origin", "line", "col")
+    _compare = ()
+
+    def __init__(self, origin: str = "<none>", line: int = 0, col: int = 0):
+        set_field(self, "origin", origin)
+        set_field(self, "line", line)
+        set_field(self, "col", col)
 
 
-@dataclass(frozen=True)
-class FieldDef:
-    name: str
-    primitive: str  # one of PRIMITIVES
-    pos: Pos = field(compare=False, default=Pos())
+_NO_POS = Pos()
 
 
-@dataclass(frozen=True)
-class MessageTypeDef:
-    name: str
-    fields: tuple[FieldDef, ...]
-    pos: Pos = field(compare=False, default=Pos())
+class FieldDef(Frozen):
+    _fields = ("name", "primitive", "pos")
+
+    def __init__(self, name: str, primitive: str, pos: Pos = _NO_POS):
+        set_field(self, "name", name)
+        set_field(self, "primitive", primitive)  # one of PRIMITIVES
+        set_field(self, "pos", pos)
+
+
+class MessageTypeDef(Frozen):
+    _fields = ("name", "fields", "pos")
+
+    def __init__(self, name: str, fields: tuple[FieldDef, ...], pos: Pos = _NO_POS):
+        set_field(self, "name", name)
+        set_field(self, "fields", fields)
+        set_field(self, "pos", pos)
 
     def field_map(self) -> dict[str, str]:
         return {f.name: f.primitive for f in self.fields}
 
 
-@dataclass(frozen=True)
-class PortDecl:
-    name: str
-    direction: str  # IN | OUT
-    message_type: str
-    replicating: bool = False
-    pos: Pos = field(compare=False, default=Pos())
+class PortDecl(Frozen):
+    _fields = ("name", "direction", "message_type", "replicating", "pos")
+
+    def __init__(
+        self,
+        name: str,
+        direction: str,
+        message_type: str,
+        replicating: bool = False,
+        pos: Pos = _NO_POS,
+    ):
+        set_field(self, "name", name)
+        set_field(self, "direction", direction)  # IN | OUT
+        set_field(self, "message_type", message_type)
+        set_field(self, "replicating", replicating)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class SubcomponentDecl:
-    name: str
-    type_ref: str
-    replicating: bool = False
-    pos: Pos = field(compare=False, default=Pos())
+class SubcomponentDecl(Frozen):
+    _fields = ("name", "type_ref", "replicating", "pos")
+
+    def __init__(
+        self, name: str, type_ref: str, replicating: bool = False, pos: Pos = _NO_POS
+    ):
+        set_field(self, "name", name)
+        set_field(self, "type_ref", type_ref)
+        set_field(self, "replicating", replicating)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Endpoint:
+class Endpoint(Frozen):
     """A connector end: either an own port (one part) or a dotted path.
 
     The grammar admits arbitrarily deep paths; the analyzer restricts legal
     endpoints to own ports and immediate subcomponents' ports.
     """
 
-    parts: tuple[str, ...]
-    pos: Pos = field(compare=False, default=Pos())
+    _fields = ("parts", "pos")
+
+    def __init__(self, parts: tuple[str, ...], pos: Pos = _NO_POS):
+        set_field(self, "parts", parts)
+        set_field(self, "pos", pos)
 
     @property
     def is_own(self) -> bool:
@@ -86,71 +111,102 @@ class Endpoint:
         return ".".join(self.parts)
 
 
-@dataclass(frozen=True)
-class ConnectorDecl:
-    source: Endpoint
-    target: Endpoint
-    pos: Pos = field(compare=False, default=Pos())
+class ConnectorDecl(Frozen):
+    _fields = ("source", "target", "pos")
+
+    def __init__(self, source: Endpoint, target: Endpoint, pos: Pos = _NO_POS):
+        set_field(self, "source", source)
+        set_field(self, "target", target)
+        set_field(self, "pos", pos)
 
     def render(self) -> str:
         return f"{self.source.render()} -> {self.target.render()}"
 
 
-@dataclass(frozen=True)
-class GateRef:
+class GateRef(Frozen):
     """Reference to a connector by repeating its endpoint pair."""
 
-    source: Endpoint
-    target: Endpoint
-    pos: Pos = field(compare=False, default=Pos())
+    _fields = ("source", "target", "pos")
+
+    def __init__(self, source: Endpoint, target: Endpoint, pos: Pos = _NO_POS):
+        set_field(self, "source", source)
+        set_field(self, "target", target)
+        set_field(self, "pos", pos)
 
     def key(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
         return (self.source.parts, self.target.parts)
 
 
-@dataclass(frozen=True)
-class ContextDecl:
-    name: str
-    opening: tuple[GateRef, ...]
-    closing: tuple[GateRef, ...]
-    pos: Pos = field(compare=False, default=Pos())
+class ContextDecl(Frozen):
+    _fields = ("name", "opening", "closing", "pos")
+
+    def __init__(
+        self,
+        name: str,
+        opening: tuple[GateRef, ...],
+        closing: tuple[GateRef, ...],
+        pos: Pos = _NO_POS,
+    ):
+        set_field(self, "name", name)
+        set_field(self, "opening", opening)
+        set_field(self, "closing", closing)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Ident:
+class Ident(Frozen):
     """A bare identifier used as a behavior argument value.
 
     Distinct from a quoted text literal so printing round-trips.
     """
 
-    name: str
+    _fields = ("name",)
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class BehaviorArg:
-    name: str | None  # None for positional
-    value: object  # int | bool | str | Ident
+class BehaviorArg(Frozen):
+    _fields = ("name", "value")
+
+    def __init__(self, name: str | None, value: object):
+        set_field(self, "name", name)  # None for positional
+        set_field(self, "value", value)  # int | bool | str | Ident
 
 
-@dataclass(frozen=True)
-class BehaviorClause:
-    builtin: str
-    args: tuple[BehaviorArg, ...]
-    pos: Pos = field(compare=False, default=Pos())
+class BehaviorClause(Frozen):
+    _fields = ("builtin", "args", "pos")
+
+    def __init__(self, builtin: str, args: tuple[BehaviorArg, ...], pos: Pos = _NO_POS):
+        set_field(self, "builtin", builtin)
+        set_field(self, "args", args)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class ComponentTypeDef:
-    name: str
-    ports: tuple[PortDecl, ...]
-    subcomponents: tuple[SubcomponentDecl, ...]
-    connectors: tuple[ConnectorDecl, ...]
-    contexts: tuple[ContextDecl, ...]
-    behavior: BehaviorClause | None
-    pos: Pos = field(compare=False, default=Pos())
+class ComponentTypeDef(Frozen):
+    _fields = (
+        "name", "ports", "subcomponents", "connectors", "contexts", "behavior", "pos"
+    )
+
+    def __init__(
+        self,
+        name: str,
+        ports: tuple[PortDecl, ...],
+        subcomponents: tuple[SubcomponentDecl, ...],
+        connectors: tuple[ConnectorDecl, ...],
+        contexts: tuple[ContextDecl, ...],
+        behavior: BehaviorClause | None,
+        pos: Pos = _NO_POS,
+    ):
+        set_field(self, "name", name)
+        set_field(self, "ports", ports)
+        set_field(self, "subcomponents", subcomponents)
+        set_field(self, "connectors", connectors)
+        set_field(self, "contexts", contexts)
+        set_field(self, "behavior", behavior)
+        set_field(self, "pos", pos)
 
     @property
     def is_decomposed(self) -> bool:
@@ -186,12 +242,18 @@ class ComponentTypeDef:
         return index
 
 
-@dataclass
-class ArchitectureModel:
+class ArchitectureModel(Value):
     """Union of parsed definitions, keyed by name within each namespace."""
 
-    message_types: dict[str, MessageTypeDef] = field(default_factory=dict)
-    component_types: dict[str, ComponentTypeDef] = field(default_factory=dict)
+    _fields = ("message_types", "component_types")
+
+    def __init__(
+        self,
+        message_types: dict[str, MessageTypeDef] | None = None,
+        component_types: dict[str, ComponentTypeDef] | None = None,
+    ):
+        self.message_types = {} if message_types is None else message_types
+        self.component_types = {} if component_types is None else component_types
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ArchitectureModel):
@@ -202,12 +264,14 @@ class ArchitectureModel:
         )
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(Frozen):
     """A typed payload value: field values in declaration order."""
 
-    type_name: str
-    values: tuple[tuple[str, object], ...]  # (field name, int|str|bool)
+    _fields = ("type_name", "values")
+
+    def __init__(self, type_name: str, values: tuple[tuple[str, object], ...]):
+        set_field(self, "type_name", type_name)
+        set_field(self, "values", values)  # (field name, int|str|bool)
 
     def get(self, name: str) -> object:
         for k, v in self.values:

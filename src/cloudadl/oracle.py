@@ -18,13 +18,13 @@ receiving behavior is insensitive to cross-port interleaving.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from random import Random
 
 from .analyzer import elaborate
 from .behaviors import MODE_ONE, ActivationContext, Raise
 from .model import OUT, Record
 from .scenario import Scenario
+from .values import Value
 
 EXCLUDED_BUILTINS = ("sample", "fault_at", "route_by")
 
@@ -35,10 +35,16 @@ class OracleInapplicable(Exception):
     pass
 
 
-@dataclass
-class OracleResult:
-    streams: dict[str, list[Record]] = field(default_factory=dict)
-    stores: dict[str, list[Record]] = field(default_factory=dict)
+class OracleResult(Value):
+    _fields = ("streams", "stores")
+
+    def __init__(
+        self,
+        streams: dict[str, list[Record]] | None = None,
+        stores: dict[str, list[Record]] | None = None,
+    ):
+        self.streams = {} if streams is None else streams
+        self.stores = {} if stores is None else stores
 
 
 def predict(scenario: Scenario) -> OracleResult:

@@ -77,6 +77,15 @@ class ParseError(Exception):
         self.col = col
 
 
+def _int_value(tok: lexer.Token) -> int:
+    try:
+        return int(tok.value)
+    except ValueError:  # past the interpreter's limit on int() digits
+        raise ParseError(
+            f"integer literal of {len(tok.value)} digits is too long", tok.line, tok.col
+        ) from None
+
+
 class TokenCursor:
     """Shared token-walking helpers for the .arc and payload grammars."""
 
@@ -139,11 +148,10 @@ class TokenCursor:
         tok = self.peek()
         if tok.type == lexer.INT:
             self.advance()
-            return int(tok.value)
+            return _int_value(tok)
         if tok.type == "-":
             self.advance()
-            num = self.expect(lexer.INT, "integer literal")
-            return -int(num.value)
+            return -_int_value(self.expect(lexer.INT, "integer literal"))
         if tok.type == lexer.STRING:
             self.advance()
             return tok.value

@@ -24,7 +24,6 @@ report, but all failures are listed.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
 from . import lexer
 from .analyzer import (
@@ -52,71 +51,118 @@ from .kernel import (
 )
 from .model import IN, OUT, ArchitectureModel, Record, make_record
 from .parser import ParseError, TokenCursor, load_files, read_source
+from .values import Frozen, Value, set_field
 
 DEFAULT_MAXSTEPS = 1000
 
 
-@dataclass(frozen=True)
-class CountIs:
-    port: str
-    count: int
-    by: int | None = None
+class CountIs(Frozen):
+    _fields = ("port", "count", "by")
+
+    def __init__(self, port: str, count: int, by: int | None = None):
+        set_field(self, "port", port)
+        set_field(self, "count", count)
+        set_field(self, "by", by)
 
     def describe(self) -> str:
         tail = f" by step {self.by}" if self.by is not None else ""
         return f"count {self.port} {self.count}{tail}"
 
 
-@dataclass(frozen=True)
-class SeqPrefix:
-    port: str
-    payloads: tuple[Record, ...]
+class SeqPrefix(Frozen):
+    _fields = ("port", "payloads")
+
+    def __init__(self, port: str, payloads: tuple[Record, ...]):
+        set_field(self, "port", port)
+        set_field(self, "payloads", payloads)
 
     def describe(self) -> str:
         return f"prefix {self.port} ({len(self.payloads)} messages)"
 
 
-@dataclass(frozen=True)
-class StoreContains:
-    path: str
-    count: int
+class StoreContains(Frozen):
+    _fields = ("path", "count")
+
+    def __init__(self, path: str, count: int):
+        set_field(self, "path", path)
+        set_field(self, "count", count)
 
     def describe(self) -> str:
         return f"store {self.path} {self.count}"
 
 
-@dataclass(frozen=True)
-class EventOccurs:
-    kind: str
-    subject: str
+class EventOccurs(Frozen):
+    _fields = ("kind", "subject")
+
+    def __init__(self, kind: str, subject: str):
+        set_field(self, "kind", kind)
+        set_field(self, "subject", subject)
 
     def describe(self) -> str:
         return f"event {self.kind} {self.subject}"
 
 
-@dataclass
-class Scenario:
-    name: str
-    origin: str
-    model: ArchitectureModel
-    root_type: str
-    seed: int = 0
-    maxsteps: int = DEFAULT_MAXSTEPS
-    latency_overrides: list[tuple[str, int]] = field(default_factory=list)
-    strategies: dict[str, str] = field(default_factory=dict)
-    injections: list[Injection] = field(default_factory=list)
-    scales: list[ScaleDirective] = field(default_factory=list)
-    faults: list[FaultDirective] = field(default_factory=list)
-    expectations: list = field(default_factory=list)
+class Scenario(Value):
+    _fields = (
+        "name",
+        "origin",
+        "model",
+        "root_type",
+        "seed",
+        "maxsteps",
+        "latency_overrides",
+        "strategies",
+        "injections",
+        "scales",
+        "faults",
+        "expectations",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        origin: str,
+        model: ArchitectureModel,
+        root_type: str,
+        seed: int = 0,
+        maxsteps: int = DEFAULT_MAXSTEPS,
+        latency_overrides: list[tuple[str, int]] | None = None,
+        strategies: dict[str, str] | None = None,
+        injections: list[Injection] | None = None,
+        scales: list[ScaleDirective] | None = None,
+        faults: list[FaultDirective] | None = None,
+        expectations: list | None = None,
+    ):
+        self.name = name
+        self.origin = origin
+        self.model = model
+        self.root_type = root_type
+        self.seed = seed
+        self.maxsteps = maxsteps
+        self.latency_overrides = [] if latency_overrides is None else latency_overrides
+        self.strategies = {} if strategies is None else strategies
+        self.injections = [] if injections is None else injections
+        self.scales = [] if scales is None else scales
+        self.faults = [] if faults is None else faults
+        self.expectations = [] if expectations is None else expectations
 
 
-@dataclass
-class ScenarioResult:
-    scenario: Scenario
-    verdict: str  # "pass", "fail", or "fatal"
-    failures: list[str]
-    kernel: Kernel
-    fatal: FatalUnhandled | None = None
+class ScenarioResult(Value):
+    _fields = ("scenario", "verdict", "failures", "kernel", "fatal")
+
+    def __init__(
+        self,
+        scenario: Scenario,
+        verdict: str,
+        failures: list[str],
+        kernel: Kernel,
+        fatal: FatalUnhandled | None = None,
+    ):
+        self.scenario = scenario
+        self.verdict = verdict  # "pass", "fail", or "fatal"
+        self.failures = failures
+        self.kernel = kernel
+        self.fatal = fatal
 
 
 def strip_comment(line: str) -> str:
@@ -145,21 +191,48 @@ class _LineError(Exception):
         self.message = message
 
 
-@dataclass
-class _RawScenario:
+class _RawScenario(Value):
     """Scenario text split into fields, before the model is available."""
 
-    name: str | None = None
-    model_paths: list[str] = field(default_factory=list)
-    root_type: str | None = None
-    seed: int = 0
-    maxsteps: int = DEFAULT_MAXSTEPS
-    latency_overrides: list[tuple[str, int]] = field(default_factory=list)
-    strategies: list[tuple[int, str, str]] = field(default_factory=list)
-    scales: list[tuple[int, str, int, int]] = field(default_factory=list)
-    faults: list[tuple[int, str, int | None, int, str]] = field(default_factory=list)
-    injections: list[tuple[int, str, int, str]] = field(default_factory=list)
-    expectations: list[tuple[int, tuple]] = field(default_factory=list)
+    _fields = (
+        "name",
+        "model_paths",
+        "root_type",
+        "seed",
+        "maxsteps",
+        "latency_overrides",
+        "strategies",
+        "scales",
+        "faults",
+        "injections",
+        "expectations",
+    )
+
+    def __init__(
+        self,
+        name: str | None = None,
+        model_paths: list[str] | None = None,
+        root_type: str | None = None,
+        seed: int = 0,
+        maxsteps: int = DEFAULT_MAXSTEPS,
+        latency_overrides: list[tuple[str, int]] | None = None,
+        strategies: list[tuple[int, str, str]] | None = None,
+        scales: list[tuple[int, str, int, int]] | None = None,
+        faults: list[tuple[int, str, int | None, int, str]] | None = None,
+        injections: list[tuple[int, str, int, str]] | None = None,
+        expectations: list[tuple[int, tuple]] | None = None,
+    ):
+        self.name = name
+        self.model_paths = [] if model_paths is None else model_paths
+        self.root_type = root_type
+        self.seed = seed
+        self.maxsteps = maxsteps
+        self.latency_overrides = [] if latency_overrides is None else latency_overrides
+        self.strategies = [] if strategies is None else strategies
+        self.scales = [] if scales is None else scales
+        self.faults = [] if faults is None else faults
+        self.injections = [] if injections is None else injections
+        self.expectations = [] if expectations is None else expectations
 
 
 def _int_arg(word: str, what: str) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import io
 import pathlib
 
@@ -36,3 +37,11 @@ def trace_text(events) -> str:
     out = io.StringIO()
     render_trace(events, out)
     return out.getvalue()
+
+
+def replaced(record, **changes):
+    """A shallow copy of a mutable record with the given fields set anew."""
+    new = copy.copy(record)
+    for name, value in changes.items():
+        setattr(new, name, value)
+    return new

@@ -6,7 +6,6 @@ unless a test says otherwise; random cases are seeded and reproducible.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from random import Random
 
@@ -34,7 +33,7 @@ from cloudadl.scenario import (
     store_rows,
 )
 
-from helpers import MODELS_DIR, SCENARIOS_DIR, parse_ok, trace_text
+from helpers import MODELS_DIR, SCENARIOS_DIR, parse_ok, replaced, trace_text
 from modelgen import POOL_TEXT, pipeline_text, random_model
 
 
@@ -288,7 +287,7 @@ def test_a07_sensor_channel_acks_all_stores_valid_and_matches_oracle():
     assert all(payload.get("cred") == "valid" for *_x, payload in rows)
 
     # replica counts cannot change totals here, so predict on one replica
-    want = predict(dataclasses.replace(scenario, scales=[]))
+    want = predict(replaced(scenario, scales=[]))
     assert acks == want.streams["ack"]
     assert sorted(p.values for *_x, p in rows) == sorted(
         r.values for r in want.stores["root/store"]

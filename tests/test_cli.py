@@ -187,6 +187,21 @@ def test_sim_store_dump(tmp_path):
     assert dump.read_text() == "root/k#0\t2\tJob{n=7}\n"
 
 
+def test_sim_store_and_trace_to_stdout(tmp_path, monkeypatch, capsys):
+    (tmp_path / "m.arc").write_text(ONE_STORE)
+    (tmp_path / "s.scn").write_text(scenario("inject feed at 1 M{n=7}"))
+    monkeypatch.chdir(tmp_path)
+    assert main(["sim", "s.scn", "--store", "-"]) == 0
+    assert capsys.readouterr().out.endswith("\nroot/w#0\t2\tM{n=7}\n")
+    assert main(["sim", "s.scn", "--trace", "t.tsv"]) == 0
+    report = capsys.readouterr().out
+    trace = (tmp_path / "t.tsv").read_text()
+    # with both on stdout, the store rows follow the trace
+    assert main(["sim", "s.scn", "--trace", "-", "--store", "-"]) == 0
+    assert capsys.readouterr().out == report + trace + "root/w#0\t2\tM{n=7}\n"
+    assert not (tmp_path / "-").exists()
+
+
 def test_no_arguments_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -273,6 +288,13 @@ def scenario(*lines: str) -> str:
 
 INJECT = "inject feed at 1 M{n=1}"
 NOT_UTF8 = ONE_STORE.encode() + b"// \xff\n"
+# more digits than int() converts by default (sys.get_int_max_str_digits())
+HUGE = "9" * 5000
+HUGE_EQUALS = (
+    "message M { n: integer; }\n"
+    f"component W {{ port in M i; port out M o; behavior approve_if(field=n, equals={HUGE}, out=o); }}\n"
+)
+HUGE_ERR = "E_SYNTAX: integer literal of 5000 digits is too long"
 
 # (files, command line, exit status, text expected on stderr)
 PATHOLOGICAL = {
@@ -305,6 +327,20 @@ PATHOLOGICAL = {
         {"m.arc": "message M { n: integer; }\n"
          "component C { port in M i; port out M o; behavior collect(n=²); }\n"},
         ["check", "m.arc"], 2, "E_SYNTAX",
+    ),
+    "check_integer_past_the_digit_limit": (
+        {"m.arc": HUGE_EQUALS}, ["check", "m.arc"], 2, HUGE_ERR,
+    ),
+    "fmt_integer_past_the_digit_limit": (
+        {"m.arc": HUGE_EQUALS}, ["fmt", "m.arc"], 2, HUGE_ERR,
+    ),
+    "inject_integer_past_the_digit_limit": (
+        {"m.arc": ONE_STORE, "s.scn": scenario(f"inject feed at 1 M{{n={HUGE}}}")},
+        ["sim", "s.scn"], 2, HUGE_ERR,
+    ),
+    "prefix_integer_past_the_digit_limit": (
+        {"m.arc": fan_out(1), "s.scn": scenario(INJECT, f"expect prefix drain M{{n=-{HUGE}}}")},
+        ["sim", "s.scn"], 2, HUGE_ERR,
     ),
     "maxsteps_0": (
         {"m.arc": ONE_STORE, "s.scn": scenario("maxsteps 0", INJECT)},

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from random import Random
 
 import pytest
@@ -20,7 +19,7 @@ from cloudadl.model import make_record
 from cloudadl.parser import load_files, parse_model
 from cloudadl.scenario import build_kernel, load_scenario_text
 
-from helpers import MODELS_DIR, parse_ok, trace_text
+from helpers import MODELS_DIR, parse_ok, replaced, trace_text
 from modelgen import POOL_TEXT, pipeline_text
 
 
@@ -597,7 +596,7 @@ def test_lone_late_inject_matches_an_early_one_shifted():
     early, late = runs
     shift = 50_000 - 1
     assert late.step == early.step + shift
-    assert [replace(e, step=e.step + shift) for e in early.events] == late.events
+    assert [replaced(e, step=e.step + shift) for e in early.events] == late.events
 
 
 def test_same_step_directives_run_scales_then_faults_then_injects(tmp_path):

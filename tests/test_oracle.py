@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 from random import Random
 
 import pytest
@@ -13,7 +12,7 @@ from cloudadl.model import make_record
 from cloudadl.oracle import OracleInapplicable, predict
 from cloudadl.scenario import Scenario, load_scenario, run_scenario, store_rows
 
-from helpers import SCENARIOS_DIR, parse_ok
+from helpers import SCENARIOS_DIR, parse_ok, replaced
 from modelgen import chain_text
 
 
@@ -26,7 +25,7 @@ def bundled(name: str):
 def descale(scenario):
     # replica counts cannot change these models' totals, so the oracle may
     # predict from a single-replica copy
-    return dataclasses.replace(scenario, scales=[])
+    return replaced(scenario, scales=[])
 
 
 @pytest.mark.parametrize(
