@@ -40,6 +40,7 @@ is the subject of shares them.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterable
 from operator import attrgetter
 from random import Random
 
@@ -52,6 +53,7 @@ from .behaviors import (
     Emit,
     Raise,
 )
+from .diagnostics import E_SYNTAX, E_TYPE_MISMATCH, E_UNRESOLVED
 from .model import IN, OPEN, OUT, Record
 from .values import Frozen, Value, set_field
 
@@ -203,23 +205,26 @@ class Group:
         return len(self.replicas)
 
 
+# A directive keeps its scenario line, 0 when built directly.
 class Injection(Value):
-    __slots__ = ("step", "port", "payload")
+    __slots__ = ("step", "port", "payload", "line")
     _fields = __slots__
 
-    def __init__(self, step: int, port: str, payload: Record):
+    def __init__(self, step: int, port: str, payload: Record, line: int = 0):
         self.step = step
         self.port = port
         self.payload = payload
+        self.line = line
 
 
 class ScaleDirective(Frozen):
-    _fields = ("step", "path", "count")
+    _fields = ("step", "path", "count", "line")
 
-    def __init__(self, step: int, path: str, count: int):
+    def __init__(self, step: int, path: str, count: int, line: int = 0):
         set_field(self, "step", step)
         set_field(self, "path", path)
         set_field(self, "count", count)
+        set_field(self, "line", line)
 
 
 class FaultDirective(Frozen):
@@ -232,8 +237,97 @@ class FaultDirective(Frozen):
         set_field(self, "path", path)
         set_field(self, "kind", kind)
         set_field(self, "rid", rid)  # None faults the lowest live replica
-        # scenario line of the directive, 0 when built directly
         set_field(self, "line", line)
+
+
+# -- directive rules --------------------------------------------------------
+# Which directives a run can execute, stated once. A rule gives None or a
+# Problem, (scenario line or 0, diagnostic code, message): the scenario
+# reader reports each problem as a diagnostic, and Kernel raises the first.
+Problem = tuple[int, str, str]
+
+
+def maxsteps_problem(maxsteps: int, line: int = 0) -> Problem | None:
+    return (line, E_SYNTAX, "maxsteps must not be negative") if maxsteps < 0 else None
+
+
+def strategy_problem(strategy: str, line: int = 0) -> Problem | None:
+    if strategy in STRATEGIES:
+        return None
+    return line, E_SYNTAX, f"unknown strategy '{strategy}'"
+
+
+def root_in_ports(topology: RuntimeTopology) -> dict[str, str]:
+    """The message type of each in port of the root, the ports injects use."""
+    return {p.name: p.message_type for p in topology.root.type_def.ports if p.direction == IN}
+
+
+def inject_port_problem(root_in: dict[str, str], port: str, line: int = 0) -> Problem | None:
+    if port in root_in:
+        return None
+    return line, E_UNRESOLVED, f"the root component has no in port '{port}'"
+
+
+def payload_type_problem(want: str, got: str, line: int = 0) -> Problem | None:
+    if got == want:
+        return None
+    return line, E_TYPE_MISMATCH, f"port carries {want}, not {got}"
+
+
+def step_problem(step: int, line: int = 0) -> Problem | None:
+    return (line, E_SYNTAX, "step must not be negative") if step < 0 else None
+
+
+def _unknown_instance(path: str, line: int) -> Problem:
+    return line, E_UNRESOLVED, f"unknown instance '{path}'"
+
+
+def directive_problems(
+    topology: RuntimeTopology,
+    *,
+    strategies: Iterable[tuple[int, str, str]] = (),
+    scales: Iterable[ScaleDirective] = (),
+    faults: Iterable[FaultDirective] = (),
+    injections: Iterable[Injection] = (),
+    maxsteps: int = 0,
+) -> list[Problem]:
+    """The problem of each directive a run cannot execute, for its first
+    failing rule: maxsteps, then strategies, scales, faults and injections,
+    each in the order given. Strategies are (line, path, strategy) triples."""
+    instances = topology.instances
+    problems = [maxsteps_problem(maxsteps)]
+    for line, path, strategy in strategies:
+        problem = strategy_problem(strategy, line)
+        if problem is None and path not in instances:
+            problem = _unknown_instance(path, line)
+        problems.append(problem)
+    for sc in scales:
+        inst = instances.get(sc.path)
+        if inst is None:
+            problem = _unknown_instance(sc.path, sc.line)
+        elif not inst.replicating:
+            problem = sc.line, E_UNRESOLVED, f"'{sc.path}' is not a replicating instance"
+        elif sc.count < 1:
+            problem = sc.line, E_SYNTAX, "replica count must be at least 1"
+        else:
+            problem = step_problem(sc.step, sc.line)
+        problems.append(problem)
+    for f in faults:
+        inst = instances.get(f.path)
+        if inst is None:
+            problem = _unknown_instance(f.path, f.line)
+        elif not inst.atomic:
+            problem = f.line, E_UNRESOLVED, f"'{f.path}' is not an atomic instance"
+        else:
+            problem = step_problem(f.step, f.line)
+        problems.append(problem)
+    root_in = root_in_ports(topology)
+    for inj in injections:
+        problem = inject_port_problem(root_in, inj.port, inj.line)
+        if problem is None:
+            problem = payload_type_problem(root_in[inj.port], inj.payload.type_name, inj.line)
+        problems.append(problem or step_problem(inj.step, inj.line))
+    return [p for p in problems if p is not None]
 
 
 class KernelError(Exception):
@@ -294,7 +388,14 @@ class Kernel:
         self.step = 0
         self.truncated = False
 
-        self._validate_directives()
+        problems = directive_problems(
+            topology, strategies=[(0, path, s) for path, s in self.strategies.items()],
+            scales=self.scales, faults=self.faults, injections=self.injections,
+            maxsteps=maxsteps,
+        )
+        if problems:
+            line, _code, message = problems[0]
+            raise KernelError(message, line)
 
         # step -> (scales, faults, injections) due then, each in declaration order
         self._directives: dict[int, tuple[list, list, list]] = {}
@@ -307,37 +408,8 @@ class Kernel:
         # groups with a retiring replica, visited by the sweep in group order
         self._retiring: set[str] = set()
         self._group_rank = {path: i for i, path in enumerate(self.groups)}
-
-    # -- setup ------------------------------------------------------------
-
-    def _validate_directives(self) -> None:
-        root_in = {
-            p.name: p.message_type
-            for p in self.topology.root.type_def.ports
-            if p.direction == IN
-        }
-        for inj in self.injections:
-            if inj.port not in root_in:
-                raise KernelError(f"no in port '{inj.port}' on the root component")
-            if inj.payload.type_name != root_in[inj.port]:
-                raise KernelError(
-                    f"port '{inj.port}' carries {root_in[inj.port]}, "
-                    f"not {inj.payload.type_name}"
-                )
-        for sc in self.scales:
-            group = self.groups.get(sc.path)
-            if group is None or not group.inst.replicating:
-                raise KernelError(f"'{sc.path}' is not a replicating instance")
-            if sc.count < 1:
-                raise KernelError("replica count must be at least 1")
-        for f in self.faults:
-            if f.path not in self.groups:
-                raise KernelError(f"'{f.path}' is not an atomic instance")
-        for path, strategy in self.strategies.items():
-            if path not in self.topology.instances:
-                raise KernelError(f"unknown instance '{path}'")
-            if strategy not in STRATEGIES:
-                raise KernelError(f"unknown strategy '{strategy}'")
+        # instance path -> the groups at and below it; built on the first restart
+        self._subtrees: dict[str, list[Group]] | None = None
 
     # -- event helpers ----------------------------------------------------
 
@@ -552,10 +624,15 @@ class Kernel:
             decider = self.topology.instances[decider].parent
 
     def _restart_subtree(self, path: str) -> None:
-        prefix = path + "/"
-        for group_path, group in self.groups.items():
-            if group_path != path and not group_path.startswith(prefix):
-                continue
+        if self._subtrees is None:
+            # each group joins the list of every instance above it, in group order
+            self._subtrees = {}
+            for group in self.groups.values():
+                ancestor = group.path
+                while ancestor is not None:
+                    self._subtrees.setdefault(ancestor, []).append(group)
+                    ancestor = self.topology.instances[ancestor].parent
+        for group in self._subtrees.get(path, ()):
             for replica in group.replicas.values():
                 replica.state = (
                     group.behavior.initial_state() if group.behavior else None
@@ -574,9 +651,10 @@ class Kernel:
             group.grow(target - len(live))
         elif group.shrink(target):
             self._retiring.add(path)
-        self._event(
-            SCALE, path, None, (), f"target={target},size={group.size()}"
-        )
+        self._scale_event(group)
+
+    def _scale_event(self, group: Group) -> None:
+        self._event(SCALE, group.path, None, (), f"target={group.target},size={group.size()}")
 
     def _sweep(self) -> None:
         for path in sorted(self._retiring, key=self._group_rank.__getitem__):
@@ -593,13 +671,7 @@ class Kernel:
             if not waiting:
                 self._retiring.discard(path)
             if removed:
-                self._event(
-                    SCALE,
-                    group.path,
-                    None,
-                    (),
-                    f"target={group.target},size={group.size()}",
-                )
+                self._scale_event(group)
 
     def _drained(self, group: Group, replica: Replica) -> bool:
         if replica.held:

@@ -42,14 +42,21 @@ from .diagnostics import (
 )
 from .kernel import (
     EVENT_KINDS,
-    STRATEGIES,
     FatalUnhandled,
     FaultDirective,
     Injection,
     Kernel,
+    Problem,
     ScaleDirective,
+    directive_problems,
+    inject_port_problem,
+    maxsteps_problem,
+    payload_type_problem,
+    root_in_ports,
+    step_problem,
+    strategy_problem,
 )
-from .model import IN, OUT, ArchitectureModel, Record, make_record
+from .model import OUT, ArchitectureModel, Record, make_record
 from .parser import ParseError, TokenCursor, load_files, read_source
 from .values import Frozen, Value, set_field
 
@@ -186,9 +193,15 @@ def strip_comment(line: str) -> str:
 
 
 class _LineError(Exception):
-    def __init__(self, message: str):
+    def __init__(self, message: str, code: str = E_SYNTAX):
         super().__init__(message)
         self.message = message
+        self.code = code
+
+
+def _line_rule(problem: Problem | None) -> None:
+    if problem is not None:
+        raise _LineError(problem[2], problem[1])
 
 
 class _RawScenario(Value):
@@ -208,37 +221,27 @@ class _RawScenario(Value):
         "expectations",
     )
 
-    def __init__(
-        self,
-        name: str | None = None,
-        model_paths: list[str] | None = None,
-        root_type: str | None = None,
-        seed: int = 0,
-        maxsteps: int = DEFAULT_MAXSTEPS,
-        latency_overrides: list[tuple[str, int]] | None = None,
-        strategies: list[tuple[int, str, str]] | None = None,
-        scales: list[tuple[int, str, int, int]] | None = None,
-        faults: list[tuple[int, str, int | None, int, str]] | None = None,
-        injections: list[tuple[int, str, int, str]] | None = None,
-        expectations: list[tuple[int, tuple]] | None = None,
-    ):
+    def __init__(self, name: str | None = None):
         self.name = name
-        self.model_paths = [] if model_paths is None else model_paths
-        self.root_type = root_type
-        self.seed = seed
-        self.maxsteps = maxsteps
-        self.latency_overrides = [] if latency_overrides is None else latency_overrides
-        self.strategies = [] if strategies is None else strategies
-        self.scales = [] if scales is None else scales
-        self.faults = [] if faults is None else faults
-        self.injections = [] if injections is None else injections
-        self.expectations = [] if expectations is None else expectations
+        self.model_paths: list[str] = []
+        self.root_type: str | None = None
+        self.seed = 0
+        self.maxsteps = DEFAULT_MAXSTEPS
+        self.latency_overrides: list[tuple[str, int]] = []
+        self.strategies: list[tuple[int, str, str]] = []  # (line, path, strategy)
+        self.scales: list[ScaleDirective] = []
+        self.faults: list[FaultDirective] = []
+        self.injections: list[tuple[int, str, int, str]] = []  # (line, port, step, literal)
+        self.expectations: list[tuple[int, tuple]] = []  # (line, kind and arguments)
 
 
 def _int_arg(word: str, what: str) -> int:
     try:
         return int(word)
     except ValueError:
+        digits = word[1:] if word[0] in "+-" else word
+        if digits.isdecimal():  # past the interpreter's limit on int() digits
+            raise _LineError(f"{what} of {len(digits)} digits is too long") from None
         raise _LineError(f"{what} must be an integer, got '{word}'") from None
 
 
@@ -268,8 +271,7 @@ def _parse_line(raw: _RawScenario, lineno: int, line: str) -> None:
         if len(words) != 2:
             raise _LineError("usage: maxsteps <int>")
         raw.maxsteps = _int_arg(words[1], "maxsteps")
-        if raw.maxsteps < 0:
-            raise _LineError("maxsteps must not be negative")
+        _line_rule(maxsteps_problem(raw.maxsteps))
     elif head == "latency":
         if len(words) != 3:
             raise _LineError("usage: latency <pattern> <steps>")
@@ -280,15 +282,13 @@ def _parse_line(raw: _RawScenario, lineno: int, line: str) -> None:
     elif head == "strategy":
         if len(words) != 3:
             raise _LineError("usage: strategy <path> <resume|restart|escalate>")
-        if words[2] not in STRATEGIES:
-            raise _LineError(f"unknown strategy '{words[2]}'")
+        _line_rule(strategy_problem(words[2]))
         raw.strategies.append((lineno, words[1], words[2]))
     elif head == "scale":
         if len(words) != 5 or words[3] != "at":
             raise _LineError("usage: scale <path> <count> at <step>")
-        raw.scales.append(
-            (lineno, words[1], _int_arg(words[2], "count"), _int_arg(words[4], "step"))
-        )
+        count, step = _int_arg(words[2], "count"), _int_arg(words[4], "step")
+        raw.scales.append(ScaleDirective(step, words[1], count, lineno))
     elif head == "fault":
         if len(words) != 5 or words[2] != "at":
             raise _LineError("usage: fault <path[#rid]> at <step> <kind>")
@@ -296,7 +296,8 @@ def _parse_line(raw: _RawScenario, lineno: int, line: str) -> None:
         if "#" in path:
             path, rid_text = path.rsplit("#", 1)
             rid = _int_arg(rid_text, "replica id")
-        raw.faults.append((lineno, path, rid, _int_arg(words[3], "step"), words[4]))
+        step = _int_arg(words[3], "step")
+        raw.faults.append(FaultDirective(step, path, words[4], rid, lineno))
     elif head == "inject":
         if len(words) < 4 or words[2] != "at":
             raise _LineError("usage: inject <port> at <step> <Type{...}>")
@@ -317,51 +318,38 @@ def _parse_line(raw: _RawScenario, lineno: int, line: str) -> None:
 def _parse_expect(raw: _RawScenario, lineno: int, line: str, words: list[str]) -> None:
     kind = words[1]
     if kind == "count":
-        if len(words) == 4:
-            raw.expectations.append(
-                (lineno, ("count", words[2], _int_arg(words[3], "count"), None))
-            )
-        elif len(words) == 6 and words[4] == "by":
-            raw.expectations.append(
-                (
-                    lineno,
-                    (
-                        "count",
-                        words[2],
-                        _int_arg(words[3], "count"),
-                        _int_arg(words[5], "step"),
-                    ),
-                )
-            )
-        else:
+        if len(words) != 4 and (len(words) != 6 or words[4] != "by"):
             raise _LineError("usage: expect count <port> <n> [by <step>]")
+        count = _int_arg(words[3], "count")
+        by = _int_arg(words[5], "step") if len(words) == 6 else None
+        shape: tuple = ("count", words[2], count, by)
     elif kind == "prefix":
         if len(words) < 4:
             raise _LineError("usage: expect prefix <port> <Type{...}> ...")
-        payload_text = line.split(None, 3)[3]
-        raw.expectations.append((lineno, ("prefix", words[2], payload_text)))
+        shape = ("prefix", words[2], line.split(None, 3)[3])
     elif kind == "store":
         if len(words) != 4:
             raise _LineError("usage: expect store <path> <n>")
-        raw.expectations.append(
-            (lineno, ("store", words[2], _int_arg(words[3], "rows")))
-        )
+        shape = ("store", words[2], _int_arg(words[3], "rows"))
     elif kind == "event":
         if len(words) != 4:
             raise _LineError("usage: expect event <KIND> <subject>")
         if words[2] not in EVENT_KINDS:
             raise _LineError(f"unknown event kind '{words[2]}'")
-        raw.expectations.append((lineno, ("event", words[2], words[3])))
+        shape = ("event", words[2], words[3])
     else:
         raise _LineError(f"unknown expectation '{kind}'")
+    raw.expectations.append((lineno, shape))
 
 
 def _parse_payloads(text: str) -> list[tuple[str, dict[str, object]]]:
-    cursor = TokenCursor(lexer.tokenize(text))
-    out = []
-    while not cursor.at(lexer.EOF):
-        type_name, values, _ = cursor.parse_payload_record()
-        out.append((type_name, values))
+    try:
+        cursor = TokenCursor(lexer.tokenize(text))
+        out = []
+        while not cursor.at(lexer.EOF):
+            out.append(cursor.parse_payload_record()[:2])  # (type name, values)
+    except (lexer.LexError, ParseError) as exc:
+        raise _LineError(exc.message) from None
     return out
 
 
@@ -384,7 +372,7 @@ def load_scenario_text(
         try:
             _parse_line(raw, lineno, stripped)
         except _LineError as exc:
-            diags.append(error(E_SYNTAX, origin, lineno, 1, exc.message))
+            diags.append(error(exc.code, origin, lineno, 1, exc.message))
     if diags:
         return None, diags
 
@@ -393,11 +381,8 @@ def load_scenario_text(
     if raw.root_type is None:
         return None, [error(E_SYNTAX, origin, 0, 0, "scenario names no root component")]
 
-    resolved = [
-        p if os.path.isabs(p) else os.path.join(base_dir or ".", p)
-        for p in raw.model_paths
-    ]
-    model, diags = load_files(resolved)
+    # an absolute model path stays as it is
+    model, diags = load_files([os.path.join(base_dir or ".", p) for p in raw.model_paths])
     if model is None:
         return None, diags
     diags = check(model, raw.root_type)
@@ -417,145 +402,86 @@ def load_scenario_text(
         seed=raw.seed,
         maxsteps=raw.maxsteps,
         latency_overrides=list(raw.latency_overrides),
+        strategies={path: strategy for _line, path, strategy in raw.strategies},
+        scales=raw.scales,
+        faults=raw.faults,
     )
-    diags = _resolve_directives(raw, scenario, topology, origin)
-    if diags:
-        return None, diags
+    problems = _resolve_directives(raw, scenario, topology)
+    if problems:
+        return None, [error(code, origin, line, 1, message) for line, code, message in problems]
     return scenario, []
 
 
 def _resolve_directives(
-    raw: _RawScenario,
-    scenario: Scenario,
-    topology: RuntimeTopology,
-    origin: str,
-) -> list[Diagnostic]:
-    diags: list[Diagnostic] = []
-    model = scenario.model
-    root_ports = {p.name: p for p in topology.root.type_def.ports}
-
-    def fail(lineno: int, code: str, message: str) -> None:
-        diags.append(error(code, origin, lineno, 1, message))
-
-    for lineno, path, strategy in raw.strategies:
-        if path not in topology.instances:
-            fail(lineno, E_UNRESOLVED, f"unknown instance '{path}'")
-        else:
-            scenario.strategies[path] = strategy
-
-    for lineno, path, count, step in raw.scales:
-        inst = topology.instances.get(path)
-        if inst is None:
-            fail(lineno, E_UNRESOLVED, f"unknown instance '{path}'")
-        elif not inst.replicating:
-            fail(lineno, E_UNRESOLVED, f"'{path}' is not a replicating instance")
-        elif count < 1:
-            fail(lineno, E_SYNTAX, "replica count must be at least 1")
-        elif step < 0:
-            fail(lineno, E_SYNTAX, "step must not be negative")
-        else:
-            scenario.scales.append(ScaleDirective(step, path, count))
-
-    for lineno, path, rid, step, kind in raw.faults:
-        inst = topology.instances.get(path)
-        if inst is None:
-            fail(lineno, E_UNRESOLVED, f"unknown instance '{path}'")
-        elif not inst.atomic:
-            fail(lineno, E_UNRESOLVED, f"'{path}' is not an atomic instance")
-        elif step < 0:
-            fail(lineno, E_SYNTAX, "step must not be negative")
-        else:
-            scenario.faults.append(FaultDirective(step, path, kind, rid, lineno))
-
+    raw: _RawScenario, scenario: Scenario, topology: RuntimeTopology
+) -> list[Problem]:
+    """Add the injections and expectations to `scenario`; return every problem."""
+    problems = directive_problems(
+        topology, strategies=raw.strategies, scales=raw.scales, faults=raw.faults
+    )
+    root_in = root_in_ports(topology)
     for lineno, port, step, payload_text in raw.injections:
-        record = _build_payload(payload_text, port, root_ports, model, fail, lineno, IN)
-        if record is not None and step < 0:
-            fail(lineno, E_SYNTAX, "step must not be negative")
-        elif record is not None:
-            scenario.injections.append(Injection(step, port, record))
-
+        try:
+            # the kernel's inject rules in order: port, payload type, step;
+            # the literal is read after the port
+            _line_rule(inject_port_problem(root_in, port))
+            parsed = _parse_payloads(payload_text)
+            if len(parsed) != 1:
+                raise _LineError("inject takes exactly one payload literal")
+            record = _checked_record(*parsed[0], root_in[port], scenario.model)
+            _line_rule(step_problem(step))
+            scenario.injections.append(Injection(step, port, record, lineno))
+        except _LineError as exc:
+            problems.append((lineno, exc.code, exc.message))
     for lineno, shape in raw.expectations:
-        if shape[0] == "count":
-            _, port, count, by = shape
-            if _check_stream_port(port, root_ports, fail, lineno):
-                scenario.expectations.append(CountIs(port, count, by))
-        elif shape[0] == "prefix":
-            _, port, payload_text = shape
-            if not _check_stream_port(port, root_ports, fail, lineno):
-                continue
-            records = []
-            ok = True
-            try:
-                parsed = _parse_payloads(payload_text)
-            except (lexer.LexError, ParseError) as exc:
-                fail(lineno, E_SYNTAX, exc.message)
-                continue
-            for type_name, values in parsed:
-                record = _make_checked(
-                    type_name, values, root_ports[port].message_type, model, fail, lineno
-                )
-                if record is None:
-                    ok = False
-                    break
-                records.append(record)
-            if ok:
-                scenario.expectations.append(SeqPrefix(port, tuple(records)))
-        elif shape[0] == "store":
-            _, path, count = shape
-            inst = topology.instances.get(path)
-            if inst is None or not inst.atomic:
-                fail(lineno, E_UNRESOLVED, f"no atomic instance at '{path}'")
-            elif (
-                inst.type_def.behavior is None
-                or inst.type_def.behavior.builtin != "store"
-            ):
-                fail(lineno, E_UNRESOLVED, f"'{path}' does not run a store behavior")
-            else:
-                scenario.expectations.append(StoreContains(path, count))
-        else:
-            _, kind, subject = shape
-            scenario.expectations.append(EventOccurs(kind, subject))
-    return diags
+        try:
+            scenario.expectations.append(_expectation(shape, topology, scenario.model))
+        except _LineError as exc:
+            problems.append((lineno, exc.code, exc.message))
+    return problems
 
 
-def _check_stream_port(port, root_ports, fail, lineno) -> bool:
-    decl = root_ports.get(port)
-    if decl is None or decl.direction != OUT:
-        fail(lineno, E_UNRESOLVED, f"the root component has no out port '{port}'")
-        return False
-    return True
-
-
-def _build_payload(payload_text, port, root_ports, model, fail, lineno, direction):
-    decl = root_ports.get(port)
-    if decl is None or decl.direction != direction:
-        fail(lineno, E_UNRESOLVED, f"the root component has no {direction} port '{port}'")
-        return None
-    try:
+def _expectation(shape: tuple, topology: RuntimeTopology, model: ArchitectureModel):
+    if shape[0] == "count":
+        _, port, count, by = shape
+        _stream_type(port, topology)
+        return CountIs(port, count, by)
+    if shape[0] == "prefix":
+        _, port, payload_text = shape
+        want = _stream_type(port, topology)
         parsed = _parse_payloads(payload_text)
-    except (lexer.LexError, ParseError) as exc:
-        fail(lineno, E_SYNTAX, exc.message)
-        return None
-    if len(parsed) != 1:
-        fail(lineno, E_SYNTAX, "inject takes exactly one payload literal")
-        return None
-    type_name, values = parsed[0]
-    return _make_checked(type_name, values, decl.message_type, model, fail, lineno)
+        return SeqPrefix(port, tuple(_checked_record(t, v, want, model) for t, v in parsed))
+    if shape[0] == "store":
+        _, path, count = shape
+        inst = topology.instances.get(path)
+        if inst is None or not inst.atomic:
+            raise _LineError(f"no atomic instance at '{path}'", E_UNRESOLVED)
+        if inst.type_def.behavior is None or inst.type_def.behavior.builtin != "store":
+            raise _LineError(f"'{path}' does not run a store behavior", E_UNRESOLVED)
+        return StoreContains(path, count)
+    _, kind, subject = shape
+    return EventOccurs(kind, subject)
 
 
-def _make_checked(type_name, values, want_type, model, fail, lineno):
+def _stream_type(port: str, topology: RuntimeTopology) -> str:
+    """The message type of the root out port `port`."""
+    decl = topology.root.type_def.port(port)
+    if decl is None or decl.direction != OUT:
+        raise _LineError(f"the root component has no out port '{port}'", E_UNRESOLVED)
+    return decl.message_type
+
+
+def _checked_record(
+    type_name: str, values: dict, want_type: str, model: ArchitectureModel
+) -> Record:
     mdef = model.message_types.get(type_name)
     if mdef is None:
-        fail(lineno, E_UNRESOLVED, f"unknown message type '{type_name}'")
-        return None
-    if type_name != want_type:
-        fail(lineno, E_TYPE_MISMATCH, f"port carries {want_type}, not {type_name}")
-        return None
+        raise _LineError(f"unknown message type '{type_name}'", E_UNRESOLVED)
+    _line_rule(payload_type_problem(want_type, type_name))
     try:
         return make_record(mdef, values)
     except ValueError as exc:
-        fail(lineno, E_TYPE_MISMATCH, str(exc))
-        return None
+        raise _LineError(str(exc), E_TYPE_MISMATCH) from None
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +541,8 @@ def _judge(exp, kernel: Kernel) -> str | None:
                 return f"message {exp.count} arrived at step {arrived}"
         return None
     if isinstance(exp, SeqPrefix):
-        stream = [payload for _step, payload in kernel.out_streams[exp.port]]
-        got = tuple(stream[: len(exp.payloads)])
+        stream = kernel.out_streams[exp.port][: len(exp.payloads)]
+        got = tuple(payload for _step, payload in stream)
         if got != exp.payloads:
             rendered = ", ".join(r.render() for r in got) or "nothing"
             return f"stream starts with {rendered}"

@@ -338,6 +338,14 @@ PATHOLOGICAL = {
         {"m.arc": ONE_STORE, "s.scn": scenario(f"inject feed at 1 M{{n={HUGE}}}")},
         ["sim", "s.scn"], 2, HUGE_ERR,
     ),
+    "seed_past_the_digit_limit": (
+        {"m.arc": ONE_STORE, "s.scn": scenario(f"seed {HUGE}", INJECT)},
+        ["sim", "s.scn"], 2, "s.scn:4:1: E_SYNTAX: seed of 5000 digits is too long",
+    ),
+    "inject_step_past_the_digit_limit": (
+        {"m.arc": ONE_STORE, "s.scn": scenario(f"inject feed at -{HUGE} M{{n=1}}")},
+        ["sim", "s.scn"], 2, "s.scn:4:1: E_SYNTAX: step of 5000 digits is too long",
+    ),
     "prefix_integer_past_the_digit_limit": (
         {"m.arc": fan_out(1), "s.scn": scenario(INJECT, f"expect prefix drain M{{n=-{HUGE}}}")},
         ["sim", "s.scn"], 2, HUGE_ERR,
@@ -386,6 +394,9 @@ def test_pathological_input_ends_in_a_status(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert expected_err in err
+    if case.endswith("_past_the_digit_limit"):
+        # the diagnostic names the length; it does not echo the digits
+        assert len(err.replace(str(tmp_path), "").encode()) < 200
 
 
 # SHA-256 of (trace, store, stdout) for each bundled scenario. Any change to

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from random import Random
 
 import pytest
@@ -563,6 +564,47 @@ def test_directive_validation(kw):
         Kernel(topo, **kw)
 
 
+NEGATIVE = {
+    "inject_step": ("injections", "step must not be negative"),
+    "scale_step": ("scales", "step must not be negative"),
+    "fault_step": ("faults", "step must not be negative"),
+    "maxsteps": ("maxsteps", "maxsteps must not be negative"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE))
+def test_negative_steps_and_budgets_are_rejected(case):
+    model = parse_ok(POOL_TEXT)
+    topo = elaborate(model, "Pool")
+    arg, message = NEGATIVE[case]
+    value = {
+        "injections": [Injection(-5, "feed", rec(model, "Job", n=0))],
+        "scales": [ScaleDirective(-3, "root/w", 2)],
+        "faults": [FaultDirective(-2, "root/w", "boom")],
+        "maxsteps": -1,
+    }[arg]
+    with pytest.raises(KernelError) as exc:
+        Kernel(topo, **{arg: value})
+    assert str(exc.value) == message and exc.value.line == 0
+
+
+def test_directive_errors_use_the_scenario_wording_and_line():
+    model = parse_ok(POOL_TEXT)
+    topo = elaborate(model, "Pool")
+    cases = [
+        ({"scales": [ScaleDirective(0, "root/nope", 2, 7)]}, "unknown instance 'root/nope'"),
+        ({"faults": [FaultDirective(1, "root/nope", "x", None, 8)]},
+         "unknown instance 'root/nope'"),
+        ({"injections": [Injection(1, "drain", rec(model, "Job", n=0), 9)]},
+         "the root component has no in port 'drain'"),
+    ]
+    for kw, message in cases:
+        with pytest.raises(KernelError) as exc:
+            Kernel(topo, **kw)
+        line = next(iter(kw.values()))[0].line
+        assert (str(exc.value), exc.value.line) == (message, line)
+
+
 def test_injection_payload_type_checked():
     model = parse_ok(POOL_TEXT + "message Other { s: text; }\n")
     topo = elaborate(model, "Pool")
@@ -871,3 +913,90 @@ def test_sampling_replicas_each_get_their_own_generator(monkeypatch):
     assert seeds == ["5:root/s#0", "5:root/s#1", "5:root/s#2"]
     rngs = [r.rng for r in k.groups["root/s"].replicas.values()]
     assert len({id(rng) for rng in rngs}) == 3 and None not in rngs
+
+
+# --- restarts visit only their subtree ---
+
+
+def restart_model(width: int) -> str:
+    """`width` unrelated store groups around a supervised composite `mid`."""
+    unrelated = "".join(
+        f" component Keep u{i}; connect feed -> u{i}.i;" for i in range(width)
+    )
+    return (
+        "message M { n: integer; }\n"
+        "component Keep { port in M i; behavior store(); }\n"
+        "component Pair { port in M i; port out M o; behavior collect(n=2, out=o); }\n"
+        "component Mid { port in M i; port out M o; component Pair p;"
+        " replicating component Keep k; connect i -> p.i; connect i -> k.i;"
+        " connect p.o -> o; }\n"
+        "component Sys { port in M feed; port out M drain;"
+        f"{unrelated} component Mid mid; component Keep last;"
+        " connect feed -> mid.i; connect mid.o -> drain; connect feed -> last.i; }\n"
+    )
+
+
+class CountingBehavior:
+    """Records the group path of every initial_state() call."""
+
+    def __init__(self, inner, path: str, calls: list[str]):
+        self.inner, self.path, self.calls = inner, path, calls
+
+    def initial_state(self):
+        self.calls.append(self.path)
+        return self.inner.initial_state()
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def restart_run(width: int, strategies: dict[str, str]):
+    text = restart_model(width)
+    model = parse_ok(text)
+    _, _, k = build(
+        text, "Sys",
+        strategies=strategies,
+        scales=[ScaleDirective(0, "root/mid/k", 2)],
+        injections=jobs(model, "feed", range(1, 11), "M"),
+        faults=[FaultDirective(s, "root/mid/p", "boom") for s in (3, 4, 8)],
+    )
+    calls: list[str] = []
+    for path, group in k.groups.items():
+        group.behavior = CountingBehavior(group.behavior, path, calls)
+    k.run()
+    return k, calls
+
+
+def test_a_leaf_restart_resets_only_the_leaf():
+    k, calls = restart_run(300, {"root/mid/p": "restart"})
+    assert [e.subject for e in k.events if e.kind == "RESTART"] == ["root/mid/p"] * 3
+    # the first call starts root/mid/k#1 at the step 0 scale
+    assert calls == ["root/mid/k"] + ["root/mid/p"] * 3
+
+
+def test_a_restart_decided_by_the_root_resets_the_escalating_subtree():
+    k, calls = restart_run(300, {"root": "restart"})
+    assert [e.subject for e in k.events if e.kind == "RESTART"] == ["root/mid"] * 3
+    # after the scale: p, then both replicas of k, in group order, per restart
+    assert calls == ["root/mid/k"] + ["root/mid/p", "root/mid/k", "root/mid/k"] * 3
+
+
+def restart_digest(k) -> str:
+    stores = {
+        path: [(rid, r.state) for rid, r in sorted(g.replicas.items())]
+        for path, g in k.groups.items()
+    }
+    text = trace_text(k.events) + repr(stores)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "strategies, digest",
+    [
+        ({"root/mid/p": "restart"}, "8dd4ffea30f0c8cfa3ff82eaf19eb41492b2f161f900613b2710c90860564459"),
+        ({"root": "restart"}, "7b93db58f8df6ca234837b794375801852e8d3e4f3581a166bdf31e2adbbc2ce"),
+    ],
+)
+def test_restart_traces_are_pinned(strategies, digest):
+    k, _ = restart_run(20, strategies)
+    assert restart_digest(k) == digest

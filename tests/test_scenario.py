@@ -150,6 +150,134 @@ def test_load_rejections(tmp_path, body):
     assert all(d.severity == "error" for d in diags)
 
 
+POOL_OTHER_TEXT = POOL_TEXT + "message Other { s: text; }\n"
+
+# Directive lines after "root Pool" (line 3), and every diagnostic they give
+# in order. Each line gets one diagnostic, for its first failing rule; the
+# run-level checks come in the order strategies, scales, faults, injects,
+# each category in line order.
+DIRECTIVE_DIAGNOSTICS = {
+    "strategy_unknown_instance": (
+        ["strategy root/nope resume"],
+        ["4:1: E_UNRESOLVED: unknown instance 'root/nope'"],
+    ),
+    "strategy_unknown_instance_twice": (
+        ["strategy root/nope resume", "strategy root/nope restart"],
+        [
+            "4:1: E_UNRESOLVED: unknown instance 'root/nope'",
+            "5:1: E_UNRESOLVED: unknown instance 'root/nope'",
+        ],
+    ),
+    "strategy_unknown": (
+        ["strategy root/w sulk"],
+        ["4:1: E_SYNTAX: unknown strategy 'sulk'"],
+    ),
+    "maxsteps_negative": (
+        ["maxsteps -1"],
+        ["4:1: E_SYNTAX: maxsteps must not be negative"],
+    ),
+    # line rules stop the load before any instance is looked up
+    "line_rules_first": (
+        ["maxsteps -1", "strategy root/w sulk", "scale root/nope 1 at 0"],
+        [
+            "4:1: E_SYNTAX: maxsteps must not be negative",
+            "5:1: E_SYNTAX: unknown strategy 'sulk'",
+        ],
+    ),
+    "scale_unknown_instance": (
+        ["scale root/nope 2 at 0"],
+        ["4:1: E_UNRESOLVED: unknown instance 'root/nope'"],
+    ),
+    "scale_not_replicating": (
+        ["scale root 2 at 0"],
+        ["4:1: E_UNRESOLVED: 'root' is not a replicating instance"],
+    ),
+    "scale_count_below_1": (
+        ["scale root/w 0 at 0"],
+        ["4:1: E_SYNTAX: replica count must be at least 1"],
+    ),
+    "scale_negative_step": (
+        ["scale root/w 2 at -3"],
+        ["4:1: E_SYNTAX: step must not be negative"],
+    ),
+    "scale_count_before_step": (
+        ["scale root/w 0 at -3"],
+        ["4:1: E_SYNTAX: replica count must be at least 1"],
+    ),
+    "fault_unknown_instance": (
+        ["fault root/nope at 1 boom"],
+        ["4:1: E_UNRESOLVED: unknown instance 'root/nope'"],
+    ),
+    "fault_not_atomic": (
+        ["fault root at 1 boom"],
+        ["4:1: E_UNRESOLVED: 'root' is not an atomic instance"],
+    ),
+    "fault_negative_step": (
+        ["fault root/w#0 at -2 boom"],
+        ["4:1: E_SYNTAX: step must not be negative"],
+    ),
+    "inject_unknown_port": (
+        ["inject nope at 1 Job{n=0}"],
+        ["4:1: E_UNRESOLVED: the root component has no in port 'nope'"],
+    ),
+    "inject_out_port": (
+        ["inject drain at 1 Job{n=0}"],
+        ["4:1: E_UNRESOLVED: the root component has no in port 'drain'"],
+    ),
+    "inject_other_type": (
+        ['inject feed at 1 Other{s="x"}'],
+        ["4:1: E_TYPE_MISMATCH: port carries Job, not Other"],
+    ),
+    "inject_negative_step": (
+        ["inject feed at -5 Job{n=0}"],
+        ["4:1: E_SYNTAX: step must not be negative"],
+    ),
+    # the port is checked before the literal is parsed
+    "inject_bad_port_and_broken_literal": (
+        ["inject nope at 1 Job{n="],
+        ["4:1: E_UNRESOLVED: the root component has no in port 'nope'"],
+    ),
+    # the literal and its type are checked before the step
+    "inject_broken_literal_and_negative_step": (
+        ["inject feed at -5 Job{n="],
+        ["4:1: E_SYNTAX: expected a value, got end of input"],
+    ),
+    "inject_other_type_and_negative_step": (
+        ['inject feed at -5 Other{s="x"}'],
+        ["4:1: E_TYPE_MISMATCH: port carries Job, not Other"],
+    ),
+    "categories_in_rule_order": (
+        [
+            "inject nope at 1 Job{n=0}",
+            "fault root at 1 boom",
+            "scale root/w 0 at 0",
+            "strategy root/nope resume",
+        ],
+        [
+            "7:1: E_UNRESOLVED: unknown instance 'root/nope'",
+            "6:1: E_SYNTAX: replica count must be at least 1",
+            "5:1: E_UNRESOLVED: 'root' is not an atomic instance",
+            "4:1: E_UNRESOLVED: the root component has no in port 'nope'",
+        ],
+    ),
+    "injects_in_line_order": (
+        ["inject feed at -1 Job{n=0}", "inject nope at 1 Job{n=0}"],
+        [
+            "4:1: E_SYNTAX: step must not be negative",
+            "5:1: E_UNRESOLVED: the root component has no in port 'nope'",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIRECTIVE_DIAGNOSTICS))
+def test_directive_diagnostics(tmp_path, case):
+    lines, expected = DIRECTIVE_DIAGNOSTICS[case]
+    body = "root Pool\n" + "".join(f"{line}\n" for line in lines)
+    diags = bad(tmp_path, POOL_OTHER_TEXT, body)
+    assert [d.render() for d in diags] == [f"<scn>:{e}" for e in expected]
+
+
 LITERAL_TEXT = (
     "message Update { value: integer; cred: text; flag: boolean; }\n"
     "message M { n: integer; s: text; }\n"
