@@ -7,10 +7,11 @@ by an atomic instance (or injected at the root boundary) traverses pass
 and cross connectors in one hop, so intermediate decomposed components
 never buffer anything.
 
-elaborate() is also the one place where a run's behaviors are configured:
-one behavior object per atomic component type, carried by every instance
-of that type. The kernel, the oracle and check_selection_ports() read it
-from the instance.
+Behaviors are configured once per model, by behaviors.instantiate(): one
+object per atomic component type. check() configures each clause to
+report what is wrong with it, and elaborate() hands the same objects to
+every instance of the type, in each elaboration of the model. The kernel,
+the oracle and check_selection_ports() read them from the instance.
 """
 
 from __future__ import annotations
@@ -143,8 +144,10 @@ def _check_component(
                 )
             )
         if cdef.behavior is not None:
-            for message in behaviors.validate_clause(cdef, model):
-                diags.append(_err(cdef.behavior, message, E_BEHAVIOR))
+            try:
+                behaviors.instantiate(cdef, model)
+            except behaviors.BehaviorConfigError as exc:
+                diags.append(_err(cdef.behavior, str(exc), E_BEHAVIOR))
 
 
 class _End(Value):
@@ -371,8 +374,8 @@ class InstanceSpec(Value):
         self.type_def = type_def
         self.parent = parent
         self.replicating = replicating
-        # configured once per type and shared by its instances; None when
-        # the type has no behavior clause
+        # configured once per type and model and shared by its instances;
+        # None when the type has no behavior clause
         self.behavior = behavior
 
     @property
@@ -458,29 +461,24 @@ class ElaborationError(Exception):
 
 def elaborate(model: ArchitectureModel, root_type: str) -> RuntimeTopology:
     """Build the instance tree and fused channels for a model that passed
-    check(), and configure one behavior per atomic component type.
+    check(); each atomic instance carries its type's behavior.
 
     A bad behavior clause raises BehaviorConfigError here; check() reports
     it as E_BEHAVIOR first, so only a caller that skips check() sees it.
     """
     if root_type not in model.component_types:
         raise ElaborationError(f"unknown root component type '{root_type}'")
-    configured: dict[str, behaviors.Behavior | None] = {}
+    configured = behaviors.configured(model)
     # preorder with an explicit stack: depth must not hit the recursion limit
     instances: dict[str, InstanceSpec] = {}
     stack = [(ROOT_PATH, root_type, None, False)]
     while stack:
         path, type_name, parent, replicating = stack.pop()
         tdef = model.component_types[type_name]
-        if type_name not in configured:
-            configured[type_name] = (
-                behaviors.instantiate(tdef, model)
-                if tdef.behavior is not None and not tdef.is_decomposed
-                else None
-            )
-        instances[path] = InstanceSpec(
-            path, tdef, parent, replicating, configured[type_name]
-        )
+        behavior = configured.get(type_name)
+        if behavior is None and tdef.behavior is not None and not tdef.is_decomposed:
+            behavior = behaviors.instantiate(tdef, model)
+        instances[path] = InstanceSpec(path, tdef, parent, replicating, behavior)
         for sub in reversed(tdef.subcomponents):
             stack.append((f"{path}/{sub.name}", sub.type_ref, path, sub.replicating))
 

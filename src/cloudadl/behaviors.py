@@ -1,11 +1,13 @@
 """Builtin behaviors for atomic components.
 
 A behavior is configuration shared by every instance of a component type
-and by all their replicas: analyzer.elaborate() configures it once per
-elaboration. The per-replica state lives in the kernel and is threaded
-through handle(), which never writes to the behavior itself. handle()
-returns the successor state plus a list of actions, so a restart can
-reset a replica by going back to initial_state().
+and by all their replicas. instantiate() binds a clause against the
+arguments its builtin declares and configures it once per model: check()
+and every elaborate() of the model share the object, two models never.
+The per-replica state lives in the kernel and is threaded through
+handle(), which never writes to the behavior itself, so sharing is safe.
+handle() returns the successor state plus a list of actions, so a restart
+can reset a replica by going back to initial_state().
 
 store is the one exception to immutable states: its handle() appends the
 new row to its row list in place and returns that same list, so an
@@ -22,7 +24,7 @@ Verdict records are shared immutable values: approve_if, validate_range
 and approval_join build their false and their true record once, when the
 behavior is configured, and every activation emits one of the two. A
 Record is frozen and keeps its rendered text, so each verdict is checked
-and rendered once per elaboration, not once per activation.
+and rendered once per model, not once per activation.
 """
 
 from __future__ import annotations
@@ -93,6 +95,12 @@ class ActivationContext(Value):
 class Behavior:
     mode = MODE_ONE  # how its emits pick receivers; see Emit
     draws = False  # True if handle() reads ctx.rng
+    # the arguments a builtin takes, bound by instantiate(); see bind_args
+    params: tuple[tuple[str, bool], ...] = ()
+    variadic: str | None = None
+
+    def __init__(self, shape: _Shape, bound: dict[str, object]) -> None:
+        pass  # a builtin checks the rest of its clause here
 
     def initial_state(self) -> object:
         return None
@@ -109,7 +117,7 @@ class Behavior:
 
 def bind_args(
     clause: BehaviorClause,
-    params: list[tuple[str, bool]],
+    params: tuple[tuple[str, bool], ...],
     variadic: str | None = None,
 ) -> dict[str, object]:
     """Map positional and named arguments onto declared parameter names.
@@ -244,19 +252,23 @@ class _Shape:
                 f"port '{a.name}' carries {a.message_type} but port '{b.name}' carries {b.message_type}"
             )
 
+    def forwards_to(self, out: PortDecl) -> None:
+        """Every in port must carry what `out` carries, to forward through it."""
+        for p in self.in_ports:
+            self.same_type(p, out)
+
 
 class ForwardBehavior(Behavior):
     """Pass every incoming message through one out port."""
 
-    def __init__(self, tdef, model, clause):
-        shape = _Shape(clause.builtin, tdef, model)
-        bound = bind_args(clause, [("out", False), ("broadcast", False)])
+    params = (("out", False), ("broadcast", False))
+
+    def __init__(self, shape, bound):
         self.out = shape.pick_out(bound)
         self.mode = MODE_ONE
-        if "broadcast" in bound and as_bool(clause.builtin, "broadcast", bound["broadcast"]):
+        if "broadcast" in bound and as_bool(shape.builtin, "broadcast", bound["broadcast"]):
             self.mode = MODE_BROADCAST
-        for p in shape.in_ports:
-            shape.same_type(p, self.out)
+        shape.forwards_to(self.out)
 
     def handle(self, state, port, payload, ctx):
         return state, [Emit(self.out.name, payload, self.mode)]
@@ -266,16 +278,14 @@ class RouteByBehavior(Behavior):
     """Pin the receiving replica by an integer payload field (mod group size)."""
 
     mode = MODE_INDEX
+    params = (("field", True), ("out", False))
 
-    def __init__(self, tdef, model, clause):
-        shape = _Shape(clause.builtin, tdef, model)
-        bound = bind_args(clause, [("field", True), ("out", False)])
-        self.field = as_name(clause.builtin, "field", bound["field"])
+    def __init__(self, shape, bound):
+        self.field = as_name(shape.builtin, "field", bound["field"])
         self.out = shape.pick_out(bound)
         if shape.field_primitive(shape.in_ports, self.field) != "integer":
             raise shape.fail(f"field '{self.field}' must be an integer field")
-        for p in shape.in_ports:
-            shape.same_type(p, self.out)
+        shape.forwards_to(self.out)
 
     def handle(self, state, port, payload, ctx):
         return state, [Emit(self.out.name, payload, self.mode, payload.get(self.field))]
@@ -302,11 +312,11 @@ class _VerdictBehavior(Behavior):
 class ApproveIfBehavior(_VerdictBehavior):
     """Answer true when a payload field equals a literal."""
 
-    def __init__(self, tdef, model, clause):
-        shape = _Shape(clause.builtin, tdef, model)
-        bound = bind_args(clause, [("field", True), ("equals", True), ("out", False)])
+    params = (("field", True), ("equals", True), ("out", False))
+
+    def __init__(self, shape, bound):
         super().__init__(shape, bound)
-        self.field = as_name(clause.builtin, "field", bound["field"])
+        self.field = as_name(shape.builtin, "field", bound["field"])
         self.expected = bound["equals"]
         if isinstance(self.expected, Ident):
             raise shape.fail("'equals' must be a literal")
@@ -323,19 +333,17 @@ class ApproveIfBehavior(_VerdictBehavior):
 class ValidateRangeBehavior(_VerdictBehavior):
     """Answer true when an integer payload field lies inside closed bounds."""
 
-    def __init__(self, tdef, model, clause):
-        shape = _Shape(clause.builtin, tdef, model)
-        bound = bind_args(
-            clause, [("field", True), ("min", False), ("max", False), ("out", False)]
-        )
+    params = (("field", True), ("min", False), ("max", False), ("out", False))
+
+    def __init__(self, shape, bound):
         super().__init__(shape, bound)
-        self.field = as_name(clause.builtin, "field", bound["field"])
+        self.field = as_name(shape.builtin, "field", bound["field"])
         if shape.field_primitive(shape.in_ports, self.field) != "integer":
             raise shape.fail(f"field '{self.field}' must be an integer field")
         if "min" not in bound and "max" not in bound:
             raise shape.fail("needs min=, max=, or both")
-        self.lo = as_int(clause.builtin, "min", bound["min"]) if "min" in bound else None
-        self.hi = as_int(clause.builtin, "max", bound["max"]) if "max" in bound else None
+        self.lo = as_int(shape.builtin, "min", bound["min"]) if "min" in bound else None
+        self.hi = as_int(shape.builtin, "max", bound["max"]) if "max" in bound else None
 
     def handle(self, state, port, payload, ctx):
         v = payload.get(self.field)
@@ -345,9 +353,6 @@ class ValidateRangeBehavior(_VerdictBehavior):
 
 class StoreBehavior(Behavior):
     """Keep every received payload; rows are (arrival step, payload)."""
-
-    def __init__(self, tdef, model, clause):
-        bind_args(clause, [])
 
     def initial_state(self):
         return []
@@ -360,15 +365,14 @@ class StoreBehavior(Behavior):
 class CollectBehavior(Behavior):
     """Forward every n-th message and drop the rest."""
 
-    def __init__(self, tdef, model, clause):
-        shape = _Shape(clause.builtin, tdef, model)
-        bound = bind_args(clause, [("n", True), ("out", False)])
-        self.n = as_int(clause.builtin, "n", bound["n"])
+    params = (("n", True), ("out", False))
+
+    def __init__(self, shape, bound):
+        self.n = as_int(shape.builtin, "n", bound["n"])
         if self.n < 1:
             raise shape.fail("'n' must be at least 1")
         self.out = shape.pick_out(bound)
-        for p in shape.in_ports:
-            shape.same_type(p, self.out)
+        shape.forwards_to(self.out)
 
     def initial_state(self):
         return 0
@@ -388,16 +392,14 @@ class SampleBehavior(Behavior):
     """
 
     draws = True
+    params = (("percent", True), ("out", False))
 
-    def __init__(self, tdef, model, clause):
-        shape = _Shape(clause.builtin, tdef, model)
-        bound = bind_args(clause, [("percent", True), ("out", False)])
-        self.percent = as_int(clause.builtin, "percent", bound["percent"])
+    def __init__(self, shape, bound):
+        self.percent = as_int(shape.builtin, "percent", bound["percent"])
         if not 0 <= self.percent <= 100:
             raise shape.fail("'percent' must be between 0 and 100")
         self.out = shape.pick_out(bound)
-        for p in shape.in_ports:
-            shape.same_type(p, self.out)
+        shape.forwards_to(self.out)
 
     def handle(self, state, port, payload, ctx):
         if ctx.rng.randrange(100) < self.percent:
@@ -408,17 +410,16 @@ class SampleBehavior(Behavior):
 class FaultAtBehavior(Behavior):
     """Raise a fault when activated at one exact step; otherwise forward."""
 
-    def __init__(self, tdef, model, clause):
-        shape = _Shape(clause.builtin, tdef, model)
-        bound = bind_args(clause, [("step", True), ("kind", False), ("out", False)])
-        self.step = as_int(clause.builtin, "step", bound["step"])
+    params = (("step", True), ("kind", False), ("out", False))
+
+    def __init__(self, shape, bound):
+        self.step = as_int(shape.builtin, "step", bound["step"])
         self.kind = (
-            as_str(clause.builtin, "kind", bound["kind"]) if "kind" in bound else "induced"
+            as_str(shape.builtin, "kind", bound["kind"]) if "kind" in bound else "induced"
         )
         self.out = shape.pick_out(bound) if shape.out_ports else None
         if self.out is not None:
-            for p in shape.in_ports:
-                shape.same_type(p, self.out)
+            shape.forwards_to(self.out)
 
     def handle(self, state, port, payload, ctx):
         if ctx.step == self.step:
@@ -431,15 +432,14 @@ class FaultAtBehavior(Behavior):
 class DelayBehavior(Behavior):
     """Hold back k messages: message i is emitted on arrival of message i+k."""
 
-    def __init__(self, tdef, model, clause):
-        shape = _Shape(clause.builtin, tdef, model)
-        bound = bind_args(clause, [("k", True), ("out", False)])
-        self.k = as_int(clause.builtin, "k", bound["k"])
+    params = (("k", True), ("out", False))
+
+    def __init__(self, shape, bound):
+        self.k = as_int(shape.builtin, "k", bound["k"])
         if self.k < 0:
             raise shape.fail("'k' must not be negative")
         self.out = shape.pick_out(bound)
-        for p in shape.in_ports:
-            shape.same_type(p, self.out)
+        shape.forwards_to(self.out)
 
     def initial_state(self):
         return ()
@@ -462,24 +462,15 @@ class ApprovalJoinBehavior(Behavior):
     positional, so verdicts answer items in arrival order.
     """
 
-    def __init__(self, tdef, model, clause):
-        shape = _Shape(clause.builtin, tdef, model)
-        bound = bind_args(
-            clause,
-            [("item", True), ("respond", True), ("request", False), ("forward", False)],
-        )
-        self.item = shape.port(as_name(clause.builtin, "item", bound["item"]), IN)
-        self.respond = shape.port(as_name(clause.builtin, "respond", bound["respond"]), OUT)
+    params = (("item", True), ("respond", True), ("request", False), ("forward", False))
+
+    def __init__(self, shape, bound):
+        self.item = shape.port(as_name(shape.builtin, "item", bound["item"]), IN)
+        self.respond = shape.port(as_name(shape.builtin, "respond", bound["respond"]), OUT)
         self.verdicts = _verdict_records(shape, self.respond)
-        self.request = (
-            shape.port(as_name(clause.builtin, "request", bound["request"]), OUT)
-            if "request" in bound
-            else None
-        )
-        self.forward = (
-            shape.port(as_name(clause.builtin, "forward", bound["forward"]), OUT)
-            if "forward" in bound
-            else None
+        self.request, self.forward = (
+            shape.port(as_name(shape.builtin, arg, bound[arg]), OUT) if arg in bound else None
+            for arg in ("request", "forward")
         )
         if self.request is not None:
             shape.same_type(self.item, self.request)
@@ -594,20 +585,18 @@ class AutomatonBehavior(Behavior):
     transition raises a fault.
     """
 
-    def __init__(self, tdef, model, clause):
-        shape = _Shape(clause.builtin, tdef, model)
-        bound = bind_args(clause, [("initial", True)], variadic="transitions")
-        self.initial = as_str(clause.builtin, "initial", bound["initial"])
+    params = (("initial", True),)
+    variadic = "transitions"
+
+    def __init__(self, shape, bound):
+        self.initial = as_str(shape.builtin, "initial", bound["initial"])
         lines = bound["transitions"]
         if not lines:
             raise shape.fail("needs at least one transition string")
         self.table: dict[tuple[str, str], list[Transition]] = {}
-        states: set[str] = {self.initial}
         for raw in lines:
-            text = as_str(clause.builtin, "transition", raw)
+            text = as_str(shape.builtin, "transition", raw)
             tr = _parse_transition(shape, text)
-            states.add(tr.state)
-            states.add(tr.next_state)
             self.table.setdefault((tr.state, tr.port), []).append(tr)
         for (state, port), group in self.table.items():
             for i, a in enumerate(group):
@@ -760,21 +749,28 @@ BUILTINS: dict[str, type] = {
 
 
 def instantiate(tdef: ComponentTypeDef, model: ArchitectureModel) -> Behavior:
-    clause = tdef.behavior
-    if clause is None:
-        raise BehaviorConfigError(f"'{tdef.name}' has no behavior clause")
-    cls = BUILTINS.get(clause.builtin)
-    if cls is None:
-        known = ", ".join(sorted(BUILTINS))
-        raise BehaviorConfigError(
-            f"unknown behavior '{clause.builtin}' (known: {known})"
-        )
-    return cls(tdef, model, clause)
+    """The behavior of `model`'s atomic component type `tdef`: configured
+    by the first call, returned as the same object by every later one. A
+    bad clause raises BehaviorConfigError on every call, and nothing is kept.
+    """
+    kept = configured(model)
+    behavior = kept.get(tdef.name)
+    if behavior is None:
+        clause = tdef.behavior
+        if clause is None:
+            raise BehaviorConfigError(f"'{tdef.name}' has no behavior clause")
+        cls = BUILTINS.get(clause.builtin)
+        if cls is None:
+            known = ", ".join(sorted(BUILTINS))
+            raise BehaviorConfigError(
+                f"unknown behavior '{clause.builtin}' (known: {known})"
+            )
+        bound = bind_args(clause, cls.params, cls.variadic)
+        behavior = kept[tdef.name] = cls(_Shape(clause.builtin, tdef, model), bound)
+    return behavior
 
 
-def validate_clause(tdef: ComponentTypeDef, model: ArchitectureModel) -> list[str]:
-    try:
-        instantiate(tdef, model)
-    except BehaviorConfigError as exc:
-        return [str(exc)]
-    return []
+def configured(model: ArchitectureModel) -> dict[str, Behavior]:
+    """The model's behaviors configured so far, by type name; kept on the
+    model outside its fields, so eq and repr do not see them."""
+    return model.__dict__.setdefault("_behaviors", {})

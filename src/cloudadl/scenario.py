@@ -61,6 +61,7 @@ from .parser import ParseError, TokenCursor, load_files, read_source
 from .values import Frozen, Value, set_field
 
 DEFAULT_MAXSTEPS = 1000
+ECHO_LIMIT = 40  # a diagnostic names a longer word by its length, not its text
 
 
 class CountIs(Frozen):
@@ -242,7 +243,9 @@ def _int_arg(word: str, what: str) -> int:
         digits = word[1:] if word[0] in "+-" else word
         if digits.isdecimal():  # past the interpreter's limit on int() digits
             raise _LineError(f"{what} of {len(digits)} digits is too long") from None
-        raise _LineError(f"{what} must be an integer, got '{word}'") from None
+        long = len(word) > ECHO_LIMIT
+        got = f"a word of {len(word)} characters" if long else f"'{word}'"
+        raise _LineError(f"{what} must be an integer, got {got}") from None
 
 
 def _parse_line(raw: _RawScenario, lineno: int, line: str) -> None:

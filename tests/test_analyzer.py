@@ -379,10 +379,13 @@ def test_instances_of_one_type_carry_one_behavior():
     assert behavior is not None
     assert topo.instances["root/b2"].behavior is behavior
     assert topo.root.behavior is None
-    # each elaboration configures its own, and eq ignores the field
+    # every elaboration of the model shares it, and eq ignores the field
     again = elaborate(model, "A")
-    assert again.instances["root/b1"].behavior is not behavior
+    assert again.instances["root/b1"].behavior is behavior
     assert again == topo
+    # another model, even one parsed from the same text, has its own
+    _, other = checked(text, "A")
+    assert other.instances["root/b1"].behavior is not behavior
 
 
 def test_latency_overrides():

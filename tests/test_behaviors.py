@@ -6,7 +6,10 @@ from random import Random
 
 import pytest
 
+from cloudadl import cli
+from cloudadl.analyzer import check, elaborate
 from cloudadl.behaviors import (
+    BUILTINS,
     ActivationContext,
     BehaviorConfigError,
     Emit,
@@ -15,11 +18,12 @@ from cloudadl.behaviors import (
     MODE_ONE,
     Raise,
     instantiate,
-    validate_clause,
 )
 from cloudadl.model import make_record
+from cloudadl.oracle import predict
+from cloudadl.scenario import load_scenario
 
-from helpers import parse_ok
+from helpers import MODELS_DIR, SCENARIOS_DIR, parse_ok, replaced
 
 
 def make(text: str, name: str = "A"):
@@ -36,8 +40,13 @@ def ctx(step: int = 0, seed: int = 0) -> ActivationContext:
 
 
 def errors(text: str, name: str = "A") -> list[str]:
+    """The configuration error of component `name`'s clause, if any."""
     model = parse_ok(text)
-    return validate_clause(model.component_types[name], model)
+    try:
+        instantiate(model.component_types[name], model)
+    except BehaviorConfigError as exc:
+        return [str(exc)]
+    return []
 
 
 U = "message U { v: integer; }\n"
@@ -488,3 +497,80 @@ def test_positional_after_named_only_for_variadic():
 def test_default_mode_is_one():
     b, _ = make(U + "component A { port in U u; port out U o; behavior forward(); }")
     assert Emit("o", None).mode == MODE_ONE
+
+
+# --- configured once per model ---
+
+BUNDLED = [
+    ("pipeline4", "Pipeline"),
+    ("request_chain", "RequestChain"),
+    ("sensor_channel", "SensorChannel"),
+    ("supervised", "Supervised"),
+]
+
+
+@pytest.fixture
+def configured_types(monkeypatch):
+    """The type name of each behavior configured while the test runs."""
+    names = []
+    for builtin, cls in list(BUILTINS.items()):
+
+        def counting(self, shape, bound, cls=cls):
+            names.append(shape.tdef.name)
+            cls.__init__(self, shape, bound)
+
+        monkeypatch.setitem(BUILTINS, builtin, type(cls.__name__, (cls,), {"__init__": counting}))
+    return names
+
+
+def clause_types(name: str) -> list[str]:
+    """The atomic types with a behavior clause in bundled model `name`."""
+    model = parse_ok((MODELS_DIR / f"{name}.arc").read_text(encoding="utf-8"))
+    return sorted(
+        tname
+        for tname, tdef in model.component_types.items()
+        if tdef.behavior is not None and not tdef.is_decomposed
+    )
+
+
+@pytest.mark.parametrize("name, root", BUNDLED)
+def test_a_sim_configures_each_type_once(name, root, configured_types, capsys):
+    assert cli.main(["sim", str(SCENARIOS_DIR / f"{name}.scn")]) == 0
+    assert sorted(configured_types) == clause_types(name)
+
+
+@pytest.mark.parametrize("name, root", BUNDLED)
+def test_a_rooted_check_configures_each_type_once(name, root, configured_types, capsys):
+    assert cli.main(["check", str(MODELS_DIR / f"{name}.arc"), "--root", root]) == 0
+    assert sorted(configured_types) == clause_types(name)
+
+
+@pytest.mark.parametrize("name", ["pipeline4", "request_chain", "sensor_channel"])
+def test_a_prediction_configures_each_type_once(name, configured_types):
+    scenario, _ = load_scenario(str(SCENARIOS_DIR / f"{name}.scn"))
+    predict(replaced(scenario, scales=[]))
+    assert sorted(configured_types) == clause_types(name)
+
+
+def test_check_and_every_elaboration_share_one_behavior(configured_types):
+    model = parse_ok(
+        U + "component A { port in U u; port out U o; behavior collect(n=2); }\n"
+        "component S { port in U u; behavior store(); }\n"
+        "component R { port in U x; component A a; component S s1; component S s2;"
+        " connect x -> a.u; connect a.o -> s1.u; connect x -> s2.u; }"
+    )
+    assert check(model, "R") == []
+    first, second = elaborate(model, "R"), elaborate(model, "R")
+    assert configured_types == ["A", "S"]
+    for path in ("root/a", "root/s1", "root/s2"):
+        assert first.instances[path].behavior is second.instances[path].behavior
+    assert first.instances["root/s1"].behavior is first.instances["root/s2"].behavior
+    assert instantiate(model.component_types["S"], model) is first.instances["root/s1"].behavior
+
+
+def test_a_bad_clause_fails_every_time_and_is_not_kept(configured_types):
+    model = parse_ok(U + "component A { port in U u; port out U o; behavior collect(n=0); }")
+    for _ in range(2):
+        with pytest.raises(BehaviorConfigError, match="'n' must be at least 1"):
+            instantiate(model.component_types["A"], model)
+    assert configured_types == ["A", "A"]

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
 from cloudadl import cli
 from cloudadl.cli import main
 
-from helpers import MODELS_DIR, SCENARIOS_DIR
+from helpers import MODELS_DIR, PKG_ROOT, SCENARIOS_DIR
 from modelgen import POOL_TEXT
 
 SENSOR = str(MODELS_DIR / "sensor_channel.arc")
@@ -346,6 +349,26 @@ PATHOLOGICAL = {
         {"m.arc": ONE_STORE, "s.scn": scenario(f"inject feed at -{HUGE} M{{n=1}}")},
         ["sim", "s.scn"], 2, "s.scn:4:1: E_SYNTAX: step of 5000 digits is too long",
     ),
+    "seed_word_past_the_echo_limit": (
+        {"m.arc": ONE_STORE, "s.scn": scenario(f"seed {HUGE}x", INJECT)},
+        ["sim", "s.scn"], 2,
+        "s.scn:4:1: E_SYNTAX: seed must be an integer, got a word of 5001 characters",
+    ),
+    "latency_word_past_the_echo_limit": (
+        {"m.arc": ONE_STORE, "s.scn": scenario(f"latency * {HUGE}x", INJECT)},
+        ["sim", "s.scn"], 2,
+        "s.scn:4:1: E_SYNTAX: latency must be an integer, got a word of 5001 characters",
+    ),
+    "scale_count_word_past_the_echo_limit": (
+        {"m.arc": ONE_GROUP, "s.scn": scenario("scale root/w " + "a" * 3000 + " at 1")},
+        ["sim", "s.scn"], 2,
+        "s.scn:4:1: E_SYNTAX: count must be an integer, got a word of 3000 characters",
+    ),
+    "seed_word_at_the_echo_limit": (
+        {"m.arc": ONE_STORE, "s.scn": scenario("seed " + "9" * 39 + "x", INJECT)},
+        ["sim", "s.scn"], 2,
+        "s.scn:4:1: E_SYNTAX: seed must be an integer, got '" + "9" * 39 + "x'",
+    ),
     "prefix_integer_past_the_digit_limit": (
         {"m.arc": fan_out(1), "s.scn": scenario(INJECT, f"expect prefix drain M{{n=-{HUGE}}}")},
         ["sim", "s.scn"], 2, HUGE_ERR,
@@ -394,8 +417,8 @@ def test_pathological_input_ends_in_a_status(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert expected_err in err
-    if case.endswith("_past_the_digit_limit"):
-        # the diagnostic names the length; it does not echo the digits
+    if case.endswith(("_past_the_digit_limit", "_past_the_echo_limit")):
+        # the diagnostic names the length; it does not echo the word
         assert len(err.replace(str(tmp_path), "").encode()) < 200
 
 
@@ -437,3 +460,28 @@ def test_bundled_scenario_outputs_match_pinned_digests(tmp_path, capsys):
             for data in (trace.read_bytes(), store.read_bytes(), stdout)
         )
         assert got == PINNED_OUTPUTS[path.name], path.name
+
+
+def sim_in_a_new_process(path: str, hash_seed: str) -> subprocess.CompletedProcess:
+    """`cloudadl sim PATH --trace - --store -` in a fresh interpreter."""
+    src = str(PKG_ROOT / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath, PYTHONHASHSEED=hash_seed)
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from cloudadl.cli import main; sys.exit(main())",
+         "sim", path, "--trace", "-", "--store", "-"],
+        env=env, capture_output=True, timeout=120, check=False,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_outputs_do_not_depend_on_string_hashing(name):
+    # within one interpreter string hashing, and so set order, is fixed;
+    # two interpreters with different hash seeds must still agree
+    path = str(SCENARIOS_DIR / name)
+    first, second = (sim_in_a_new_process(path, seed) for seed in ("0", "1"))
+    assert first.returncode == 0, first.stderr
+    assert first.stdout
+    assert (second.returncode, second.stdout, second.stderr) == (
+        first.returncode, first.stdout, first.stderr
+    )
