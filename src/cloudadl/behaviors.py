@@ -3,7 +3,7 @@
 A behavior is configuration shared by every instance of a component type
 and by all their replicas. instantiate() binds a clause against the
 arguments its builtin declares and configures it once per model: check()
-and every elaborate() of the model share the object, two models never.
+and every elaborate() of the model share the object; no two models do.
 The per-replica state lives in the kernel and is threaded through
 handle(), which never writes to the behavior itself, so sharing is safe.
 handle() returns the successor state plus a list of actions, so a restart
