@@ -417,7 +417,8 @@ class FaultAtBehavior(Behavior):
         self.kind = (
             as_str(shape.builtin, "kind", bound["kind"]) if "kind" in bound else "induced"
         )
-        self.out = shape.pick_out(bound) if shape.out_ports else None
+        # with no out port and no out= it only raises; a named out= must exist
+        self.out = shape.pick_out(bound) if shape.out_ports or "out" in bound else None
         if self.out is not None:
             shape.forwards_to(self.out)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 from .values import Frozen, Value, set_field
 
 PRIMITIVES = ("integer", "text", "boolean")
+_PYTHON_TYPES = {"integer": int, "text": str, "boolean": bool}
 
 IN = "in"
 OUT = "out"
@@ -50,6 +51,20 @@ class MessageTypeDef(Frozen):
 
     def field_map(self) -> dict[str, str]:
         return {f.name: f.primitive for f in self.fields}
+
+    def field_types(self) -> tuple[tuple[str, type], ...] | None:
+        """(field name, exact Python type) per field; None if a name repeats.
+
+        Built once per type and kept on the instance, outside the fields.
+        """
+        table = self.__dict__.get("_types", False)
+        if table is False:
+            names = {f.name for f in self.fields}
+            table = None
+            if len(names) == len(self.fields):
+                table = tuple((f.name, _PYTHON_TYPES.get(f.primitive)) for f in self.fields)
+            self.__dict__["_types"] = table
+        return table
 
 
 class PortDecl(Frozen):
@@ -317,6 +332,17 @@ def primitive_of(v: object) -> str:
 
 def make_record(type_def: MessageTypeDef, values: dict[str, object]) -> Record:
     """Build a Record against a message type, checking names and primitives."""
+    table = type_def.field_types()
+    if table is not None and len(values) == len(table):
+        # every field present with exactly its type: nothing below would object
+        ordered = []
+        for name, kind in table:
+            v = values.get(name)
+            if type(v) is not kind:
+                break
+            ordered.append((name, v))
+        else:
+            return Record(type_def.name, tuple(ordered))
     missing = [f.name for f in type_def.fields if f.name not in values]
     if missing:
         raise ValueError(f"{type_def.name}: missing fields {', '.join(missing)}")

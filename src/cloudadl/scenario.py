@@ -19,11 +19,21 @@ A scenario is line-oriented; `//` starts a comment outside string quotes.
 
 Expectations are judged after the run; the first failing one decides the
 report, but all failures are listed.
+
+Payload literals (`inject`, `expect prefix`) are read in one of two ways.
+A plain literal (ASCII names, unescaped strings, decimal integers, `true`
+and `false`) is read by a few anchored regex matches, with no tokens; that
+is only a fast path, and it gives up on anything else. Everything it gives
+up on goes through the lexer and `TokenCursor`, the general path, which
+reads escapes, non-ASCII names and digits and `- 5`, and decides every
+error and its wording. Both paths give the same records for any literal
+the fast path reads.
 """
 
 from __future__ import annotations
 
 import os
+import re
 
 from . import lexer
 from .analyzer import (
@@ -57,7 +67,7 @@ from .kernel import (
     strategy_problem,
 )
 from .model import OUT, ArchitectureModel, Record, make_record
-from .parser import ParseError, TokenCursor, load_files, read_source
+from .parser import RESERVED, ParseError, TokenCursor, load_files, read_source
 from .values import Frozen, Value, set_field
 
 DEFAULT_MAXSTEPS = 1000
@@ -236,6 +246,13 @@ class _RawScenario(Value):
         self.expectations: list[tuple[int, tuple]] = []  # (line, kind and arguments)
 
 
+def _quoted(word: str) -> str:
+    """`word` in quotes for a diagnostic, or its length if it is too long."""
+    if len(word) > ECHO_LIMIT:
+        return f"a word of {len(word)} characters"
+    return f"'{word}'"
+
+
 def _int_arg(word: str, what: str) -> int:
     try:
         return int(word)
@@ -243,9 +260,7 @@ def _int_arg(word: str, what: str) -> int:
         digits = word[1:] if word[0] in "+-" else word
         if digits.isdecimal():  # past the interpreter's limit on int() digits
             raise _LineError(f"{what} of {len(digits)} digits is too long") from None
-        long = len(word) > ECHO_LIMIT
-        got = f"a word of {len(word)} characters" if long else f"'{word}'"
-        raise _LineError(f"{what} must be an integer, got {got}") from None
+        raise _LineError(f"{what} must be an integer, got {_quoted(word)}") from None
 
 
 def _parse_line(raw: _RawScenario, lineno: int, line: str) -> None:
@@ -315,7 +330,7 @@ def _parse_line(raw: _RawScenario, lineno: int, line: str) -> None:
             raise _LineError("expect needs a kind")
         _parse_expect(raw, lineno, line, words)
     else:
-        raise _LineError(f"unknown directive '{head}'")
+        raise _LineError(f"unknown directive {_quoted(head)}")
 
 
 def _parse_expect(raw: _RawScenario, lineno: int, line: str, words: list[str]) -> None:
@@ -338,14 +353,74 @@ def _parse_expect(raw: _RawScenario, lineno: int, line: str, words: list[str]) -
         if len(words) != 4:
             raise _LineError("usage: expect event <KIND> <subject>")
         if words[2] not in EVENT_KINDS:
-            raise _LineError(f"unknown event kind '{words[2]}'")
+            raise _LineError(f"unknown event kind {_quoted(words[2])}")
         shape = ("event", words[2], words[3])
     else:
-        raise _LineError(f"unknown expectation '{kind}'")
+        raise _LineError(f"unknown expectation {_quoted(kind)}")
     raw.expectations.append((lineno, shape))
 
 
+_WS = "[ \t\r\n]*"  # the lexer's whitespace; \s would also take \x0b and \xa0
+_NAME = "([A-Za-z_][A-Za-z0-9_]*)"
+_plain = None  # (record head, field) matchers, compiled on first use
+
+
+def _plain_matchers():
+    global _plain
+    if _plain is None:
+        head = _WS + _NAME + _WS + r"\{" + _WS + r"(\}" + _WS + ")?"
+        value = r'(?:(-?[0-9]+)|"([^"\\\n]*)"|(true|false))'
+        field = _NAME + _WS + "=" + _WS + value + _WS + "([,}])" + _WS
+        _plain = re.compile(head).match, re.compile(field).match
+    return _plain
+
+
+def _plain_payloads(text: str) -> list[tuple[str, dict[str, object]]] | None:
+    """The records of a plain literal, or None to leave `text` to the lexer.
+
+    Plain means ASCII names that are not reserved, unescaped strings,
+    unsigned or `-`-prefixed decimal integers, `true` and `false`, and no
+    duplicate field or trailing comma: exactly what the general path reads
+    the same way.
+    """
+    head, field = _plain_matchers()
+    out = []
+    pos, end = 0, len(text)
+    while pos < end:
+        m = head(text, pos)
+        if m is None or m[1] in RESERVED:
+            return None
+        pos = m.end()
+        values: dict[str, object] = {}
+        sep = "}" if m[2] else ","
+        while sep == ",":
+            f = field(text, pos)
+            if f is None:
+                return None
+            name, digits, string, flag, sep = f.groups()
+            if name in RESERVED or name in values:
+                return None
+            if digits is not None:
+                try:
+                    values[name] = int(digits)
+                except ValueError:  # past the interpreter's limit on int() digits
+                    return None
+            elif string is not None:
+                values[name] = string
+            else:
+                values[name] = flag == "true"
+            pos = f.end()
+        out.append((m[1], values))
+    return out
+
+
 def _parse_payloads(text: str) -> list[tuple[str, dict[str, object]]]:
+    plain = _plain_payloads(text)
+    return _lexed_payloads(text) if plain is None else plain
+
+
+def _lexed_payloads(text: str) -> list[tuple[str, dict[str, object]]]:
+    """The general path: any literal the lexer reads, and every error."""
     try:
         cursor = TokenCursor(lexer.tokenize(text))
         out = []
@@ -458,9 +533,9 @@ def _expectation(shape: tuple, topology: RuntimeTopology, model: ArchitectureMod
         _, path, count = shape
         inst = topology.instances.get(path)
         if inst is None or not inst.atomic:
-            raise _LineError(f"no atomic instance at '{path}'", E_UNRESOLVED)
+            raise _LineError(f"no atomic instance at {_quoted(path)}", E_UNRESOLVED)
         if inst.type_def.behavior is None or inst.type_def.behavior.builtin != "store":
-            raise _LineError(f"'{path}' does not run a store behavior", E_UNRESOLVED)
+            raise _LineError(f"{_quoted(path)} does not run a store behavior", E_UNRESOLVED)
         return StoreContains(path, count)
     _, kind, subject = shape
     return EventOccurs(kind, subject)
@@ -470,7 +545,7 @@ def _stream_type(port: str, topology: RuntimeTopology) -> str:
     """The message type of the root out port `port`."""
     decl = topology.root.type_def.port(port)
     if decl is None or decl.direction != OUT:
-        raise _LineError(f"the root component has no out port '{port}'", E_UNRESOLVED)
+        raise _LineError(f"the root component has no out port {_quoted(port)}", E_UNRESOLVED)
     return decl.message_type
 
 
@@ -479,7 +554,7 @@ def _checked_record(
 ) -> Record:
     mdef = model.message_types.get(type_name)
     if mdef is None:
-        raise _LineError(f"unknown message type '{type_name}'", E_UNRESOLVED)
+        raise _LineError(f"unknown message type {_quoted(type_name)}", E_UNRESOLVED)
     _line_rule(payload_type_problem(want_type, type_name))
     try:
         return make_record(mdef, values)

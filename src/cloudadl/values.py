@@ -21,8 +21,8 @@ Rules:
   or deleting any attribute raises `FrozenInstanceError`, an
   `AttributeError`, so its `__init__` sets each field with `set_field`.
   Memos kept outside the fields (`Record.render`, the `ComponentTypeDef`
-  indexes) write the instance `__dict__` directly; they are in no field,
-  so `==`, hash and repr do not see them.
+  indexes, `MessageTypeDef.field_types`) write the instance `__dict__`
+  directly; they are in no field, so `==`, hash and repr do not see them.
 - Both bases declare empty `__slots__`, so a subclass has slots exactly
   when it declares them itself.
 

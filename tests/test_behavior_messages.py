@@ -181,6 +181,9 @@ CASES = [
      "fault_at: component has 2 out ports, name one with out="),
     ("fault_at_mismatch", U + W + comp(MIS, "fault_at(step=1)"),
      "fault_at: port 'u' carries U but port 'o' carries W"),
+    ("fault_at_names_missing_out", U + comp("port in U u;", "fault_at(step=1, out=o)"),
+     "fault_at: 'A' has no port 'o'"),
+    ("fault_at_without_out_port", U + comp("port in U u;", "fault_at(step=1)"), None),
 
     # delay
     ("delay_k_not_int", U + comp(IO, "delay(k=false)"),

@@ -298,6 +298,13 @@ HUGE_EQUALS = (
     f"component W {{ port in M i; port out M o; behavior approve_if(field=n, equals={HUGE}, out=o); }}\n"
 )
 HUGE_ERR = "E_SYNTAX: integer literal of 5000 digits is too long"
+LONG_WORD = "z" * 5000
+# a forward instance whose path is longer than the echo limit
+LONG_FORWARD = (
+    "message M { n: integer; }\n"
+    "component F { port in M i; port out M o; behavior forward(); }\n"
+    f"component Sys {{ port in M feed; component F {LONG_WORD}; connect feed -> {LONG_WORD}.i; }}\n"
+)
 
 # (files, command line, exit status, text expected on stderr)
 PATHOLOGICAL = {
@@ -368,6 +375,41 @@ PATHOLOGICAL = {
         {"m.arc": ONE_STORE, "s.scn": scenario("seed " + "9" * 39 + "x", INJECT)},
         ["sim", "s.scn"], 2,
         "s.scn:4:1: E_SYNTAX: seed must be an integer, got '" + "9" * 39 + "x'",
+    ),
+    "directive_word_past_the_echo_limit": (
+        {"m.arc": ONE_STORE, "s.scn": scenario(LONG_WORD, INJECT)},
+        ["sim", "s.scn"], 2,
+        "s.scn:4:1: E_SYNTAX: unknown directive a word of 5000 characters",
+    ),
+    "expectation_word_past_the_echo_limit": (
+        {"m.arc": ONE_STORE, "s.scn": scenario(INJECT, f"expect {LONG_WORD} 1")},
+        ["sim", "s.scn"], 2,
+        "s.scn:5:1: E_SYNTAX: unknown expectation a word of 5000 characters",
+    ),
+    "event_kind_word_past_the_echo_limit": (
+        {"m.arc": ONE_STORE, "s.scn": scenario(INJECT, f"expect event {LONG_WORD} root")},
+        ["sim", "s.scn"], 2,
+        "s.scn:5:1: E_SYNTAX: unknown event kind a word of 5000 characters",
+    ),
+    "store_path_word_past_the_echo_limit": (
+        {"m.arc": ONE_STORE, "s.scn": scenario(INJECT, f"expect store root/{LONG_WORD} 1")},
+        ["sim", "s.scn"], 2,
+        "s.scn:5:1: E_UNRESOLVED: no atomic instance at a word of 5005 characters",
+    ),
+    "non_store_path_word_past_the_echo_limit": (
+        {"m.arc": LONG_FORWARD, "s.scn": scenario(INJECT, f"expect store root/{LONG_WORD} 1")},
+        ["sim", "s.scn"], 2,
+        "s.scn:5:1: E_UNRESOLVED: a word of 5005 characters does not run a store behavior",
+    ),
+    "out_port_word_past_the_echo_limit": (
+        {"m.arc": ONE_STORE, "s.scn": scenario(INJECT, f"expect count {LONG_WORD} 1")},
+        ["sim", "s.scn"], 2,
+        "s.scn:5:1: E_UNRESOLVED: the root component has no out port a word of 5000 characters",
+    ),
+    "message_type_word_past_the_echo_limit": (
+        {"m.arc": ONE_STORE, "s.scn": scenario(f"inject feed at 1 {LONG_WORD}{{n=1}}")},
+        ["sim", "s.scn"], 2,
+        "s.scn:4:1: E_UNRESOLVED: unknown message type a word of 5000 characters",
     ),
     "prefix_integer_past_the_digit_limit": (
         {"m.arc": fan_out(1), "s.scn": scenario(INJECT, f"expect prefix drain M{{n=-{HUGE}}}")},

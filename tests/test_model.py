@@ -13,10 +13,13 @@ from cloudadl.model import (
     ConnectorDecl,
     ContextDecl,
     Endpoint,
+    FieldDef,
     GateRef,
+    MessageTypeDef,
     PortDecl,
     Record,
     SubcomponentDecl,
+    make_record,
 )
 
 
@@ -81,3 +84,46 @@ def test_gates_of_lists_opens_then_closes_in_context_order():
     assert tdef.gates_of(a) == ((OPEN, "x"), (OPEN, "y"), (CLOSE, "x"))
     assert tdef.gates_of(b) == ((CLOSE, "x"),)
     assert ComponentTypeDef("T", (), (), (a,), (), None).gates_of(a) == ()
+
+
+UPDATE = MessageTypeDef(
+    "U", (FieldDef("v", "integer"), FieldDef("s", "text"), FieldDef("ok", "boolean"))
+)
+
+
+def make_error(type_def: MessageTypeDef, values: dict) -> str:
+    try:
+        make_record(type_def, values)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("make_record accepted the values")
+
+
+def test_make_record_orders_values_by_declaration():
+    got = make_record(UPDATE, {"ok": False, "s": "x", "v": -2})
+    assert got == Record("U", (("v", -2), ("s", "x"), ("ok", False)))
+    assert [type(v) for _k, v in got.values] == [int, str, bool]
+    # the per-type table is kept outside the fields
+    fresh = MessageTypeDef("U", UPDATE.fields)
+    assert UPDATE == fresh and hash(UPDATE) == hash(fresh) and repr(UPDATE) == repr(fresh)
+
+
+def test_make_record_errors_are_worded_by_the_full_checks():
+    assert make_error(UPDATE, {"v": 1, "s": "x"}) == "U: missing fields ok"
+    assert make_error(UPDATE, {"v": 1, "s": "x", "ok": True, "z": 0}) == "U: unknown fields z"
+    # True == 1, but a boolean is not an integer, nor an integer a boolean
+    assert make_error(UPDATE, {"v": True, "s": "x", "ok": True}) == (
+        "U.v: expected integer, got boolean"
+    )
+    assert make_error(UPDATE, {"v": 1, "s": "x", "ok": 1}) == (
+        "U.ok: expected boolean, got integer"
+    )
+    assert make_error(UPDATE, {"v": "1", "s": "x", "ok": True}) == (
+        "U.v: expected integer, got text"
+    )
+
+
+def test_make_record_on_a_repeated_field_name_keeps_the_full_checks():
+    twice = MessageTypeDef("T", (FieldDef("a", "integer"), FieldDef("a", "integer")))
+    assert make_record(twice, {"a": 1}) == Record("T", (("a", 1), ("a", 1)))
+    assert make_error(twice, {"a": 1, "b": 2}) == "T: unknown fields b"

@@ -246,6 +246,43 @@ DIRECTIVE_DIAGNOSTICS = {
         ['inject feed at -5 Other{s="x"}'],
         ["4:1: E_TYPE_MISMATCH: port carries Job, not Other"],
     ),
+    # a word up to scenario.ECHO_LIMIT characters is quoted as written
+    "unknown_directive": (
+        ["bogus directive"],
+        ["4:1: E_SYNTAX: unknown directive 'bogus'"],
+    ),
+    "unknown_directive_at_the_echo_limit": (
+        ["d" * 40],
+        ["4:1: E_SYNTAX: unknown directive '" + "d" * 40 + "'"],
+    ),
+    "unknown_directive_past_the_echo_limit": (
+        ["d" * 41],
+        ["4:1: E_SYNTAX: unknown directive a word of 41 characters"],
+    ),
+    "unknown_expectation": (
+        ["expect wat drain 1"],
+        ["4:1: E_SYNTAX: unknown expectation 'wat'"],
+    ),
+    "unknown_event_kind": (
+        ["expect event NOPE root"],
+        ["4:1: E_SYNTAX: unknown event kind 'NOPE'"],
+    ),
+    "store_no_atomic_instance": (
+        ["expect store root/nope 1"],
+        ["4:1: E_UNRESOLVED: no atomic instance at 'root/nope'"],
+    ),
+    "store_not_a_store": (
+        ["expect store root/w 1"],
+        ["4:1: E_UNRESOLVED: 'root/w' does not run a store behavior"],
+    ),
+    "stream_no_out_port": (
+        ["expect count nope 1"],
+        ["4:1: E_UNRESOLVED: the root component has no out port 'nope'"],
+    ),
+    "inject_unknown_message_type": (
+        ["inject feed at 1 Nope{n=0}"],
+        ["4:1: E_UNRESOLVED: unknown message type 'Nope'"],
+    ),
     "categories_in_rule_order": (
         [
             "inject nope at 1 Job{n=0}",
