@@ -64,8 +64,12 @@ def check(model: ArchitectureModel, root_type: str | None = None) -> list[Diagno
 def _check_component(
     model: ArchitectureModel, cdef: ComponentTypeDef, diags: list[Diagnostic]
 ) -> None:
+    # a behavior reads its ports' field types, so it is configured only when
+    # every port's message type is declared: the E_UNRESOLVED is the one cause
+    types_known = True
     for p in cdef.ports:
         if p.message_type not in model.message_types:
+            types_known = False
             diags.append(
                 _err(p, f"unknown message type '{p.message_type}'", E_UNRESOLVED)
             )
@@ -143,7 +147,7 @@ def _check_component(
                     E_BEHAVIOR,
                 )
             )
-        if cdef.behavior is not None:
+        if cdef.behavior is not None and types_known:
             try:
                 behaviors.instantiate(cdef, model)
             except behaviors.BehaviorConfigError as exc:

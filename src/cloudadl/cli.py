@@ -7,16 +7,9 @@ import sys
 
 from .analyzer import check, check_selection_ports, elaborate
 from .diagnostics import io_error, render_all
-from .harness import (
-    STATUS_DIAGNOSTICS,
-    STATUS_PASS,
-    overall_status,
-    render_stores,
-    run_file,
-)
+from .harness import STATUS_DIAGNOSTICS, STATUS_PASS, overall_status, run_file
 from .parser import load_files, parse_model, read_source
 from .printer import pretty_print
-from .trace import render_trace
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,27 +120,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
     if (args.trace or args.store) and len(args.files) > 1:
         print("--trace and --store take a single scenario", file=sys.stderr)
         return STATUS_DIAGNOSTICS
-    reports = []
-    status = STATUS_PASS
-    for path in args.files:
-        trace_path = args.trace if args.trace and args.trace != "-" else None
-        report = run_file(path, trace_path)
-        reports.append(report)
-        out = sys.stderr if report.status == STATUS_DIAGNOSTICS else sys.stdout
-        print(report.render(), file=out)
-        if report.result is not None:
-            if args.trace == "-":
-                render_trace(report.result.kernel.events, sys.stdout)
-            if args.store == "-":
-                render_stores(report.result.kernel, sys.stdout)
-            elif args.store:
-                try:
-                    with open(args.store, "w", encoding="utf-8") as fh:
-                        render_stores(report.result.kernel, fh)
-                except OSError as exc:
-                    print(io_error(args.store, exc).render(), file=sys.stderr)
-                    status = STATUS_DIAGNOSTICS
-    return max(overall_status(reports), status)
+    return overall_status([run_file(path, args.trace, args.store) for path in args.files])
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -23,6 +23,8 @@ E_REPL_PORT = "E_REPL_PORT"
 # decomposed subcomponent would require per-replica channel instantiation.
 E_REPL_SUB = "E_REPL_SUB"
 
+ECHO_LIMIT = 40  # a diagnostic names a longer word by its length, not its text
+
 
 class Diagnostic(Frozen):
     _fields = ("severity", "code", "origin", "line", "col", "message")
@@ -48,6 +50,13 @@ def error(code: str, origin: str, line: int, col: int, message: str) -> Diagnost
 def io_error(path: str, exc: OSError) -> Diagnostic:
     """A file that could not be opened, read or written."""
     return error(E_IO, path, 0, 0, exc.strerror or str(exc))
+
+
+def quoted(word: str) -> str:
+    """`word` in quotes for a diagnostic, or its length if it is too long."""
+    if len(word) > ECHO_LIMIT:
+        return f"a word of {len(word)} characters"
+    return f"'{word}'"
 
 
 def render_all(diagnostics: list[Diagnostic]) -> str:

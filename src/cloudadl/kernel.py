@@ -53,7 +53,7 @@ from .behaviors import (
     Emit,
     Raise,
 )
-from .diagnostics import E_SYNTAX, E_TYPE_MISMATCH, E_UNRESOLVED
+from .diagnostics import E_SYNTAX, E_TYPE_MISMATCH, E_UNRESOLVED, quoted
 from .model import IN, OPEN, OUT, Record
 from .values import Frozen, Value, set_field
 
@@ -254,7 +254,7 @@ def maxsteps_problem(maxsteps: int, line: int = 0) -> Problem | None:
 def strategy_problem(strategy: str, line: int = 0) -> Problem | None:
     if strategy in STRATEGIES:
         return None
-    return line, E_SYNTAX, f"unknown strategy '{strategy}'"
+    return line, E_SYNTAX, f"unknown strategy {quoted(strategy)}"
 
 
 def root_in_ports(topology: RuntimeTopology) -> dict[str, str]:
@@ -265,7 +265,7 @@ def root_in_ports(topology: RuntimeTopology) -> dict[str, str]:
 def inject_port_problem(root_in: dict[str, str], port: str, line: int = 0) -> Problem | None:
     if port in root_in:
         return None
-    return line, E_UNRESOLVED, f"the root component has no in port '{port}'"
+    return line, E_UNRESOLVED, f"the root component has no in port {quoted(port)}"
 
 
 def payload_type_problem(want: str, got: str, line: int = 0) -> Problem | None:
@@ -279,7 +279,7 @@ def step_problem(step: int, line: int = 0) -> Problem | None:
 
 
 def _unknown_instance(path: str, line: int) -> Problem:
-    return line, E_UNRESOLVED, f"unknown instance '{path}'"
+    return line, E_UNRESOLVED, f"unknown instance {quoted(path)}"
 
 
 def directive_problems(
@@ -306,7 +306,7 @@ def directive_problems(
         if inst is None:
             problem = _unknown_instance(sc.path, sc.line)
         elif not inst.replicating:
-            problem = sc.line, E_UNRESOLVED, f"'{sc.path}' is not a replicating instance"
+            problem = sc.line, E_UNRESOLVED, f"{quoted(sc.path)} is not a replicating instance"
         elif sc.count < 1:
             problem = sc.line, E_SYNTAX, "replica count must be at least 1"
         else:
@@ -317,7 +317,7 @@ def directive_problems(
         if inst is None:
             problem = _unknown_instance(f.path, f.line)
         elif not inst.atomic:
-            problem = f.line, E_UNRESOLVED, f"'{f.path}' is not an atomic instance"
+            problem = f.line, E_UNRESOLVED, f"{quoted(f.path)} is not an atomic instance"
         else:
             problem = step_problem(f.step, f.line)
         problems.append(problem)

@@ -49,6 +49,7 @@ from .diagnostics import (
     E_UNRESOLVED,
     Diagnostic,
     error,
+    quoted,
 )
 from .kernel import (
     EVENT_KINDS,
@@ -71,7 +72,6 @@ from .parser import RESERVED, ParseError, TokenCursor, load_files, read_source
 from .values import Frozen, Value, set_field
 
 DEFAULT_MAXSTEPS = 1000
-ECHO_LIMIT = 40  # a diagnostic names a longer word by its length, not its text
 
 
 class CountIs(Frozen):
@@ -246,13 +246,6 @@ class _RawScenario(Value):
         self.expectations: list[tuple[int, tuple]] = []  # (line, kind and arguments)
 
 
-def _quoted(word: str) -> str:
-    """`word` in quotes for a diagnostic, or its length if it is too long."""
-    if len(word) > ECHO_LIMIT:
-        return f"a word of {len(word)} characters"
-    return f"'{word}'"
-
-
 def _int_arg(word: str, what: str) -> int:
     try:
         return int(word)
@@ -260,7 +253,7 @@ def _int_arg(word: str, what: str) -> int:
         digits = word[1:] if word[0] in "+-" else word
         if digits.isdecimal():  # past the interpreter's limit on int() digits
             raise _LineError(f"{what} of {len(digits)} digits is too long") from None
-        raise _LineError(f"{what} must be an integer, got {_quoted(word)}") from None
+        raise _LineError(f"{what} must be an integer, got {quoted(word)}") from None
 
 
 def _parse_line(raw: _RawScenario, lineno: int, line: str) -> None:
@@ -330,7 +323,7 @@ def _parse_line(raw: _RawScenario, lineno: int, line: str) -> None:
             raise _LineError("expect needs a kind")
         _parse_expect(raw, lineno, line, words)
     else:
-        raise _LineError(f"unknown directive {_quoted(head)}")
+        raise _LineError(f"unknown directive {quoted(head)}")
 
 
 def _parse_expect(raw: _RawScenario, lineno: int, line: str, words: list[str]) -> None:
@@ -353,10 +346,10 @@ def _parse_expect(raw: _RawScenario, lineno: int, line: str, words: list[str]) -
         if len(words) != 4:
             raise _LineError("usage: expect event <KIND> <subject>")
         if words[2] not in EVENT_KINDS:
-            raise _LineError(f"unknown event kind {_quoted(words[2])}")
+            raise _LineError(f"unknown event kind {quoted(words[2])}")
         shape = ("event", words[2], words[3])
     else:
-        raise _LineError(f"unknown expectation {_quoted(kind)}")
+        raise _LineError(f"unknown expectation {quoted(kind)}")
     raw.expectations.append((lineno, shape))
 
 
@@ -533,9 +526,9 @@ def _expectation(shape: tuple, topology: RuntimeTopology, model: ArchitectureMod
         _, path, count = shape
         inst = topology.instances.get(path)
         if inst is None or not inst.atomic:
-            raise _LineError(f"no atomic instance at {_quoted(path)}", E_UNRESOLVED)
+            raise _LineError(f"no atomic instance at {quoted(path)}", E_UNRESOLVED)
         if inst.type_def.behavior is None or inst.type_def.behavior.builtin != "store":
-            raise _LineError(f"{_quoted(path)} does not run a store behavior", E_UNRESOLVED)
+            raise _LineError(f"{quoted(path)} does not run a store behavior", E_UNRESOLVED)
         return StoreContains(path, count)
     _, kind, subject = shape
     return EventOccurs(kind, subject)
@@ -545,7 +538,7 @@ def _stream_type(port: str, topology: RuntimeTopology) -> str:
     """The message type of the root out port `port`."""
     decl = topology.root.type_def.port(port)
     if decl is None or decl.direction != OUT:
-        raise _LineError(f"the root component has no out port {_quoted(port)}", E_UNRESOLVED)
+        raise _LineError(f"the root component has no out port {quoted(port)}", E_UNRESOLVED)
     return decl.message_type
 
 
@@ -554,7 +547,7 @@ def _checked_record(
 ) -> Record:
     mdef = model.message_types.get(type_name)
     if mdef is None:
-        raise _LineError(f"unknown message type {_quoted(type_name)}", E_UNRESOLVED)
+        raise _LineError(f"unknown message type {quoted(type_name)}", E_UNRESOLVED)
     _line_rule(payload_type_problem(want_type, type_name))
     try:
         return make_record(mdef, values)

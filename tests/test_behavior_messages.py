@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from cloudadl.analyzer import check
+from cloudadl.cli import main
 from cloudadl.diagnostics import E_BEHAVIOR
 
 from helpers import parse_ok
@@ -289,3 +290,28 @@ CASES = [
 def test_behavior_config_message(text, want):
     found = [d.message for d in check(parse_ok(text)) if d.code == E_BEHAVIOR]
     assert found == ([] if want is None else [want])
+
+
+# A port whose message type is not declared: `check` reports that one root
+# cause and does not configure the behavior, which would read the type.
+NOPE = "message U { n: integer; }\nmessage V { ok: boolean; }\n"
+UNDECLARED_PORT_TYPE = {
+    "approve_if": ("port in Nope i; port out V o;", "approve_if(field=n, equals=1)"),
+    "validate_range": ("port in Nope i; port out V o;", "validate_range(field=n, min=1)"),
+    "route_by": ("port in Nope i; port out U o;", "route_by(field=n)"),
+    "approval_join": ("port in U i; port in Nope ok; port out V ack;",
+                      "approval_join(item=i, respond=ack)"),
+    "automaton_field_guard": ("port in Nope i; port out U o;", 'automaton(initial="a", "a, i, n < 5 -> a")'),
+    "forward": ("port in Nope i; port out V o;", "forward(out=o)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDECLARED_PORT_TYPE))
+def test_undeclared_port_type_is_the_only_diagnostic(tmp_path, capsys, case):
+    ports, clause = UNDECLARED_PORT_TYPE[case]
+    path = tmp_path / "m.arc"
+    path.write_text(NOPE + comp(ports, clause) + "\n")
+    assert main(["check", str(path)]) == 2
+    out = capsys.readouterr()
+    col = ports.index("port in Nope") + 15
+    assert (out.out, out.err) == ("", f"{path}:3:{col}: E_UNRESOLVED: unknown message type 'Nope'\n")

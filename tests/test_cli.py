@@ -305,6 +305,24 @@ LONG_FORWARD = (
     "component F { port in M i; port out M o; behavior forward(); }\n"
     f"component Sys {{ port in M feed; component F {LONG_WORD}; connect feed -> {LONG_WORD}.i; }}\n"
 )
+# a decomposed instance whose path is longer than the echo limit
+LONG_NEST = (
+    ONE_STORE.replace("component Sys", "component N")
+    + f"component Sys {{ port in M feed; component N {LONG_WORD}; connect feed -> {LONG_WORD}.feed; }}\n"
+)
+# sensor_channel.arc with one port retyped to an undeclared message type,
+# as the mutation fuzzer in test_fuzz.py first did
+SENSOR_TEXT = (MODELS_DIR / "sensor_channel.arc").read_text()
+SENSOR_RANGE_VERDICT = SENSOR_TEXT.replace(
+    "port out Verdict result;\n  behavior validate_range", "port out range result;\n  behavior validate_range"
+)
+SENSOR_STORE_UPDATE = SENSOR_TEXT.replace(
+    "port in Update update;\n  port out Verdict result;\n  behavior approve_if",
+    "port in store update;\n  port out Verdict result;\n  behavior approve_if",
+)
+SENSOR_SCENARIO = (SCENARIOS_DIR / "sensor_channel.scn").read_text().replace(
+    "model ../models/sensor_channel.arc", "model m.arc"
+)
 
 # (files, command line, exit status, text expected on stderr)
 PATHOLOGICAL = {
@@ -319,6 +337,14 @@ PATHOLOGICAL = {
     "check_route_by_miswired": (
         {"m.arc": miswired("route_by(field=n)")},
         ["check", "m.arc", "--root", "Sys"], 2, "E_REPL_PORT",
+    ),
+    "check_verdict_port_of_undeclared_type": (
+        {"m.arc": SENSOR_RANGE_VERDICT}, ["check", "m.arc"], 2,
+        "m.arc:26:3: E_UNRESOLVED: unknown message type 'range'\n",
+    ),
+    "sim_item_port_of_undeclared_type": (
+        {"m.arc": SENSOR_STORE_UPDATE, "s.scn": SENSOR_SCENARIO}, ["sim", "s.scn"], 2,
+        "m.arc:19:3: E_UNRESOLVED: unknown message type 'store'\nscenario ",
     ),
     "check_not_utf8": ({"m.arc": NOT_UTF8}, ["check", "m.arc"], 2, "E_IO"),
     "fmt_not_utf8": ({"m.arc": NOT_UTF8}, ["fmt", "m.arc"], 2, "E_IO"),
@@ -411,6 +437,33 @@ PATHOLOGICAL = {
         ["sim", "s.scn"], 2,
         "s.scn:4:1: E_UNRESOLVED: unknown message type a word of 5000 characters",
     ),
+    # the kernel's directive rules name a long word by its length too
+    "strategy_path_word_past_the_echo_limit": (
+        {"m.arc": ONE_STORE, "s.scn": scenario(f"strategy root/{LONG_WORD} resume")},
+        ["sim", "s.scn"], 2,
+        "s.scn:4:1: E_UNRESOLVED: unknown instance a word of 5005 characters\n",
+    ),
+    "strategy_and_inject_port_word_past_the_echo_limit": (
+        {"m.arc": ONE_STORE, "s.scn": scenario(
+            f"strategy root/{LONG_WORD} resume", f"inject {LONG_WORD} at 1 M{{n=1}}"
+        )},
+        ["sim", "s.scn"], 2,
+        "s.scn:5:1: E_UNRESOLVED: the root component has no in port a word of 5000 characters\n",
+    ),
+    "strategy_word_past_the_echo_limit": (
+        {"m.arc": ONE_STORE, "s.scn": scenario(f"strategy root {LONG_WORD}")},
+        ["sim", "s.scn"], 2, "s.scn:4:1: E_SYNTAX: unknown strategy a word of 5000 characters\n",
+    ),
+    "scale_path_word_past_the_echo_limit": (
+        {"m.arc": LONG_FORWARD, "s.scn": scenario(f"scale root/{LONG_WORD} 2 at 1")},
+        ["sim", "s.scn"], 2,
+        "s.scn:4:1: E_UNRESOLVED: a word of 5005 characters is not a replicating instance\n",
+    ),
+    "fault_path_word_past_the_echo_limit": (
+        {"m.arc": LONG_NEST, "s.scn": scenario(f"fault root/{LONG_WORD} at 1 boom")},
+        ["sim", "s.scn"], 2,
+        "s.scn:4:1: E_UNRESOLVED: a word of 5005 characters is not an atomic instance\n",
+    ),
     "prefix_integer_past_the_digit_limit": (
         {"m.arc": fan_out(1), "s.scn": scenario(INJECT, f"expect prefix drain M{{n=-{HUGE}}}")},
         ["sim", "s.scn"], 2, HUGE_ERR,
@@ -462,6 +515,103 @@ def test_pathological_input_ends_in_a_status(tmp_path, capsys, case):
     if case.endswith(("_past_the_digit_limit", "_past_the_echo_limit")):
         # the diagnostic names the length; it does not echo the word
         assert len(err.replace(str(tmp_path), "").encode()) < 200
+
+
+# --- one output path for sim ---
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS_DIR.glob("*.scn")))
+def test_stdout_targets_hold_the_verdict_then_the_file_targets(tmp_path, capsys, name):
+    path = str(SCENARIOS_DIR / name)
+    trace, store = tmp_path / "t.tsv", tmp_path / "s.tsv"
+    assert main(["sim", path, "--trace", str(trace), "--store", str(store)]) == 0
+    verdict = capsys.readouterr().out
+    assert verdict.startswith("scenario ") and ": pass (" in verdict
+    assert verdict.count("\n") == 1
+    assert main(["sim", path, "--trace", "-", "--store", "-"]) == 0
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (verdict + trace.read_text() + store.read_text(), "")
+
+
+BOOM = "fault root/w at 2 boom"
+NO_REPLICA = "fault root/w#3 at 2 boom"
+TWO_LINES = "1\tSEND\troot.feed->root/w.i\t1\t-\tM{n=1}\n2\tDELIVER\troot/w#0.i\t1\t-\tM{n=1}\n"
+FATAL_TRACE = (
+    "1\tSEND\troot.feed->root/w.i\t1\t-\tM{n=1}\n2\tRAISE\troot/w#0\t-\t-\tboom\n"
+    "2\tESCALATE\troot/w\t-\t-\tboom\n2\tESCALATE\troot\t-\t-\tboom\n2\tFATAL\troot\t-\t-\tboom\n"
+)
+FATAL_LINE = "scenario s: fatal (unhandled fault 'boom' from root/w)\n"
+FAIL_LINES = "scenario s: fail\n  store root/w 2: stores hold 1 rows\n"
+NOT_A_DIR = ":0:0: E_IO: Not a directory\n"
+NOT_RUNNABLE = (
+    "s.scn:5:1: E_UNRESOLVED: no replica root/w#3 at step 2 to fault\nscenario s: not runnable\n"
+)
+
+# scenario directives after root, sim flags -> exit status, stdout, stderr,
+# then the contents of t.tsv and s.tsv (None: not written). "s.scn/..." is
+# below a regular file, so it can never be created.
+SIM_OUTPUTS = {
+    "trace_target_unwritable": (
+        [INJECT], ["--trace", "s.scn/t.tsv", "--store", "s.tsv"],
+        2, "", "s.scn/t.tsv" + NOT_A_DIR + "scenario s: trace not written\n", None, None,
+    ),
+    "store_target_unwritable": (
+        [INJECT], ["--trace", "t.tsv", "--store", "s.scn/s.tsv"],
+        2, "scenario s: pass (steps 2, events 2)\n", "s.scn/s.tsv" + NOT_A_DIR, TWO_LINES, None,
+    ),
+    "store_target_unwritable_trace_to_stdout": (
+        [INJECT], ["--trace", "-", "--store", "s.scn/s.tsv"],
+        2, "scenario s: pass (steps 2, events 2)\n" + TWO_LINES, "s.scn/s.tsv" + NOT_A_DIR,
+        None, None,
+    ),
+    "kernel_error": (
+        [INJECT, NO_REPLICA], ["--trace", "t.tsv", "--store", "s.tsv"],
+        2, "", NOT_RUNNABLE, None, None,
+    ),
+    "kernel_error_to_stdout": (
+        [INJECT, NO_REPLICA], ["--trace", "-", "--store", "-"], 2, "", NOT_RUNNABLE, None, None,
+    ),
+    "fatal": (
+        [INJECT, BOOM], ["--trace", "t.tsv", "--store", "s.tsv"],
+        3, FATAL_LINE, "", FATAL_TRACE, "",
+    ),
+    "fatal_to_stdout": (
+        [INJECT, BOOM], ["--trace", "-", "--store", "-"],
+        3, FATAL_LINE + FATAL_TRACE, "", None, None,
+    ),
+    "fatal_store_target_unwritable": (
+        [INJECT, BOOM], ["--trace", "t.tsv", "--store", "s.scn/s.tsv"],
+        3, FATAL_LINE, "s.scn/s.tsv" + NOT_A_DIR, FATAL_TRACE, None,
+    ),
+    "fail": (
+        [INJECT, "expect store root/w 2"], ["--trace", "t.tsv", "--store", "s.tsv"],
+        1, FAIL_LINES, "", TWO_LINES, "root/w#0\t2\tM{n=1}\n",
+    ),
+    "fail_to_stdout": (
+        [INJECT, "expect store root/w 2"], ["--trace", "-", "--store", "-"],
+        1, FAIL_LINES + TWO_LINES + "root/w#0\t2\tM{n=1}\n", "", None, None,
+    ),
+    "two_scenarios_with_trace": (
+        [INJECT], ["s.scn", "--trace", "t.tsv"],
+        2, "", "--trace and --store take a single scenario\n", None, None,
+    ),
+    "two_scenarios_with_store_to_stdout": (
+        [INJECT], ["s.scn", "--store", "-"],
+        2, "", "--trace and --store take a single scenario\n", None, None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIM_OUTPUTS))
+def test_sim_outputs_of_failing_runs_and_targets(tmp_path, monkeypatch, capsys, case):
+    lines, flags, status, stdout, stderr, trace, store = SIM_OUTPUTS[case]
+    (tmp_path / "m.arc").write_text(ONE_STORE)
+    (tmp_path / "s.scn").write_text(scenario(*lines))
+    monkeypatch.chdir(tmp_path)
+    assert main(["sim", "s.scn", *flags]) == status
+    assert capsys.readouterr() == (stdout, stderr)
+    written = [p.read_text() if p.exists() else None for p in (tmp_path / "t.tsv", tmp_path / "s.tsv")]
+    assert written == [trace, store]
 
 
 # SHA-256 of (trace, store, stdout) for each bundled scenario. Any change to

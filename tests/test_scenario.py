@@ -246,7 +246,7 @@ DIRECTIVE_DIAGNOSTICS = {
         ['inject feed at -5 Other{s="x"}'],
         ["4:1: E_TYPE_MISMATCH: port carries Job, not Other"],
     ),
-    # a word up to scenario.ECHO_LIMIT characters is quoted as written
+    # a word up to diagnostics.ECHO_LIMIT characters is quoted as written
     "unknown_directive": (
         ["bogus directive"],
         ["4:1: E_SYNTAX: unknown directive 'bogus'"],
