@@ -20,6 +20,10 @@ A behavior whose handle() reads ctx.rng sets the class attribute draws;
 the kernel seeds a generator only for the replicas of such a behavior, and
 hands every other one rng None. sample is the one builtin that draws.
 
+The kernel and the oracle each reuse one ActivationContext for all the
+activations of a run, setting its fields before each call. So handle()
+reads ctx while it runs and must not keep it after it returns.
+
 Verdict records are shared immutable values: approve_if, validate_range
 and approval_join build their false and their true record once, when the
 behavior is configured, and every activation emits one of the two. A
@@ -108,6 +112,10 @@ class Behavior:
     def handle(
         self, state: object, port: str, payload: Record, ctx: ActivationContext
     ) -> tuple[object, list]:
+        """The successor state and the actions for one message on `port`.
+
+        ctx is shared with every other activation of the run: read it here,
+        never keep it after returning."""
         raise NotImplementedError
 
 

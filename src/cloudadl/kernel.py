@@ -31,17 +31,19 @@ instance, shared with every other instance of that type. Only the
 per-replica states are the kernel's own.
 
 A replica gets a random generator, seeded from the scenario seed and its
-"path#rid", only when its behavior draws (Behavior.draws); every other
-replica's ActivationContext carries rng None. A replica also builds the
-subject strings of its events once, when it starts, and every event it
-is the subject of shares them.
+"path#rid", only when its behavior draws (Behavior.draws). The kernel
+keeps one ActivationContext for all activations: it sets ctx.step once
+per step and ctx.rng before each activation, to the replica's generator,
+or None for every replica whose behavior does not draw. So a handle()
+must not keep ctx after it returns. A replica also builds the subject
+strings of its events once, when it starts, and every event it is the
+subject of shares them.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections.abc import Iterable
-from operator import attrgetter
 from random import Random
 
 from .analyzer import ROOT_PATH, ChannelSpec, InstanceSpec, RuntimeTopology
@@ -99,35 +101,6 @@ class Event(Value):
         self.payload = payload
         # source channel for message events; kept out of the rendered trace
         self.channel = channel
-
-
-class Message(Value):
-    __slots__ = ("channel", "seq", "payload", "text", "tokens", "pinned", "bind")
-    _fields = __slots__
-
-    def __init__(
-        self,
-        channel: ChannelSpec,
-        seq: int,
-        payload: Record,
-        text: str,
-        tokens: tuple[tuple[str, int], ...],
-        pinned: int | None = None,
-        bind: bool = True,
-    ):
-        self.channel = channel
-        self.seq = seq
-        self.payload = payload
-        self.text = text  # payload rendered once at send, reused for its DELIVER
-        # () or the tuple(sorted(...)) of a gated dispatch: always sorted and
-        # free of duplicates, so a gateless hop can pass it on as it is
-        self.tokens = tokens
-        self.pinned = pinned  # replica id fixed at send time
-        self.bind = bind  # broadcast copies never bind tokens
-
-
-# delivery order within one arrival step
-_arrival_order = attrgetter("channel.id", "seq")
 
 
 class Replica(Value):
@@ -374,8 +347,17 @@ class Kernel:
         self.seq_counters: dict[str, int] = {}
         self.token_counters: dict[str, int] = {}
         self.bindings: dict[tuple[str, tuple[str, int]], int] = {}
-        # arrival step -> messages due then, in send order
-        self.in_flight: dict[int, list[Message]] = {}
+        # arrival step -> messages due then, in send order. A message is a
+        # tuple (channel id, seq, channel, payload, text, tokens, pinned, bind):
+        # - (channel id, seq) is unique, so the tuple's own order is the
+        #   delivery order within one arrival step;
+        # - text is the payload rendered once at send, reused for its DELIVER;
+        # - tokens is () or the tuple(sorted(...)) of a gated dispatch: always
+        #   sorted and free of duplicates, so a gateless hop passes it on as
+        #   it is;
+        # - pinned is the replica id fixed at send time, or None;
+        # - bind is False for broadcast copies, which never bind tokens.
+        self.in_flight: dict[int, list[tuple]] = {}
         self.events: list[Event] = []
         # root out port -> (arrival step, payload) per delivered message
         self.out_streams: dict[str, list[tuple[int, Record]]] = {
@@ -387,6 +369,8 @@ class Kernel:
         self._root_subjects = {port: f"{ROOT_PATH}.{port}" for port in self.out_streams}
         self.step = 0
         self.truncated = False
+        # the context of every activation; see the module docstring
+        self._ctx = ActivationContext(0, None)
 
         problems = directive_problems(
             topology, strategies=[(0, path, s) for path, s in self.strategies.items()],
@@ -470,37 +454,66 @@ class Kernel:
         due = self.in_flight.pop(self.step, None)
         if due is None:
             return
-        due.sort(key=_arrival_order)
+        due.sort()
         step = self.step
         events = self.events
-        activations: list[tuple[Group, Replica, Message]] = []
+        activations = []
         for m in due:
-            ch = m.channel
+            cid, seq, ch, payload, text, tokens, pinned, _bind = m
             if ch.external:
                 events.append(Event(
                     step, DELIVER, self._root_subjects[ch.target_port],
-                    m.seq, m.tokens, m.text, ch.id,
+                    seq, tokens, text, cid,
                 ))
-                self.out_streams[ch.target_port].append((step, m.payload))
+                self.out_streams[ch.target_port].append((step, payload))
                 continue
             group = self.groups[ch.target_path]
-            replica = self._select(group, m)
+            if pinned is None and not tokens:
+                live = group.live()
+                if not live:
+                    raise KernelError(f"no live replica of '{group.path}'")
+                replica = live[group.rr % len(live)]
+                group.rr += 1
+            else:
+                replica = self._select(group, m)
             events.append(Event(
-                step, DELIVER, replica.subjects[ch.target_port],
-                m.seq, m.tokens, m.text, ch.id,
+                step, DELIVER, replica.subjects[ch.target_port], seq, tokens, text, cid,
             ))
-            activations.append((group, replica, m))
+            activations.append((group, replica, ch.target_port, payload, tokens))
         # every delivery is traced before the first activation runs
-        for group, replica, m in activations:
-            self._activate(group, replica, m)
+        ctx = self._ctx
+        ctx.step = step
+        channels_from = self.topology.channels_from
+        for group, replica, port, payload, tokens in activations:
+            ctx.rng = replica.rng
+            state, actions = group.behavior.handle(replica.state, port, payload, ctx)
+            if not actions:
+                replica.state = state
+                replica.held.update(tokens)
+                continue
+            for act in actions:
+                if isinstance(act, Raise):
+                    # a fault abandons the activation: no state commit, no sends
+                    self._fault(group.path, replica.rid, act.kind)
+                    break
+            else:
+                replica.state = state
+                for act in actions:
+                    if act.mode == MODE_ONE:
+                        for out in channels_from.get((group.path, act.port), ()):
+                            self._dispatch(out, act.payload, tokens)
+                    else:
+                        self._send(group.path, act, tokens)
 
-    def _select(self, group: Group, m: Message) -> Replica:
-        tokens = m.tokens
-        if m.pinned is not None:
-            replica = group.replicas.get(m.pinned)
+    def _select(self, group: Group, m: tuple) -> Replica:
+        """The replica a pinned or tokened message goes to; binds its fresh
+        tokens there."""
+        cid, seq, ch, _payload, _text, tokens, pinned, bind = m
+        if pinned is not None:
+            replica = group.replicas.get(pinned)
             if replica is None:
                 raise KernelError(
-                    f"message pinned to missing replica {group.path}#{m.pinned}"
+                    f"message pinned to missing replica {group.path}#{pinned}"
                 )
         else:
             # tokens are sorted, so the first bound one is the least
@@ -517,42 +530,22 @@ class Kernel:
                     raise KernelError(f"no live replica of '{group.path}'")
                 replica = live[group.rr % len(live)]
                 group.rr += 1
-        if tokens and m.bind and m.channel.group:
+        if tokens and bind and ch.group:
             fresh = tuple(
                 tok for tok in tokens if (group.path, tok) not in self.bindings
             )
             if fresh:
                 for tok in fresh:
                     self.bindings[(group.path, tok)] = replica.rid
-                self._event(BIND, replica.name, m.seq, fresh, "-", m.channel.id)
+                self._event(BIND, replica.name, seq, fresh, "-", cid)
         return replica
-
-    def _activate(self, group: Group, replica: Replica, m: Message) -> None:
-        ctx = ActivationContext(self.step, replica.rng)
-        state, actions = group.behavior.handle(
-            replica.state, m.channel.target_port, m.payload, ctx
-        )
-        if not actions:
-            replica.state = state
-            replica.held.update(m.tokens)
-            return
-        for act in actions:
-            if isinstance(act, Raise):
-                # a fault abandons the activation: no state commit, no sends
-                self._fault(group.path, replica.rid, act.kind)
-                return
-        replica.state = state
-        for act in actions:
-            self._send(group.path, act, m.tokens)
 
     # -- sending ------------------------------------------------------------
 
     def _send(self, path: str, emit: Emit, tokens: tuple) -> None:
+        """Send a broadcast or index emit into the one replica group its
+        port reaches."""
         channels = self.topology.channels_from.get((path, emit.port), [])
-        if emit.mode == MODE_ONE:
-            for ch in channels:
-                self._dispatch(ch, emit.payload, tokens)
-            return
         if len(channels) != 1 or not channels[0].group:
             raise KernelError(
                 f"{emit.mode} through '{path}.{emit.port}' needs exactly one "
@@ -575,8 +568,9 @@ class Kernel:
         pinned: int | None = None,
         bind: bool = True,
     ) -> None:
-        seq = self.seq_counters.get(ch.id, 0) + 1
-        self.seq_counters[ch.id] = seq
+        cid = ch.id
+        seq = self.seq_counters.get(cid, 0) + 1
+        self.seq_counters[cid] = seq
         # a gateless hop passes the sender's tokens on as they are
         if ch.gates:
             toks = set(tokens)
@@ -586,21 +580,21 @@ class Kernel:
                     self.token_counters[ctx_name] = serial + 1
                     tok = (ctx_name, serial)
                     toks.add(tok)
-                    self._event(MINT, ch.id, seq, (tok,), "-", ch.id)
+                    self._event(MINT, cid, seq, (tok,), "-", cid)
                 else:
                     stripped = tuple(sorted(t for t in toks if t[0] == ctx_name))
                     if stripped:
                         toks.difference_update(stripped)
-                        self._event(STRIP, ch.id, seq, stripped, "-", ch.id)
+                        self._event(STRIP, cid, seq, stripped, "-", cid)
             tokens = tuple(sorted(toks))
         text = payload.render()
-        self.events.append(Event(self.step, SEND, ch.id, seq, tokens, text, ch.id))
+        self.events.append(Event(self.step, SEND, cid, seq, tokens, text, cid))
         arrive = self.step + ch.latency
         bucket = self.in_flight.get(arrive)
         if bucket is None:
             bucket = self.in_flight[arrive] = []
             heapq.heappush(self._agenda, arrive)
-        bucket.append(Message(ch, seq, payload, text, tokens, pinned, bind))
+        bucket.append((cid, seq, ch, payload, text, tokens, pinned, bind))
 
     # -- supervision ---------------------------------------------------------
 
@@ -680,9 +674,9 @@ class Kernel:
             if gpath == group.path and rid == replica.rid:
                 return False
         for bucket in self.in_flight.values():
-            for m in bucket:
-                if m.channel.external or m.channel.target_path != group.path:
+            for _cid, _seq, ch, _payload, _text, _tokens, pinned, _bind in bucket:
+                if ch.external or ch.target_path != group.path:
                     continue
-                if m.pinned == replica.rid:
+                if pinned == replica.rid:
                     return False
         return True

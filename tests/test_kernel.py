@@ -92,6 +92,29 @@ def test_same_step_deliveries_ordered_by_channel_id():
     assert got == ["root/b1#0.i", "root/b2#0.i"]
 
 
+def test_same_step_deliveries_sort_by_channel_id_then_integer_seq():
+    # declared zeta, b10, b, b1: the ids sort b, b1, b10, zeta; b1 and b10
+    # share the prefix "root.x->root/b1"; each channel carries seqs 1 to 12
+    text = (
+        "message M { n: integer; }\n"
+        "component B { port in M i; behavior store(); }\n"
+        "component A { port in M x; component B zeta; component B b10;"
+        " component B b; component B b1; connect x -> zeta.i;"
+        " connect x -> b10.i; connect x -> b.i; connect x -> b1.i; }"
+    )
+    model = parse_ok(text)
+    _, topo, k = build(text, "A", injections=jobs(model, "x", [1] * 12, "M"))
+    declared = [ch.id for ch in topo.channels]
+    assert declared == [f"root.x->root/{b}.i" for b in ("zeta", "b10", "b", "b1")]
+    k.run()
+    got = [(e.step, e.channel, e.seq) for e in deliveries(k)]
+    assert got == [
+        (2, f"root.x->root/{b}.i", seq)
+        for b in ("b", "b1", "b10", "zeta")
+        for seq in range(1, 13)
+    ]
+
+
 def test_arrival_step_dominates_channel_order():
     text = (
         "message M { n: integer; }\n"
@@ -913,6 +936,61 @@ def test_sampling_replicas_each_get_their_own_generator(monkeypatch):
     assert seeds == ["5:root/s#0", "5:root/s#1", "5:root/s#2"]
     rngs = [r.rng for r in k.groups["root/s"].replicas.values()]
     assert len({id(rng) for rng in rngs}) == 3 and None not in rngs
+
+
+class SeenContext:
+    """Records (group path, ctx.step, ctx.rng) of every handle() call."""
+
+    def __init__(self, inner, path: str, seen: list):
+        self.inner, self.path, self.seen = inner, path, seen
+
+    def handle(self, state, port, payload, ctx):
+        self.seen.append((self.path, ctx.step, ctx.rng))
+        return self.inner.handle(state, port, payload, ctx)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def test_one_shared_context_carries_nothing_between_activations():
+    # all feed channels sort before root/a.o->root/z.i, and root/a's before
+    # root/m's and root/z's: in every step the drawing replica goes first
+    text = (
+        "message M { n: integer; }\n"
+        "component S { port in M i; port out M o; behavior sample(percent=50); }\n"
+        "component F { port in M i; port out M o; behavior forward(out=o); }\n"
+        "component K { port in M i; behavior store(); }\n"
+        "component Sys { port in M feed; port out M drain;"
+        " component S a; component F m; component K z;"
+        " connect feed -> a.i; connect feed -> m.i; connect feed -> z.i;"
+        " connect a.o -> z.i; connect m.o -> drain; }\n"
+    )
+    model = parse_ok(text)
+    _, _, k = build(
+        text, "Sys", seed=3, overrides=[("root.feed->root/z.i", 2)],
+        injections=jobs(model, "feed", [1, 1, 2, 3, 3, 3, 5], "M"),
+    )
+    seen: list = []
+    for path, group in k.groups.items():
+        group.behavior = SeenContext(group.behavior, path, seen)
+    k.run()
+    rng = k.groups["root/a"].replicas[0].rng
+    assert rng is not None
+    assert all(r is rng for path, _, r in seen if path == "root/a")
+    assert all(r is None for path, _, r in seen if path != "root/a")
+    # a drawing activation is followed by others in the same step
+    assert any(
+        first[0] == "root/a" and second[0] != "root/a" and first[1] == second[1]
+        for first, second in zip(seen, seen[1:])
+    )
+    # each activation sees the step of its DELIVER
+    delivered = [
+        (e.subject.split("#")[0], e.step) for e in deliveries(k, "root/")
+    ]
+    assert [(path, step) for path, step, _ in seen] == delivered
+    rows = k.groups["root/z"].replicas[0].state
+    assert len(rows) > 7
+    assert [step for step, _ in rows] == [e.step for e in deliveries(k, "root/z#0.i")]
 
 
 # --- restarts visit only their subtree ---

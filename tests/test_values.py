@@ -30,7 +30,6 @@ from cloudadl.kernel import (
     Event,
     FaultDirective,
     Injection,
-    Message,
     Replica,
     ScaleDirective,
 )
@@ -103,7 +102,6 @@ MUTABLE = {
     ArchitectureModel: lambda pos, x: ArchitectureModel({x: MessageTypeDef(x, (), pos)}),
     Token: lambda pos, x: Token(lexer.IDENT, x, 1, 1),
     Event: lambda pos, x: Event(1, "SEND", x, 0, (), "M{}"),
-    Message: lambda pos, x: Message(x, 0, None, "M{}", ()),
     Emit: lambda pos, x: Emit(x, None),
     ActivationContext: lambda pos, x: ActivationContext(x, None),
     Injection: lambda pos, x: Injection(1, x, None),
@@ -120,7 +118,7 @@ MUTABLE = {
     _RawScenario: lambda pos, x: _RawScenario(x),
 }
 
-SLOTTED = {Token, Event, Message, Emit, ActivationContext, Injection}
+SLOTTED = {Token, Event, Emit, ActivationContext, Injection}
 
 # fields whose default is a fresh container per instance
 DEFAULT_CONTAINERS = {
