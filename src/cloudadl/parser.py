@@ -27,7 +27,7 @@ from __future__ import annotations
 import os
 
 from . import lexer
-from .diagnostics import E_DUP_DEF, E_IO, E_SYNTAX, Diagnostic, error, io_error
+from .diagnostics import E_DUP_DEF, E_IO, E_SYNTAX, Diagnostic, error, io_error, quoted
 from .model import (
     ArchitectureModel,
     BehaviorArg,
@@ -181,13 +181,13 @@ class TokenCursor:
                 v = self.parse_value()
                 if isinstance(v, Ident):
                     raise ParseError(
-                        f"field '{fname.value}' needs a literal value",
+                        f"field {quoted(fname.value)} needs a literal value",
                         fname.line,
                         fname.col,
                     )
                 if fname.value in values:
                     raise ParseError(
-                        f"field '{fname.value}' set twice", fname.line, fname.col
+                        f"field {quoted(fname.value)} set twice", fname.line, fname.col
                     )
                 values[fname.value] = v
                 if not self.accept(","):
@@ -199,7 +199,7 @@ class TokenCursor:
 def describe(tok: lexer.Token) -> str:
     if tok.type == lexer.EOF:
         return "end of input"
-    return f"'{tok.value}'"
+    return quoted(tok.value)
 
 
 class ModelParser(TokenCursor):

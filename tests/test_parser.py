@@ -233,6 +233,16 @@ def test_syntax_rejections(text):
     assert codes(fails(text)) == ["E_SYNTAX"]
 
 
+def test_syntax_error_names_a_long_word_by_its_length():
+    word = "x" * 60
+    diags = fails(f"message M {{ n: integer; }}\ncomponent A {{ port in M i; {word} }}")
+    assert [d.render() for d in diags] == [
+        "<t>:2:28: E_SYNTAX: expected a component item, got a word of 60 characters"
+    ]
+    diags = fails(f"component A {{ port in M i; {word[:40]} }}")
+    assert diags[0].message == f"expected a component item, got '{word[:40]}'"
+
+
 def test_duplicate_toplevel_names_collected():
     diags = fails(
         """

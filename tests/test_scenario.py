@@ -259,6 +259,23 @@ DIRECTIVE_DIAGNOSTICS = {
         ["d" * 41],
         ["4:1: E_SYNTAX: unknown directive a word of 41 characters"],
     ),
+    # so is a word a payload literal's parser reports
+    "inject_literal_word_at_the_echo_limit": (
+        ["inject feed at 1 Job{n=1 " + "x" * 40 + "}"],
+        ["4:1: E_SYNTAX: expected }, got '" + "x" * 40 + "'"],
+    ),
+    "inject_literal_word_past_the_echo_limit": (
+        ["inject feed at 1 Job{n=1 " + "x" * 60 + "}"],
+        ["4:1: E_SYNTAX: expected }, got a word of 60 characters"],
+    ),
+    "inject_literal_field_past_the_echo_limit": (
+        ["inject feed at 1 Job{" + "f" * 41 + "=y}"],
+        ["4:1: E_SYNTAX: field a word of 41 characters needs a literal value"],
+    ),
+    "inject_literal_field_set_twice_past_the_echo_limit": (
+        ["inject feed at 1 Job{" + "f" * 41 + "=1, " + "f" * 41 + "=2}"],
+        ["4:1: E_SYNTAX: field a word of 41 characters set twice"],
+    ),
     "unknown_expectation": (
         ["expect wat drain 1"],
         ["4:1: E_SYNTAX: unknown expectation 'wat'"],
