@@ -486,35 +486,39 @@ def elaborate(model: ArchitectureModel, root_type: str) -> RuntimeTopology:
         for sub in reversed(tdef.subcomponents):
             stack.append((f"{path}/{sub.name}", sub.type_ref, path, sub.replicating))
 
-    # each component type's connectors by source parts, last declared first
-    leaving: dict[str, dict[tuple[str, ...], list[ConnectorDecl]]] = {}
+    # each component type's connector hops by source parts, last declared
+    # first; a hop is (target parts, the gates the connector applies)
+    leaving: dict[str, dict[tuple[str, ...], list[tuple]]] = {}
     for name, tdef in model.component_types.items():
         by_source = leaving[name] = {}
         for conn in reversed(tdef.connectors):
-            by_source.setdefault(conn.source.parts, []).append(conn)
+            hop = (conn.target.parts, tdef.gates_of(conn))
+            by_source.setdefault(conn.source.parts, []).append(hop)
 
     channels: list[ChannelSpec] = []
     root = instances[ROOT_PATH]
     for p in root.type_def.ports:
         if p.direction == IN:
-            occs = [(ROOT_PATH, p.name)]
+            start = (ROOT_PATH, p.name)
             if root.atomic:
-                _emit_channel(channels, occs, (), p.message_type, instances, external=False)
+                cid = f"{ROOT_PATH}.{p.name}"
+                _emit_channel(channels, instances, cid, start, start, p.message_type, (), False)
             else:
-                _fuse(instances, leaving, root, (p.name,), occs, p.message_type, channels)
+                _fuse(instances, leaving, root, (p.name,), start, p.message_type, channels)
     for inst in instances.values():
-        if not inst.atomic:
+        if inst.type_def.subcomponents:
             continue
         for p in inst.type_def.ports:
             if p.direction != OUT:
                 continue
-            occs = [(inst.path, p.name)]
+            start = (inst.path, p.name)
             if inst.path == ROOT_PATH:
-                _emit_channel(channels, occs, (), p.message_type, instances, external=True)
+                cid = f"{ROOT_PATH}.{p.name}"
+                _emit_channel(channels, instances, cid, start, start, p.message_type, (), True)
             else:
                 parent = instances[inst.parent]
                 source = (inst.name, p.name)
-                _fuse(instances, leaving, parent, source, occs, p.message_type, channels)
+                _fuse(instances, leaving, parent, source, start, p.message_type, channels)
 
     ids = [ch.id for ch in channels]
     if len(set(ids)) != len(ids):
@@ -544,56 +548,66 @@ def check_selection_ports(topology: RuntimeTopology) -> list[Diagnostic]:
     return diags
 
 
-def _fuse(instances, leaving, owner, source, occs, mtype, channels) -> None:
+def _fuse(instances, leaving, owner, source, start, mtype, channels) -> None:
     """Emit one channel per connector chain that leaves `source`.
 
-    `source` is the source parts of connectors declared in `owner`. Chains
-    are followed depth first in connector declaration order, with an
-    explicit stack so that nesting depth is not bounded by the
-    interpreter's recursion limit. A stack entry is one connector hop.
+    `source` is the source parts of connectors declared in `owner`, and
+    `start` the (path, port) where the chains begin. Chains are followed
+    depth first in connector declaration order, with an explicit stack so
+    that nesting depth is not bounded by the interpreter's recursion limit.
+    A stack entry is one connector hop, with its depth in the chain and the
+    gates of the chain up to it. `trail` holds the "path.port" of each hop
+    of the chain being followed, so a channel id is joined once.
     """
-    stack = _hops(leaving, owner, source, occs, ())
+    trail = [f"{start[0]}.{start[1]}"]
+    stack = _hops(leaving, owner, source, 1, ())
     while stack:
-        owner, conn, occs, gates = stack.pop()
-        gates = gates + owner.type_def.gates_of(conn)
-        tgt = conn.target
-        if tgt.is_own:
-            occs = occs + [(owner.path, tgt.port)]
-            if owner.path == ROOT_PATH:
-                _emit_channel(channels, occs, gates, mtype, instances, external=True)
+        owner, (parts, hop_gates), depth, gates = stack.pop()
+        if hop_gates:
+            gates += hop_gates
+        port = parts[-1]
+        del trail[depth:]
+        if len(parts) == 1:  # the owner's own port
+            path = owner.path
+            trail.append(f"{path}.{port}")
+            if path == ROOT_PATH:
+                cid = "->".join(trail)
+                _emit_channel(channels, instances, cid, start, (path, port), mtype, gates, True)
             else:
                 parent = instances[owner.parent]
-                stack += _hops(leaving, parent, (owner.name, tgt.port), occs, gates)
+                stack += _hops(leaving, parent, (owner.name, port), depth + 1, gates)
         else:
-            child = instances[f"{owner.path}/{tgt.sub}"]
-            occs = occs + [(child.path, tgt.port)]
-            if child.atomic:
-                _emit_channel(channels, occs, gates, mtype, instances, external=False)
+            child = instances[f"{owner.path}/{parts[0]}"]
+            path = child.path
+            trail.append(f"{path}.{port}")
+            if child.type_def.subcomponents:
+                stack += _hops(leaving, child, (port,), depth + 1, gates)
             else:
-                stack += _hops(leaving, child, (tgt.port,), occs, gates)
+                cid = "->".join(trail)
+                _emit_channel(channels, instances, cid, start, (path, port), mtype, gates, False)
 
 
-def _hops(leaving, owner, source, occs, gates) -> list:
-    """The connectors of `owner` leaving `source` as stack entries, last first."""
-    conns = leaving[owner.type_def.name].get(source, ())
-    return [(owner, conn, occs, gates) for conn in conns]
+def _hops(leaving, owner, source, depth, gates) -> list:
+    """The connector hops of `owner` leaving `source` as stack entries, last first."""
+    hops = leaving[owner.type_def.name].get(source, ())
+    return [(owner, hop, depth, gates) for hop in hops]
 
 
-def _emit_channel(channels, occs, gates, mtype, instances, external: bool) -> None:
-    target_path, target_port = occs[-1]
-    source_path, source_port = occs[0]
-    group = (not external) and instances[target_path].replicating
+def _emit_channel(channels, instances, cid, start, end, mtype, gates, external) -> None:
+    """Append the channel `cid` from `start` to `end`, both (path, port) pairs."""
+    target_path, target_port = end
+    group = not external and instances[target_path].replicating
     channels.append(
         ChannelSpec(
-            id="->".join(f"{path}.{port}" for path, port in occs),
-            source_path=source_path,
-            source_port=source_port,
-            target_path=target_path,
-            target_port=target_port,
-            message_type=mtype,
-            external=external,
-            group=group,
-            gates=gates,
+            cid,
+            start[0],
+            start[1],
+            target_path,
+            target_port,
+            mtype,
+            external,
+            group,
+            gates,
         )
     )
 

@@ -28,6 +28,7 @@ import os
 
 from . import lexer
 from .diagnostics import E_DUP_DEF, E_IO, E_SYNTAX, Diagnostic, error, io_error, quoted
+from .lexer import EOF, IDENT, INT, STRING
 from .model import (
     ArchitectureModel,
     BehaviorArg,
@@ -87,7 +88,11 @@ def _int_value(tok: lexer.Token) -> int:
 
 
 class TokenCursor:
-    """Shared token-walking helpers for the .arc and payload grammars."""
+    """Shared token-walking helpers for the .arc and payload grammars.
+
+    Each method reads the current token once and moves `pos` itself. The
+    cursor never moves past the final EOF token.
+    """
 
     def __init__(self, tokens: list[lexer.Token]):
         self.tokens = tokens
@@ -96,77 +101,77 @@ class TokenCursor:
     def peek(self) -> lexer.Token:
         return self.tokens[self.pos]
 
-    def advance(self) -> lexer.Token:
+    def at(self, token_type: str, value: str | None = None) -> bool:
         tok = self.tokens[self.pos]
-        if tok.type != lexer.EOF:
+        return tok.type == token_type and (value is None or tok.value == value)
+
+    def accept(self, token_type: str, value: str | None = None) -> lexer.Token | None:
+        tok = self.tokens[self.pos]
+        if tok.type != token_type or (value is not None and tok.value != value):
+            return None
+        if token_type != EOF:
             self.pos += 1
         return tok
 
-    def at(self, token_type: str, value: str | None = None) -> bool:
-        tok = self.peek()
-        if tok.type != token_type:
-            return False
-        return value is None or tok.value == value
-
-    def accept(self, token_type: str, value: str | None = None) -> lexer.Token | None:
-        if self.at(token_type, value):
-            return self.advance()
-        return None
-
     def expect(self, token_type: str, what: str | None = None) -> lexer.Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.type != token_type:
             expected = what or token_type
             raise ParseError(
                 f"expected {expected}, got {describe(tok)}", tok.line, tok.col
             )
-        return self.advance()
+        if token_type != EOF:
+            self.pos += 1
+        return tok
 
     def expect_keyword(self, word: str) -> lexer.Token:
-        tok = self.peek()
-        if tok.type != lexer.IDENT or tok.value != word:
+        tok = self.tokens[self.pos]
+        if tok.value != word or tok.type != IDENT:
             raise ParseError(
                 f"expected '{word}', got {describe(tok)}", tok.line, tok.col
             )
-        return self.advance()
-
-    def at_keyword(self, word: str) -> bool:
-        return self.at(lexer.IDENT, word)
+        self.pos += 1
+        return tok
 
     def expect_name(self, what: str) -> lexer.Token:
-        tok = self.expect(lexer.IDENT, what)
+        tok = self.tokens[self.pos]
+        if tok.type != IDENT:
+            raise ParseError(f"expected {what}, got {describe(tok)}", tok.line, tok.col)
         if tok.value in RESERVED:
             raise ParseError(
                 f"reserved word '{tok.value}' cannot be used as {what}",
                 tok.line,
                 tok.col,
             )
+        self.pos += 1
         return tok
 
     def parse_value(self) -> object:
         """INT | -INT | STRING | true | false | bare identifier."""
-        tok = self.peek()
-        if tok.type == lexer.INT:
-            self.advance()
+        tok = self.tokens[self.pos]
+        kind = tok.type
+        if kind == INT:
+            self.pos += 1
             return _int_value(tok)
-        if tok.type == "-":
-            self.advance()
-            return -_int_value(self.expect(lexer.INT, "integer literal"))
-        if tok.type == lexer.STRING:
-            self.advance()
+        if kind == "-":
+            self.pos += 1
+            return -_int_value(self.expect(INT, "integer literal"))
+        if kind == STRING:
+            self.pos += 1
             return tok.value
-        if tok.type == lexer.IDENT and tok.value in ("true", "false"):
-            self.advance()
-            return tok.value == "true"
-        if tok.type == lexer.IDENT:
-            if tok.value in RESERVED:
+        if kind == IDENT:
+            value = tok.value
+            if value == "true" or value == "false":
+                self.pos += 1
+                return value == "true"
+            if value in RESERVED:
                 raise ParseError(
-                    f"reserved word '{tok.value}' cannot be used as a value",
+                    f"reserved word '{value}' cannot be used as a value",
                     tok.line,
                     tok.col,
                 )
-            self.advance()
-            return Ident(tok.value)
+            self.pos += 1
+            return Ident(value)
         raise ParseError(f"expected a value, got {describe(tok)}", tok.line, tok.col)
 
     def parse_payload_record(self) -> tuple[str, dict[str, object], lexer.Token]:
@@ -197,7 +202,7 @@ class TokenCursor:
 
 
 def describe(tok: lexer.Token) -> str:
-    if tok.type == lexer.EOF:
+    if tok.type == EOF:
         return "end of input"
     return quoted(tok.value)
 
@@ -213,16 +218,19 @@ class ModelParser(TokenCursor):
     def parse_model(self) -> tuple[ArchitectureModel, list[Diagnostic]]:
         model = ArchitectureModel()
         dups: list[Diagnostic] = []
-        while not self.at(lexer.EOF):
-            tok = self.peek()
+        while True:
+            tok = self.tokens[self.pos]
+            if tok.type == EOF:
+                break
+            word = tok.value if tok.type == IDENT else None
             # message and component types share one namespace
-            if self.at_keyword("message"):
+            if word == "message":
                 mdef = self.parse_message_def()
                 if mdef.name in model.message_types or mdef.name in model.component_types:
                     dups.append(self._dup("message type", mdef.name, mdef.pos))
                 else:
                     model.message_types[mdef.name] = mdef
-            elif self.at_keyword("component"):
+            elif word == "component":
                 cdef = self.parse_component_def()
                 if cdef.name in model.component_types or cdef.name in model.message_types:
                     dups.append(self._dup("component type", cdef.name, cdef.pos))
@@ -254,7 +262,7 @@ class ModelParser(TokenCursor):
         while not self.at("}"):
             fname = self.expect_name("field name")
             self.expect(":")
-            prim = self.expect(lexer.IDENT, "primitive type")
+            prim = self.expect(IDENT, "primitive type")
             if prim.value not in PRIMITIVES:
                 raise ParseError(
                     f"unknown primitive '{prim.value}' (expected integer, text, or boolean)",
@@ -283,9 +291,12 @@ class ModelParser(TokenCursor):
         port_names: set[str] = set()
         sub_names: set[str] = set()
 
-        while not self.at("}"):
-            tok = self.peek()
-            if self.at_keyword("port"):
+        while True:
+            tok = self.tokens[self.pos]
+            if tok.type == "}":
+                break
+            word = tok.value if tok.type == IDENT else None
+            if word == "port":
                 p = self.parse_port()
                 if p.name in port_names:
                     raise ParseError(
@@ -293,7 +304,7 @@ class ModelParser(TokenCursor):
                     )
                 port_names.add(p.name)
                 ports.append(p)
-            elif self.at_keyword("component") or self.at_keyword("replicating"):
+            elif word == "component" or word == "replicating":
                 s = self.parse_subcomponent()
                 if s.name in sub_names:
                     raise ParseError(
@@ -303,11 +314,11 @@ class ModelParser(TokenCursor):
                     )
                 sub_names.add(s.name)
                 subs.append(s)
-            elif self.at_keyword("connect"):
+            elif word == "connect":
                 connectors.append(self.parse_connector())
-            elif self.at_keyword("context"):
+            elif word == "context":
                 contexts.append(self.parse_context())
-            elif self.at_keyword("behavior"):
+            elif word == "behavior":
                 if behavior is not None:
                     raise ParseError(
                         "component already has a behavior clause", tok.line, tok.col
@@ -319,7 +330,7 @@ class ModelParser(TokenCursor):
                     tok.line,
                     tok.col,
                 )
-        self.expect("}")
+        self.pos += 1  # the closing "}"
         return ComponentTypeDef(
             name.value,
             tuple(ports),
@@ -332,22 +343,22 @@ class ModelParser(TokenCursor):
 
     def parse_port(self) -> PortDecl:
         kw = self.expect_keyword("port")
-        tok = self.peek()
-        if self.at_keyword("in") or self.at_keyword("out"):
-            direction = self.advance().value
-        else:
+        tok = self.tokens[self.pos]
+        direction = tok.value
+        if (direction != "in" and direction != "out") or tok.type != IDENT:
             raise ParseError(
                 f"expected 'in' or 'out', got {describe(tok)}", tok.line, tok.col
             )
+        self.pos += 1
         mtype = self.expect_name("message type name")
         name = self.expect_name("port name")
-        replicating = self.accept(lexer.IDENT, "replicating") is not None
+        replicating = self.accept(IDENT, "replicating") is not None
         self.expect(";")
         return PortDecl(name.value, direction, mtype.value, replicating, self._pos(kw))
 
     def parse_subcomponent(self) -> SubcomponentDecl:
-        first = self.peek()
-        replicating = self.accept(lexer.IDENT, "replicating") is not None
+        first = self.tokens[self.pos]
+        replicating = self.accept(IDENT, "replicating") is not None
         self.expect_keyword("component")
         type_ref = self.expect_name("component type name")
         name = self.expect_name("subcomponent name")
@@ -378,18 +389,15 @@ class ModelParser(TokenCursor):
         opening: list[GateRef] = []
         closing: list[GateRef] = []
         while not self.at("}"):
-            tok = self.peek()
-            if self.at_keyword("open"):
-                kind = "open"
-            elif self.at_keyword("close"):
-                kind = "close"
-            else:
+            tok = self.tokens[self.pos]
+            kind = tok.value
+            if (kind != "open" and kind != "close") or tok.type != IDENT:
                 raise ParseError(
                     f"expected 'open' or 'close', got {describe(tok)}",
                     tok.line,
                     tok.col,
                 )
-            self.advance()
+            self.pos += 1
             source = self.parse_endpoint()
             self.expect("->")
             target = self.parse_endpoint()
@@ -414,17 +422,16 @@ class ModelParser(TokenCursor):
         return BehaviorClause(name.value, tuple(args), self._pos(kw))
 
     def parse_arg(self) -> BehaviorArg:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         # argument names may shadow reserved words (e.g. out=); the '='
         # lookahead keeps them apart from bare identifier values
         if (
-            tok.type == lexer.IDENT
+            tok.type == IDENT
             and tok.value not in ("true", "false")
             and self.tokens[self.pos + 1].type == "="
         ):
-            name = self.advance().value
-            self.expect("=")
-            return BehaviorArg(name, self.parse_value())
+            self.pos += 2  # the name and its "="
+            return BehaviorArg(tok.value, self.parse_value())
         return BehaviorArg(None, self.parse_value())
 
 
