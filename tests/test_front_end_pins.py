@@ -78,12 +78,9 @@ def _arc_diagnostics(text: str, origin: str) -> str:
 
 def _arc_text(name: str) -> str:
     if name == "bigmodel.arc":
-        return _bigmodel_text(1, BIGMODEL_WIDTH)
+        files, _root = _generated("bigmodel", 1, BIGMODEL_WIDTH)
+        return files[0][1]
     return (MODELS_DIR / name).read_text(encoding="utf-8")
-
-
-def _bigmodel_text(seed: int, width: int) -> str:
-    return _generated("bigmodel", seed, width)[0][0][1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -91,7 +88,7 @@ def _generated(name: str, seed: int, size: int):
     """((file name, text) of each model file, root) of a benchmark workload."""
     with tempfile.TemporaryDirectory() as tmp:
         inputs = workloads.GENERATORS[name](tmp, seed, size)
-        files = [(Path(p).name, Path(p).read_text(encoding="utf-8")) for p in inputs.models]
+        files = tuple((Path(p).name, Path(p).read_text(encoding="utf-8")) for p in inputs.models)
     return files, inputs.root
 
 
