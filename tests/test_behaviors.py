@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from random import Random
 
 import pytest
@@ -13,10 +14,12 @@ from cloudadl.behaviors import (
     ActivationContext,
     BehaviorConfigError,
     Emit,
+    Guard,
     MODE_BROADCAST,
     MODE_INDEX,
     MODE_ONE,
     Raise,
+    _guards_disjoint,
     instantiate,
 )
 from cloudadl.model import make_record
@@ -469,6 +472,49 @@ def test_automaton_unknown_port_in_transition():
         U + 'component A { port in U u; port out U o; behavior automaton('
         'initial="a", "a, nope, * -> a"); }'
     )
+
+
+# Every guard the grammar can write on a small grid of literals: `*`, each
+# ordered or equality operator on integers -2..3, and = and != on text and
+# boolean literals. The payloads cover every combination of v in -3..4,
+# s in x, y, z and both booleans.
+OPERATORS = ("=", "!=", "<", "<=", ">", ">=")
+GUARD_GRID = (
+    [Guard(None)]
+    + [Guard("v", op, n) for op in OPERATORS for n in range(-2, 4)]
+    + [
+        Guard(field, op, literal)
+        for field, literals in (("s", ("x", "y")), ("b", (False, True)))
+        for op in ("=", "!=")
+        for literal in literals
+    ]
+)
+GUARD_VERDICTS_SHA256 = "1af48460355ca95b7224f9fe43eb59e68ffae6a78eb43a96c70153868fafe018"
+
+
+def test_guard_verdicts_on_a_grid():
+    """Guard.matches on every payload and _guards_disjoint on every ordered
+    pair, pinned by digest: 45 guards, 48 payloads, 2,025 pairs. No payload
+    satisfies both guards of a disjoint pair; the converse need not hold
+    (b != false and b != true are not called disjoint)."""
+    mdef = parse_ok("message G { v: integer; s: text; b: boolean; }").message_types["G"]
+    payloads = [
+        make_record(mdef, {"v": v, "s": s, "b": b})
+        for v in range(-3, 5)
+        for s in ("x", "y", "z")
+        for b in (False, True)
+    ]
+    hits = {g: [g.matches(p) for p in payloads] for g in GUARD_GRID}
+    lines = [g.render() + "\t" + "".join("01"[h] for h in hits[g]) for g in GUARD_GRID]
+    for a in GUARD_GRID:
+        for b in GUARD_GRID:
+            disjoint = _guards_disjoint(a, b)
+            if disjoint:
+                assert not any(map(bool.__and__, hits[a], hits[b])), (a, b)
+            lines.append(f"{a.render()}\t{b.render()}\t{int(disjoint)}")
+    assert len(lines) == 45 + 45 * 45
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GUARD_VERDICTS_SHA256
 
 
 # --- plumbing ---

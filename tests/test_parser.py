@@ -270,6 +270,73 @@ def test_duplicate_field_port_sub():
     )) == ["E_SYNTAX"]
 
 
+# a text with names repeated in one file -> its rendered diagnostics
+REPEATED_NAMES = {
+    "message_type": (
+        "message M { n: integer; }\nmessage M { n: text; }",
+        ["<t>:2:1: E_DUP_DEF: message type 'M' is already defined"],
+    ),
+    "component_type": (
+        "component C { }\ncomponent C { port in M p; }",
+        ["<t>:2:1: E_DUP_DEF: component type 'C' is already defined"],
+    ),
+    # message and component types share one namespace
+    "component_after_message": (
+        "message X { n: integer; }\ncomponent X { }",
+        ["<t>:2:1: E_DUP_DEF: component type 'X' is already defined"],
+    ),
+    "message_after_component": (
+        "component X { }\n  message X { n: integer; }",
+        ["<t>:2:3: E_DUP_DEF: message type 'X' is already defined"],
+    ),
+    "every_repeat_collected": (
+        "message M { n: integer; }\ncomponent M { }\ncomponent C { }\n"
+        "message C { n: integer; }\nmessage M { n: integer; }",
+        [
+            "<t>:2:1: E_DUP_DEF: component type 'M' is already defined",
+            "<t>:4:1: E_DUP_DEF: message type 'C' is already defined",
+            "<t>:5:1: E_DUP_DEF: message type 'M' is already defined",
+        ],
+    ),
+    # a repeated field, port or subcomponent stops the parse at its name,
+    # its port keyword, or its first word
+    "field": (
+        "message M { a: integer; a: text; }",
+        ["<t>:1:25: E_SYNTAX: field 'a' is already declared"],
+    ),
+    "field_after_its_primitive": (
+        "message M { a: integer; a: float; }",
+        ["<t>:1:28: E_SYNTAX: unknown primitive 'float' (expected integer, text, or boolean)"],
+    ),
+    "port": (
+        "component A { port in M p; port out M p; }",
+        ["<t>:1:28: E_SYNTAX: port 'p' is already declared"],
+    ),
+    "port_of_either_direction": (
+        "component A {\n  port out M p;\n  port in N p replicating;\n}",
+        ["<t>:3:3: E_SYNTAX: port 'p' is already declared"],
+    ),
+    "subcomponent": (
+        "component A { component X s; component Y s; }",
+        ["<t>:1:30: E_SYNTAX: subcomponent 's' is already declared"],
+    ),
+    "replicating_subcomponent": (
+        "component A { component X s;\n  replicating component Y s; }",
+        ["<t>:2:3: E_SYNTAX: subcomponent 's' is already declared"],
+    ),
+    "port_and_subcomponent_names_apart": (
+        "component A { port in M s; component X s; }", [],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_NAMES))
+def test_repeated_names(case):
+    text, expected = REPEATED_NAMES[case]
+    _, diags = parse_model(text, "<t>")
+    assert [d.render() for d in diags] == expected
+
+
 def test_second_behavior_rejected():
     assert codes(fails("component A { behavior f(); behavior g(); }")) == ["E_SYNTAX"]
 
@@ -294,6 +361,37 @@ def test_load_files_cross_file_duplicate(tmp_path):
     model, diags = load_files([str(tmp_path / "a.arc"), str(tmp_path / "b.arc")])
     assert codes(diags) == ["E_DUP_DEF"]
     assert diags[0].origin.endswith("b.arc")
+
+
+# a.arc, then b.arc -> the rendered diagnostics of loading both
+CROSS_FILE_REPEATS = {
+    "message_type": (
+        "message M { n: integer; }\n", "message M { n: integer; }\n",
+        ["b.arc:1:1: E_DUP_DEF: message type 'M' is already defined in another file"],
+    ),
+    "component_type": (
+        "component C { }\n", "\ncomponent C { }\n",
+        ["b.arc:2:1: E_DUP_DEF: component type 'C' is already defined in another file"],
+    ),
+    "message_after_component": (
+        "component X { }\n", "message X { n: integer; }\n",
+        ["b.arc:1:1: E_DUP_DEF: message type 'X' is already defined in another file"],
+    ),
+    "component_after_message": (
+        "message X { n: integer; }\n", "component X { }\n",
+        ["b.arc:1:1: E_DUP_DEF: component type 'X' is already defined in another file"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CROSS_FILE_REPEATS))
+def test_cross_file_repeats(tmp_path, case):
+    a, b, expected = CROSS_FILE_REPEATS[case]
+    (tmp_path / "a.arc").write_text(a)
+    (tmp_path / "b.arc").write_text(b)
+    model, diags = load_files([str(tmp_path / "a.arc"), str(tmp_path / "b.arc")])
+    assert model is None
+    assert [d.render().replace(f"{tmp_path}/", "") for d in diags] == expected
 
 
 def test_load_files_missing_file(tmp_path):
