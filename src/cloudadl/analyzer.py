@@ -33,6 +33,7 @@ from .diagnostics import (
     E_UNRESOLVED,
     Diagnostic,
     error,
+    quoted,
 )
 from .model import (
     IN,
@@ -56,7 +57,7 @@ def check(model: ArchitectureModel, root_type: str | None = None) -> list[Diagno
     _check_recursion(model, diags)
     if root_type is not None and root_type not in model.component_types:
         diags.append(
-            error(E_UNRESOLVED, "<model>", 0, 0, f"unknown root component type '{root_type}'")
+            error(E_UNRESOLVED, "<model>", 0, 0, f"unknown root component type {quoted(root_type)}")
         )
     return diags
 
@@ -71,13 +72,13 @@ def _check_component(
         if p.message_type not in model.message_types:
             types_known = False
             diags.append(
-                _err(p, f"unknown message type '{p.message_type}'", E_UNRESOLVED)
+                _err(p, f"unknown message type {quoted(p.message_type)}", E_UNRESOLVED)
             )
         if p.replicating and p.direction == IN:
             diags.append(
                 _err(
                     p,
-                    f"in port '{p.name}' cannot be replicating, only out ports expose a receiver group",
+                    f"in port {quoted(p.name)} cannot be replicating, only out ports expose a receiver group",
                     E_REPL_PORT,
                 )
             )
@@ -85,13 +86,13 @@ def _check_component(
         target = model.component_types.get(s.type_ref)
         if target is None:
             diags.append(
-                _err(s, f"unknown component type '{s.type_ref}'", E_UNRESOLVED)
+                _err(s, f"unknown component type {quoted(s.type_ref)}", E_UNRESOLVED)
             )
         elif s.replicating and target.is_decomposed:
             diags.append(
                 _err(
                     s,
-                    f"replicating subcomponent '{s.name}' must be atomic, but '{s.type_ref}' is decomposed",
+                    f"replicating subcomponent {quoted(s.name)} must be atomic, but {quoted(s.type_ref)} is decomposed",
                     E_REPL_SUB,
                 )
             )
@@ -105,7 +106,7 @@ def _check_component(
     for ctx in cdef.contexts:
         if ctx.name in ctx_names:
             diags.append(
-                _err(ctx, f"context '{ctx.name}' is already defined", E_DUP_DEF)
+                _err(ctx, f"context {quoted(ctx.name)} is already defined", E_DUP_DEF)
             )
         ctx_names.add(ctx.name)
         used: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()
@@ -143,7 +144,7 @@ def _check_component(
             diags.append(
                 _err(
                     cdef,
-                    f"atomic component '{cdef.name}' receives messages but has no behavior clause",
+                    f"atomic component {quoted(cdef.name)} receives messages but has no behavior clause",
                     E_BEHAVIOR,
                 )
             )
@@ -191,14 +192,14 @@ def _resolve_end(
         port = cdef.port(ep.port)
         if port is None:
             diags.append(
-                _err(ep, f"'{cdef.name}' has no port '{ep.port}'", E_UNRESOLVED)
+                _err(ep, f"{quoted(cdef.name)} has no port {quoted(ep.port)}", E_UNRESOLVED)
             )
             return None
         return _End(port, None)
     sub = cdef.subcomponent(ep.sub)
     if sub is None:
         diags.append(
-            _err(ep, f"'{cdef.name}' has no subcomponent '{ep.sub}'", E_UNRESOLVED)
+            _err(ep, f"{quoted(cdef.name)} has no subcomponent {quoted(ep.sub)}", E_UNRESOLVED)
         )
         return None
     sub_type = model.component_types.get(sub.type_ref)
@@ -207,7 +208,7 @@ def _resolve_end(
     port = sub_type.port(ep.port)
     if port is None:
         diags.append(
-            _err(ep, f"'{sub.type_ref}' has no port '{ep.port}'", E_UNRESOLVED)
+            _err(ep, f"{quoted(sub.type_ref)} has no port {quoted(ep.port)}", E_UNRESOLVED)
         )
         return None
     return _End(port, sub.name, sub.replicating, sub_type.is_decomposed)

@@ -33,9 +33,11 @@ and rendered once per model, not once per activation.
 
 from __future__ import annotations
 
+import operator
 from random import Random
 
 from . import lexer
+from .diagnostics import ECHO_LIMIT, quoted
 from .model import (
     IN,
     OUT,
@@ -50,7 +52,7 @@ from .model import (
     primitive_of,
     render_value,
 )
-from .parser import ParseError, TokenCursor, describe
+from .parser import TokenCursor, describe
 from .values import Frozen, Value, set_field
 
 MODE_ONE = "one"
@@ -218,9 +220,9 @@ class _Shape:
     def port(self, name: str, direction: str) -> PortDecl:
         p = self.tdef.port(name)
         if p is None:
-            raise self.fail(f"'{self.tdef.name}' has no port '{name}'")
+            raise self.fail(f"{quoted(self.tdef.name)} has no port {quoted(name)}")
         if p.direction != direction:
-            raise self.fail(f"port '{name}' must be an {direction} port")
+            raise self.fail(f"port {quoted(name)} must be an {direction} port")
         return p
 
     def pick_out(self, bound: dict[str, object], arg: str = "out") -> PortDecl:
@@ -247,7 +249,8 @@ class _Shape:
             fm = self.message_type(p).field_map()
             if fname not in fm:
                 raise self.fail(
-                    f"message type '{p.message_type}' on port '{p.name}' has no field '{fname}'"
+                    f"message type {quoted(p.message_type)} on port {quoted(p.name)}"
+                    f" has no field {quoted(fname)}"
                 )
             prims.add(fm[fname])
         if len(prims) != 1:
@@ -522,7 +525,15 @@ class ApprovalJoinBehavior(Behavior):
 # ---------------------------------------------------------------------------
 # Automaton behavior
 
-GUARD_OPS = ("=", "!=", "<", "<=", ">", ">=")
+# a guard's comparison operators, for parsing and for matching
+GUARD_OPS = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
 class Guard(Frozen):
@@ -536,18 +547,7 @@ class Guard(Frozen):
     def matches(self, payload: Record) -> bool:
         if self.field is None:
             return True
-        v = payload.get(self.field)
-        if self.op == "=":
-            return v == self.literal
-        if self.op == "!=":
-            return v != self.literal
-        if self.op == "<":
-            return v < self.literal
-        if self.op == "<=":
-            return v <= self.literal
-        if self.op == ">":
-            return v > self.literal
-        return v >= self.literal
+        return GUARD_OPS[self.op](payload.get(self.field), self.literal)
 
     def render(self) -> str:
         if self.field is None:
@@ -649,11 +649,14 @@ def _parse_transition(shape: _Shape, text: str) -> Transition:
                     break
         trailing = cursor.peek()
         if trailing.type != lexer.EOF:
-            raise ParseError(
+            raise lexer.LexError(
                 f"unexpected {describe(trailing)} in transition", trailing.line, trailing.col
             )
-    except (lexer.LexError, ParseError) as exc:
-        raise shape.fail(f"bad transition '{text}': {exc.message}") from exc
+    except lexer.LexError as exc:
+        # a transition is echoed whole, unless a run without blanks is too long
+        long_run = any(len(run) > ECHO_LIMIT for run in text.split())
+        shown = quoted(text) if long_run else f"'{text}'"
+        raise shape.fail(f"bad transition {shown}: {exc.message}") from exc
     return Transition(state, port_name, guard, next_state, tuple(emissions))
 
 
@@ -661,17 +664,14 @@ def _parse_guard(shape: _Shape, cursor: TokenCursor, in_port: PortDecl) -> Guard
     if cursor.accept("*"):
         return Guard(None)
     fname = cursor.expect(lexer.IDENT, "field name").value
-    op = None
-    for candidate in GUARD_OPS:
-        if cursor.accept(candidate):
-            op = candidate
-            break
-    if op is None:
-        tok = cursor.peek()
-        raise ParseError(f"expected a comparison, got {describe(tok)}", tok.line, tok.col)
+    tok = cursor.peek()
+    op = tok.type
+    if op not in GUARD_OPS:
+        raise lexer.LexError(f"expected a comparison, got {describe(tok)}", tok.line, tok.col)
+    cursor.accept(op)
     literal = cursor.parse_value()
     if isinstance(literal, Ident):
-        raise shape.fail(f"guard on '{fname}' needs a literal")
+        raise shape.fail(f"guard on {quoted(fname)} needs a literal")
     prim = shape.field_primitive([in_port], fname)
     if primitive_of(literal) != prim:
         raise shape.fail(
@@ -683,15 +683,13 @@ def _parse_guard(shape: _Shape, cursor: TokenCursor, in_port: PortDecl) -> Guard
 
 
 def _parse_emission(shape: _Shape, cursor: TokenCursor, in_port: PortDecl) -> Emission:
-    kw = cursor.expect(lexer.IDENT, "'emit'")
-    if kw.value != "emit":
-        raise ParseError(f"expected 'emit', got '{kw.value}'", kw.line, kw.col)
+    cursor.expect_keyword("emit")
     port = shape.port(cursor.expect(lexer.IDENT, "port name").value, OUT)
     if cursor.at(lexer.IDENT) and cursor.tokens[cursor.pos + 1].type == "{":
         type_name, values, name_tok = cursor.parse_payload_record()
         mdef = shape.model.message_types.get(type_name)
         if mdef is None:
-            raise shape.fail(f"unknown message type '{type_name}' in emission")
+            raise shape.fail(f"unknown message type {quoted(type_name)} in emission")
         if type_name != port.message_type:
             raise shape.fail(
                 f"port '{port.name}' carries {port.message_type}, not {type_name}"
@@ -705,41 +703,27 @@ def _parse_emission(shape: _Shape, cursor: TokenCursor, in_port: PortDecl) -> Em
     return Emission(port.name, None)
 
 
-def _interval(guard: Guard) -> tuple[float, float] | None:
-    """Closed integer interval covered by an ordered or equality guard."""
-    v = guard.literal
-    if guard.op == "=":
-        return (v, v)
-    if guard.op == "<":
-        return (float("-inf"), v - 1)
-    if guard.op == "<=":
-        return (float("-inf"), v)
-    if guard.op == ">":
-        return (v + 1, float("inf"))
-    if guard.op == ">=":
-        return (v, float("inf"))
-    return None  # != covers two rays
+def _interval(guard: Guard) -> tuple[object, object]:
+    """The closed interval an =, <, <=, > or >= guard admits; ordered guards
+    are integer-only, so < and > step their literal by one."""
+    v, op = guard.literal, guard.op
+    if op == "=":
+        return v, v
+    if op[0] == "<":
+        return float("-inf"), v if op == "<=" else v - 1
+    return v if op == ">=" else v + 1, float("inf")
 
 
 def _guards_disjoint(a: Guard, b: Guard) -> bool:
-    """True only when no payload can satisfy both guards."""
-    if a.field is None or b.field is None or a.field != b.field:
+    """True only when no payload can satisfy both guards: != is disjoint
+    only from = on its own literal, and any other pair on one field only
+    when the closed intervals they admit do not meet."""
+    if a.field is None or a.field != b.field:
         return False
-    if a.op == "!=" and b.op == "=":
-        return a.literal == b.literal
-    if a.op == "=" and b.op == "!=":
-        return a.literal == b.literal
     if a.op == "!=" or b.op == "!=":
-        return False
-    if a.op == "=" and b.op == "=":
-        return a.literal != b.literal
-    ia, ib = _interval(a), _interval(b)
-    if ia is None or ib is None:
-        return False
-    if not isinstance(a.literal, int) or not isinstance(b.literal, int):
-        # ordered guards are integer-only, but stay safe
-        return False
-    return ia[1] < ib[0] or ib[1] < ia[0]
+        return "=" in (a.op, b.op) and a.literal == b.literal
+    (alo, ahi), (blo, bhi) = _interval(a), _interval(b)
+    return ahi < blo or bhi < alo
 
 
 BUILTINS: dict[str, type] = {

@@ -220,6 +220,9 @@ class FaultDirective(Frozen):
 Problem = tuple[int, str, str]
 
 
+DEFAULT_MAXSTEPS = 1000  # the step budget of a run that sets none
+
+
 def maxsteps_problem(maxsteps: int, line: int = 0) -> Problem | None:
     return (line, E_SYNTAX, "maxsteps must not be negative") if maxsteps < 0 else None
 
@@ -328,7 +331,7 @@ class Kernel:
         injections: list[Injection] | None = None,
         scales: list[ScaleDirective] | None = None,
         faults: list[FaultDirective] | None = None,
-        maxsteps: int = 1000,
+        maxsteps: int = DEFAULT_MAXSTEPS,
     ):
         self.topology = topology
         self.seed = seed

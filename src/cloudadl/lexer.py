@@ -6,6 +6,9 @@ from .values import Value
 
 
 class LexError(Exception):
+    """A syntax error at a line and column: raised by the lexer and by every
+    grammar that reads its tokens (models, payload literals, transitions)."""
+
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
         self.message = message

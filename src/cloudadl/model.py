@@ -270,14 +270,6 @@ class ArchitectureModel(Value):
         self.message_types = {} if message_types is None else message_types
         self.component_types = {} if component_types is None else component_types
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ArchitectureModel):
-            return NotImplemented
-        return (
-            self.message_types == other.message_types
-            and self.component_types == other.component_types
-        )
-
 
 class Record(Frozen):
     """A typed payload value: field values in declaration order."""

@@ -28,7 +28,7 @@ import os
 
 from . import lexer
 from .diagnostics import E_DUP_DEF, E_IO, E_SYNTAX, Diagnostic, error, io_error, quoted
-from .lexer import EOF, IDENT, INT, STRING
+from .lexer import EOF, IDENT, INT, STRING, LexError
 from .model import (
     ArchitectureModel,
     BehaviorArg,
@@ -70,19 +70,11 @@ RESERVED = frozenset(
 )
 
 
-class ParseError(Exception):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
-        self.message = message
-        self.line = line
-        self.col = col
-
-
 def _int_value(tok: lexer.Token) -> int:
     try:
         return int(tok.value)
     except ValueError:  # past the interpreter's limit on int() digits
-        raise ParseError(
+        raise LexError(
             f"integer literal of {len(tok.value)} digits is too long", tok.line, tok.col
         ) from None
 
@@ -117,7 +109,7 @@ class TokenCursor:
         tok = self.tokens[self.pos]
         if tok.type != token_type:
             expected = what or token_type
-            raise ParseError(
+            raise LexError(
                 f"expected {expected}, got {describe(tok)}", tok.line, tok.col
             )
         if token_type != EOF:
@@ -127,7 +119,7 @@ class TokenCursor:
     def expect_keyword(self, word: str) -> lexer.Token:
         tok = self.tokens[self.pos]
         if tok.value != word or tok.type != IDENT:
-            raise ParseError(
+            raise LexError(
                 f"expected '{word}', got {describe(tok)}", tok.line, tok.col
             )
         self.pos += 1
@@ -136,9 +128,9 @@ class TokenCursor:
     def expect_name(self, what: str) -> lexer.Token:
         tok = self.tokens[self.pos]
         if tok.type != IDENT:
-            raise ParseError(f"expected {what}, got {describe(tok)}", tok.line, tok.col)
+            raise LexError(f"expected {what}, got {describe(tok)}", tok.line, tok.col)
         if tok.value in RESERVED:
-            raise ParseError(
+            raise LexError(
                 f"reserved word '{tok.value}' cannot be used as {what}",
                 tok.line,
                 tok.col,
@@ -165,14 +157,14 @@ class TokenCursor:
                 self.pos += 1
                 return value == "true"
             if value in RESERVED:
-                raise ParseError(
+                raise LexError(
                     f"reserved word '{value}' cannot be used as a value",
                     tok.line,
                     tok.col,
                 )
             self.pos += 1
             return Ident(value)
-        raise ParseError(f"expected a value, got {describe(tok)}", tok.line, tok.col)
+        raise LexError(f"expected a value, got {describe(tok)}", tok.line, tok.col)
 
     def parse_payload_record(self) -> tuple[str, dict[str, object], lexer.Token]:
         """TypeName{field=value,...}; returns (type name, values, name token)."""
@@ -185,13 +177,13 @@ class TokenCursor:
                 self.expect("=")
                 v = self.parse_value()
                 if isinstance(v, Ident):
-                    raise ParseError(
+                    raise LexError(
                         f"field {quoted(fname.value)} needs a literal value",
                         fname.line,
                         fname.col,
                     )
                 if fname.value in values:
-                    raise ParseError(
+                    raise LexError(
                         f"field {quoted(fname.value)} set twice", fname.line, fname.col
                     )
                 values[fname.value] = v
@@ -223,73 +215,48 @@ class ModelParser(TokenCursor):
             if tok.type == EOF:
                 break
             word = tok.value if tok.type == IDENT else None
-            # message and component types share one namespace
             if word == "message":
-                mdef = self.parse_message_def()
-                if mdef.name in model.message_types or mdef.name in model.component_types:
-                    dups.append(self._dup("message type", mdef.name, mdef.pos))
-                else:
-                    model.message_types[mdef.name] = mdef
+                tdef = self.parse_message_def()
             elif word == "component":
-                cdef = self.parse_component_def()
-                if cdef.name in model.component_types or cdef.name in model.message_types:
-                    dups.append(self._dup("component type", cdef.name, cdef.pos))
-                else:
-                    model.component_types[cdef.name] = cdef
+                tdef = self.parse_component_def()
             else:
-                raise ParseError(
+                raise LexError(
                     f"expected 'message' or 'component', got {describe(tok)}",
                     tok.line,
                     tok.col,
                 )
+            _define(model, word, tdef, dups)
         return model, dups
-
-    def _dup(self, kind: str, name: str, pos: Pos) -> Diagnostic:
-        return error(
-            E_DUP_DEF,
-            pos.origin,
-            pos.line,
-            pos.col,
-            f"{kind} '{name}' is already defined",
-        )
 
     def parse_message_def(self) -> MessageTypeDef:
         kw = self.expect_keyword("message")
         name = self.expect_name("message type name")
         self.expect("{")
-        fields: list[FieldDef] = []
-        seen: set[str] = set()
+        fields: dict[str, FieldDef] = {}
         while not self.at("}"):
             fname = self.expect_name("field name")
             self.expect(":")
             prim = self.expect(IDENT, "primitive type")
             if prim.value not in PRIMITIVES:
-                raise ParseError(
-                    f"unknown primitive '{prim.value}' (expected integer, text, or boolean)",
+                raise LexError(
+                    f"unknown primitive {quoted(prim.value)} (expected integer, text, or boolean)",
                     prim.line,
                     prim.col,
                 )
             self.expect(";")
-            if fname.value in seen:
-                raise ParseError(
-                    f"field '{fname.value}' is already declared", fname.line, fname.col
-                )
-            seen.add(fname.value)
-            fields.append(FieldDef(fname.value, prim.value, self._pos(fname)))
+            _declare(fields, "field", FieldDef(fname.value, prim.value, self._pos(fname)))
         self.expect("}")
-        return MessageTypeDef(name.value, tuple(fields), self._pos(kw))
+        return MessageTypeDef(name.value, tuple(fields.values()), self._pos(kw))
 
     def parse_component_def(self) -> ComponentTypeDef:
         kw = self.expect_keyword("component")
         name = self.expect_name("component type name")
         self.expect("{")
-        ports: list[PortDecl] = []
-        subs: list[SubcomponentDecl] = []
+        ports: dict[str, PortDecl] = {}
+        subs: dict[str, SubcomponentDecl] = {}
         connectors: list[ConnectorDecl] = []
         contexts: list[ContextDecl] = []
         behavior: BehaviorClause | None = None
-        port_names: set[str] = set()
-        sub_names: set[str] = set()
 
         while True:
             tok = self.tokens[self.pos]
@@ -297,35 +264,21 @@ class ModelParser(TokenCursor):
                 break
             word = tok.value if tok.type == IDENT else None
             if word == "port":
-                p = self.parse_port()
-                if p.name in port_names:
-                    raise ParseError(
-                        f"port '{p.name}' is already declared", tok.line, tok.col
-                    )
-                port_names.add(p.name)
-                ports.append(p)
+                _declare(ports, "port", self.parse_port())
             elif word == "component" or word == "replicating":
-                s = self.parse_subcomponent()
-                if s.name in sub_names:
-                    raise ParseError(
-                        f"subcomponent '{s.name}' is already declared",
-                        tok.line,
-                        tok.col,
-                    )
-                sub_names.add(s.name)
-                subs.append(s)
+                _declare(subs, "subcomponent", self.parse_subcomponent())
             elif word == "connect":
                 connectors.append(self.parse_connector())
             elif word == "context":
                 contexts.append(self.parse_context())
             elif word == "behavior":
                 if behavior is not None:
-                    raise ParseError(
+                    raise LexError(
                         "component already has a behavior clause", tok.line, tok.col
                     )
                 behavior = self.parse_behavior()
             else:
-                raise ParseError(
+                raise LexError(
                     f"expected a component item, got {describe(tok)}",
                     tok.line,
                     tok.col,
@@ -333,8 +286,8 @@ class ModelParser(TokenCursor):
         self.pos += 1  # the closing "}"
         return ComponentTypeDef(
             name.value,
-            tuple(ports),
-            tuple(subs),
+            tuple(ports.values()),
+            tuple(subs.values()),
             tuple(connectors),
             tuple(contexts),
             behavior,
@@ -346,7 +299,7 @@ class ModelParser(TokenCursor):
         tok = self.tokens[self.pos]
         direction = tok.value
         if (direction != "in" and direction != "out") or tok.type != IDENT:
-            raise ParseError(
+            raise LexError(
                 f"expected 'in' or 'out', got {describe(tok)}", tok.line, tok.col
             )
         self.pos += 1
@@ -392,7 +345,7 @@ class ModelParser(TokenCursor):
             tok = self.tokens[self.pos]
             kind = tok.value
             if (kind != "open" and kind != "close") or tok.type != IDENT:
-                raise ParseError(
+                raise LexError(
                     f"expected 'open' or 'close', got {describe(tok)}",
                     tok.line,
                     tok.col,
@@ -435,6 +388,34 @@ class ModelParser(TokenCursor):
         return BehaviorArg(None, self.parse_value())
 
 
+def _declare(decls: dict, kind: str, decl: FieldDef | PortDecl | SubcomponentDecl) -> None:
+    """Add a field, port or subcomponent to its type's declarations; a
+    repeated name is a syntax error at the repeat's position."""
+    if decl.name in decls:
+        pos = decl.pos
+        raise LexError(f"{kind} {quoted(decl.name)} is already declared", pos.line, pos.col)
+    decls[decl.name] = decl
+
+
+def _define(
+    model: ArchitectureModel,
+    kind: str,
+    tdef: MessageTypeDef | ComponentTypeDef,
+    dups: list[Diagnostic],
+    where: str = "",
+) -> None:
+    """Add a message or component type to `model`; the two kinds share one
+    namespace, and a name already in it adds an E_DUP_DEF to `dups`."""
+    if tdef.name in model.message_types or tdef.name in model.component_types:
+        pos = tdef.pos
+        message = f"{kind} type {quoted(tdef.name)} is already defined{where}"
+        dups.append(error(E_DUP_DEF, pos.origin, pos.line, pos.col, message))
+    elif kind == "message":
+        model.message_types[tdef.name] = tdef
+    else:
+        model.component_types[tdef.name] = tdef
+
+
 def parse_model(
     source_text: str, origin: str = "<string>"
 ) -> tuple[ArchitectureModel | None, list[Diagnostic]]:
@@ -447,7 +428,7 @@ def parse_model(
         tokens = lexer.tokenize(source_text)
         parser = ModelParser(tokens, origin)
         model, dups = parser.parse_model()
-    except (lexer.LexError, ParseError) as exc:
+    except LexError as exc:
         return None, [error(E_SYNTAX, origin, exc.line, exc.col, exc.message)]
     if dups:
         return None, dups
@@ -462,28 +443,12 @@ def merge_models(
     diags: list[Diagnostic] = []
     for fragment, _origin in fragments:
         for mdef in fragment.message_types.values():
-            if mdef.name in merged.message_types or mdef.name in merged.component_types:
-                diags.append(_cross_dup("message type", mdef.name, mdef.pos))
-            else:
-                merged.message_types[mdef.name] = mdef
+            _define(merged, "message", mdef, diags, " in another file")
         for cdef in fragment.component_types.values():
-            if cdef.name in merged.component_types or cdef.name in merged.message_types:
-                diags.append(_cross_dup("component type", cdef.name, cdef.pos))
-            else:
-                merged.component_types[cdef.name] = cdef
+            _define(merged, "component", cdef, diags, " in another file")
     if diags:
         return None, diags
     return merged, []
-
-
-def _cross_dup(kind: str, name: str, pos: Pos) -> Diagnostic:
-    return error(
-        E_DUP_DEF,
-        pos.origin,
-        pos.line,
-        pos.col,
-        f"{kind} '{name}' is already defined in another file",
-    )
 
 
 def read_source(path: str) -> tuple[str | None, list[Diagnostic]]:

@@ -52,6 +52,7 @@ from .diagnostics import (
     quoted,
 )
 from .kernel import (
+    DEFAULT_MAXSTEPS,
     EVENT_KINDS,
     FatalUnhandled,
     FaultDirective,
@@ -68,10 +69,8 @@ from .kernel import (
     strategy_problem,
 )
 from .model import OUT, ArchitectureModel, Record, make_record
-from .parser import RESERVED, ParseError, TokenCursor, load_files, read_source
+from .parser import RESERVED, TokenCursor, load_files, read_source
 from .values import Frozen, Value, set_field
-
-DEFAULT_MAXSTEPS = 1000
 
 
 class CountIs(Frozen):
@@ -419,7 +418,7 @@ def _lexed_payloads(text: str) -> list[tuple[str, dict[str, object]]]:
         out = []
         while not cursor.at(lexer.EOF):
             out.append(cursor.parse_payload_record()[:2])  # (type name, values)
-    except (lexer.LexError, ParseError) as exc:
+    except lexer.LexError as exc:
         raise _LineError(exc.message) from None
     return out
 

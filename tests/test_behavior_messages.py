@@ -283,6 +283,29 @@ CASES = [
      "automaton: argument 'initial' given twice"),
     ("automaton_transitions_after_named_initial", A + comp(IO, 'automaton(initial="a", "a, u, * -> a")'),
      None),
+
+    # a word longer than ECHO_LIMIT is named by its length; a transition is
+    # echoed whole unless a run without blanks in it is that long
+    ("automaton_emit_keyword_past_the_echo_limit", auto("a, u, * -> a, " + "x" * 5000 + " o"),
+     "automaton: bad transition a word of 5016 characters:"
+     " expected 'emit', got a word of 5000 characters"),
+    ("automaton_run_past_the_echo_limit", auto("a, u, * -> a, emit o " + "U{v=1}" * 7),
+     "automaton: bad transition a word of 63 characters: unexpected 'U' in transition"),
+    ("automaton_long_text_of_short_runs", auto("a, u, * -> a, emit o U{v=1}, emit o U{v=2}; x"),
+     "automaton: bad transition 'a, u, * -> a, emit o U{v=1}, emit o U{v=2}; x':"
+     " unexpected ',' in transition"),
+    ("automaton_port_past_the_echo_limit", auto("a, " + "p" * 41 + ", * -> a"),
+     "automaton: 'A' has no port a word of 41 characters"),
+    ("automaton_port_at_the_echo_limit", auto("a, " + "p" * 40 + ", * -> a"),
+     "automaton: 'A' has no port '" + "p" * 40 + "'"),
+    ("automaton_emit_port_past_the_echo_limit", auto("a, u, * -> a, emit " + "o" * 41),
+     "automaton: 'A' has no port a word of 41 characters"),
+    ("automaton_guard_field_past_the_echo_limit", auto("a, u, " + "w" * 41 + " = 1 -> a"),
+     "automaton: message type 'U' on port 'u' has no field a word of 41 characters"),
+    ("automaton_guard_ident_past_the_echo_limit", auto("a, u, " + "w" * 41 + " = v -> a"),
+     "automaton: guard on a word of 41 characters needs a literal"),
+    ("automaton_emit_type_past_the_echo_limit", auto("a, u, * -> a, emit o " + "X" * 41 + "{v=1}"),
+     "automaton: unknown message type a word of 41 characters in emission"),
 ]
 
 

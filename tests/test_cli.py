@@ -464,6 +464,46 @@ PATHOLOGICAL = {
         ["sim", "s.scn"], 2,
         "s.scn:4:1: E_UNRESOLVED: a word of 5005 characters is not an atomic instance\n",
     ),
+    # the parser's and the checker's messages that name one model word
+    "primitive_word_past_the_echo_limit": (
+        {"m.arc": f"message M {{ n: {LONG_WORD}; }}"}, ["check", "m.arc"], 2,
+        "m.arc:1:16: E_SYNTAX: unknown primitive a word of 5000 characters"
+        " (expected integer, text, or boolean)\n",
+    ),
+    "port_type_word_past_the_echo_limit": (
+        {"m.arc": f"component A {{ port out {LONG_WORD} o; }}"}, ["check", "m.arc"], 2,
+        "m.arc:1:15: E_UNRESOLVED: unknown message type a word of 5000 characters\n",
+    ),
+    "repeated_port_word_past_the_echo_limit": (
+        {"m.arc": f"component A {{ port out M {LONG_WORD}; port out M {LONG_WORD}; }}"},
+        ["fmt", "m.arc"], 2,
+        "m.arc:1:5028: E_SYNTAX: port a word of 5000 characters is already declared\n",
+    ),
+    "repeated_type_word_past_the_echo_limit": (
+        {"m.arc": f"component {LONG_WORD} {{ }}\nmessage {LONG_WORD} {{ n: integer; }}"},
+        ["check", "m.arc"], 2,
+        "m.arc:2:1: E_DUP_DEF: message type a word of 5000 characters is already defined\n",
+    ),
+    "context_word_past_the_echo_limit": (
+        {"m.arc": f"component A {{ context {LONG_WORD} {{ }} context {LONG_WORD} {{ }} }}"},
+        ["check", "m.arc"], 2,
+        "m.arc:1:5028: E_DUP_DEF: context a word of 5000 characters is already defined\n",
+    ),
+    "endpoint_word_past_the_echo_limit": (
+        {"m.arc": ONE_STORE.replace("connect feed -> w.i", f"connect feed -> w.{LONG_WORD}")},
+        ["check", "m.arc"], 2, "m.arc:3:64: E_UNRESOLVED: 'W' has no port a word of 5000 characters\n",
+    ),
+    "root_word_past_the_echo_limit": (
+        {"m.arc": ONE_STORE}, ["check", "m.arc", "--root", LONG_WORD], 2,
+        "<model>:0:0: E_UNRESOLVED: unknown root component type a word of 5000 characters\n",
+    ),
+    "transition_word_past_the_echo_limit": (
+        {"m.arc": "message U { v: integer; }\ncomponent A { port in U u; port out U o;"
+         f' behavior automaton(initial="a", "a, u, * -> a, {LONG_WORD} o"); }}'},
+        ["check", "m.arc"], 2,
+        "m.arc:2:42: E_BEHAVIOR: automaton: bad transition a word of 5016 characters:"
+        " expected 'emit', got a word of 5000 characters\n",
+    ),
     "prefix_integer_past_the_digit_limit": (
         {"m.arc": fan_out(1), "s.scn": scenario(INJECT, f"expect prefix drain M{{n=-{HUGE}}}")},
         ["sim", "s.scn"], 2, HUGE_ERR,

@@ -270,6 +270,8 @@ def test_duplicate_field_port_sub():
     )) == ["E_SYNTAX"]
 
 
+LONG = "w" * 41  # one character past ECHO_LIMIT
+
 # a text with names repeated in one file -> its rendered diagnostics
 REPEATED_NAMES = {
     "message_type": (
@@ -327,6 +329,32 @@ REPEATED_NAMES = {
     "port_and_subcomponent_names_apart": (
         "component A { port in M s; component X s; }", [],
     ),
+    # a name longer than ECHO_LIMIT is named by its length
+    "message_type_past_the_echo_limit": (
+        f"message {LONG} {{ n: integer; }}\nmessage {LONG} {{ n: integer; }}",
+        ["<t>:2:1: E_DUP_DEF: message type a word of 41 characters is already defined"],
+    ),
+    "component_type_at_the_echo_limit": (
+        f"component {LONG[1:]} {{ }}\ncomponent {LONG[1:]} {{ }}",
+        [f"<t>:2:1: E_DUP_DEF: component type '{LONG[1:]}' is already defined"],
+    ),
+    "field_past_the_echo_limit": (
+        f"message M {{ {LONG}: integer; {LONG}: text; }}",
+        ["<t>:1:65: E_SYNTAX: field a word of 41 characters is already declared"],
+    ),
+    "port_past_the_echo_limit": (
+        f"component A {{ port in M {LONG}; port out M {LONG}; }}",
+        ["<t>:1:68: E_SYNTAX: port a word of 41 characters is already declared"],
+    ),
+    "subcomponent_past_the_echo_limit": (
+        f"component A {{ component X {LONG}; component Y {LONG}; }}",
+        ["<t>:1:70: E_SYNTAX: subcomponent a word of 41 characters is already declared"],
+    ),
+    "primitive_past_the_echo_limit": (
+        f"message M {{ n: {LONG}; }}",
+        ["<t>:1:16: E_SYNTAX: unknown primitive a word of 41 characters"
+         " (expected integer, text, or boolean)"],
+    ),
 }
 
 
@@ -380,6 +408,11 @@ CROSS_FILE_REPEATS = {
     "component_after_message": (
         "message X { n: integer; }\n", "component X { }\n",
         ["b.arc:1:1: E_DUP_DEF: component type 'X' is already defined in another file"],
+    ),
+    "component_type_past_the_echo_limit": (
+        f"component {LONG} {{ }}\n", f"message {LONG} {{ n: integer; }}\n",
+        ["b.arc:1:1: E_DUP_DEF: message type a word of 41 characters"
+         " is already defined in another file"],
     ),
 }
 
