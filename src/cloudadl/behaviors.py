@@ -163,11 +163,11 @@ def bind_args(
             saw_named = True
             if arg.name not in names:
                 raise BehaviorConfigError(
-                    f"{clause.builtin}: unknown argument '{arg.name}'"
+                    f"{clause.builtin}: unknown argument {quoted(arg.name)}"
                 )
             if arg.name in bound:
                 raise BehaviorConfigError(
-                    f"{clause.builtin}: argument '{arg.name}' given twice"
+                    f"{clause.builtin}: argument {quoted(arg.name)} given twice"
                 )
             bound[arg.name] = arg.value
     for name, required in params:
@@ -240,7 +240,7 @@ class _Shape:
         if len(mdef.fields) == 1 and mdef.fields[0].primitive == "boolean":
             return mdef.fields[0].name
         raise self.fail(
-            f"port '{port.name}' must carry a message type with exactly one boolean field"
+            f"port {quoted(port.name)} must carry a message type with exactly one boolean field"
         )
 
     def field_primitive(self, ports: list[PortDecl], fname: str) -> str:
@@ -254,13 +254,14 @@ class _Shape:
                 )
             prims.add(fm[fname])
         if len(prims) != 1:
-            raise self.fail(f"field '{fname}' has mixed primitives across in ports")
+            raise self.fail(f"field {quoted(fname)} has mixed primitives across in ports")
         return prims.pop()
 
     def same_type(self, a: PortDecl, b: PortDecl) -> None:
         if a.message_type != b.message_type:
             raise self.fail(
-                f"port '{a.name}' carries {a.message_type} but port '{b.name}' carries {b.message_type}"
+                f"port {quoted(a.name)} carries {quoted(a.message_type, '')}"
+                f" but port {quoted(b.name)} carries {quoted(b.message_type, '')}"
             )
 
     def forwards_to(self, out: PortDecl) -> None:
@@ -295,7 +296,7 @@ class RouteByBehavior(Behavior):
         self.field = as_name(shape.builtin, "field", bound["field"])
         self.out = shape.pick_out(bound)
         if shape.field_primitive(shape.in_ports, self.field) != "integer":
-            raise shape.fail(f"field '{self.field}' must be an integer field")
+            raise shape.fail(f"field {quoted(self.field)} must be an integer field")
         shape.forwards_to(self.out)
 
     def handle(self, state, port, payload, ctx):
@@ -334,7 +335,7 @@ class ApproveIfBehavior(_VerdictBehavior):
         prim = shape.field_primitive(shape.in_ports, self.field)
         if primitive_of(self.expected) != prim:
             raise shape.fail(
-                f"'equals' value {render_value(self.expected)} does not fit {prim} field '{self.field}'"
+                f"'equals' value {render_value(self.expected)} does not fit {prim} field {quoted(self.field)}"
             )
 
     def handle(self, state, port, payload, ctx):
@@ -350,7 +351,7 @@ class ValidateRangeBehavior(_VerdictBehavior):
         super().__init__(shape, bound)
         self.field = as_name(shape.builtin, "field", bound["field"])
         if shape.field_primitive(shape.in_ports, self.field) != "integer":
-            raise shape.fail(f"field '{self.field}' must be an integer field")
+            raise shape.fail(f"field {quoted(self.field)} must be an integer field")
         if "min" not in bound and "max" not in bound:
             raise shape.fail("needs min=, max=, or both")
         self.lo = as_int(shape.builtin, "min", bound["min"]) if "min" in bound else None
@@ -612,8 +613,8 @@ class AutomatonBehavior(Behavior):
                 for b in group[i + 1 :]:
                     if not _guards_disjoint(a.guard, b.guard):
                         raise shape.fail(
-                            f"guards '{a.guard.render()}' and '{b.guard.render()}' "
-                            f"overlap in state '{state}' on port '{port}'"
+                            f"guards {_echoed(a.guard.render())} and {_echoed(b.guard.render())}"
+                            f" overlap in state {quoted(state)} on port {quoted(port)}"
                         )
 
     def initial_state(self):
@@ -653,11 +654,16 @@ def _parse_transition(shape: _Shape, text: str) -> Transition:
                 f"unexpected {describe(trailing)} in transition", trailing.line, trailing.col
             )
     except lexer.LexError as exc:
-        # a transition is echoed whole, unless a run without blanks is too long
-        long_run = any(len(run) > ECHO_LIMIT for run in text.split())
-        shown = quoted(text) if long_run else f"'{text}'"
-        raise shape.fail(f"bad transition {shown}: {exc.message}") from exc
+        raise shape.fail(f"bad transition {_echoed(text)}: {exc.message}") from exc
     return Transition(state, port_name, guard, next_state, tuple(emissions))
+
+
+def _echoed(text: str) -> str:
+    """Transition or guard text in quotes, whole, unless a run without
+    blanks in it is longer than ECHO_LIMIT: then it is named by its length."""
+    if any(len(run) > ECHO_LIMIT for run in text.split()):
+        return quoted(text)
+    return f"'{text}'"
 
 
 def _parse_guard(shape: _Shape, cursor: TokenCursor, in_port: PortDecl) -> Guard:
@@ -675,10 +681,10 @@ def _parse_guard(shape: _Shape, cursor: TokenCursor, in_port: PortDecl) -> Guard
     prim = shape.field_primitive([in_port], fname)
     if primitive_of(literal) != prim:
         raise shape.fail(
-            f"guard literal {render_value(literal)} does not fit {prim} field '{fname}'"
+            f"guard literal {render_value(literal)} does not fit {prim} field {quoted(fname)}"
         )
     if op not in ("=", "!=") and prim != "integer":
-        raise shape.fail(f"ordered comparison needs an integer field, '{fname}' is {prim}")
+        raise shape.fail(f"ordered comparison needs an integer field, {quoted(fname)} is {prim}")
     return Guard(fname, op, literal)
 
 
@@ -692,7 +698,8 @@ def _parse_emission(shape: _Shape, cursor: TokenCursor, in_port: PortDecl) -> Em
             raise shape.fail(f"unknown message type {quoted(type_name)} in emission")
         if type_name != port.message_type:
             raise shape.fail(
-                f"port '{port.name}' carries {port.message_type}, not {type_name}"
+                f"port {quoted(port.name)} carries {quoted(port.message_type, '')},"
+                f" not {quoted(type_name, '')}"
             )
         try:
             payload = make_record(mdef, values)
@@ -703,10 +710,9 @@ def _parse_emission(shape: _Shape, cursor: TokenCursor, in_port: PortDecl) -> Em
     return Emission(port.name, None)
 
 
-def _interval(guard: Guard) -> tuple[object, object]:
-    """The closed interval an =, <, <=, > or >= guard admits; ordered guards
-    are integer-only, so < and > step their literal by one."""
-    v, op = guard.literal, guard.op
+def _interval(op: str, v: object) -> tuple[object, object]:
+    """The closed interval an =, <, <=, > or >= guard on `v` admits; ordered
+    guards are integer-only, so < and > step their literal by one."""
     if op == "=":
         return v, v
     if op[0] == "<":
@@ -714,15 +720,24 @@ def _interval(guard: Guard) -> tuple[object, object]:
     return v if op == ">=" else v + 1, float("inf")
 
 
+def _op_literal(guard: Guard) -> tuple[str, object]:
+    """A guard's operator and literal, with != on a boolean literal read as
+    = on the other one."""
+    if guard.op == "!=" and isinstance(guard.literal, bool):
+        return "=", not guard.literal
+    return guard.op, guard.literal
+
+
 def _guards_disjoint(a: Guard, b: Guard) -> bool:
-    """True only when no payload can satisfy both guards: != is disjoint
-    only from = on its own literal, and any other pair on one field only
-    when the closed intervals they admit do not meet."""
+    """True only when no payload can satisfy both guards: after _op_literal,
+    != is disjoint only from = on its own literal, and any other pair on one
+    field only when the closed intervals they admit do not meet."""
     if a.field is None or a.field != b.field:
         return False
-    if a.op == "!=" or b.op == "!=":
-        return "=" in (a.op, b.op) and a.literal == b.literal
-    (alo, ahi), (blo, bhi) = _interval(a), _interval(b)
+    (aop, av), (bop, bv) = _op_literal(a), _op_literal(b)
+    if aop == "!=" or bop == "!=":
+        return "=" in (aop, bop) and av == bv
+    (alo, ahi), (blo, bhi) = _interval(aop, av), _interval(bop, bv)
     return ahi < blo or bhi < alo
 
 
@@ -751,12 +766,12 @@ def instantiate(tdef: ComponentTypeDef, model: ArchitectureModel) -> Behavior:
     if behavior is None:
         clause = tdef.behavior
         if clause is None:
-            raise BehaviorConfigError(f"'{tdef.name}' has no behavior clause")
+            raise BehaviorConfigError(f"{quoted(tdef.name)} has no behavior clause")
         cls = BUILTINS.get(clause.builtin)
         if cls is None:
             known = ", ".join(sorted(BUILTINS))
             raise BehaviorConfigError(
-                f"unknown behavior '{clause.builtin}' (known: {known})"
+                f"unknown behavior {quoted(clause.builtin)} (known: {known})"
             )
         bound = bind_args(clause, cls.params, cls.variadic)
         behavior = kept[tdef.name] = cls(_Shape(clause.builtin, tdef, model), bound)

@@ -52,11 +52,12 @@ def io_error(path: str, exc: OSError) -> Diagnostic:
     return error(E_IO, path, 0, 0, exc.strerror or str(exc))
 
 
-def quoted(word: str) -> str:
-    """`word` in quotes for a diagnostic, or its length if it is too long."""
+def quoted(word: str, quote: str = "'") -> str:
+    """`word` between `quote` marks for a diagnostic, or its length if it is
+    too long."""
     if len(word) > ECHO_LIMIT:
         return f"a word of {len(word)} characters"
-    return f"'{word}'"
+    return f"{quote}{word}{quote}"
 
 
 def render_all(diagnostics: list[Diagnostic]) -> str:

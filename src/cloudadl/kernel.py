@@ -38,6 +38,24 @@ or None for every replica whose behavior does not draw. So a handle()
 must not keep ctx after it returns. A replica also builds the subject
 strings of its events once, when it starts, and every event it is the
 subject of shares them.
+
+Kernel.events is the run's history: one plain tuple per event,
+
+  (step, kind, subject, seq, tokens, payload, channel)
+
+- step: the step it happened on;
+- kind: one of EVENT_KINDS;
+- subject: a channel id, an instance path, "path#rid", or the
+  "path#rid.port" or "root.port" a DELIVER reaches;
+- seq: the message's sequence number on its channel, or None;
+- tokens: () or a tuple of (context name, serial) tokens;
+- payload: the payload rendered to text, a fault kind, a SCALE's
+  "target=...,size=...", or "-";
+- channel: the source channel id of a message event, else ""; it is kept
+  out of the rendered trace.
+
+Every field is an int, a str, None or a tuple of them, so after its first
+collections the garbage collector stops tracking an event.
 """
 
 from __future__ import annotations
@@ -77,30 +95,6 @@ ESCALATE_STRATEGY = "escalate"
 STRATEGIES = (RESUME, RESTART_STRATEGY, ESCALATE_STRATEGY)
 
 # Tokens are (context name, serial) pairs; serials count up per context.
-
-
-class Event(Value):
-    __slots__ = ("step", "kind", "subject", "seq", "tokens", "payload", "channel")
-    _fields = __slots__
-
-    def __init__(
-        self,
-        step: int,
-        kind: str,
-        subject: str,
-        seq: int | None,
-        tokens: tuple[tuple[str, int], ...],
-        payload: str,
-        channel: str = "",
-    ):
-        self.step = step
-        self.kind = kind
-        self.subject = subject
-        self.seq = seq
-        self.tokens = tokens
-        self.payload = payload
-        # source channel for message events; kept out of the rendered trace
-        self.channel = channel
 
 
 class Replica(Value):
@@ -361,7 +355,7 @@ class Kernel:
         # - pinned is the replica id fixed at send time, or None;
         # - bind is False for broadcast copies, which never bind tokens.
         self.in_flight: dict[int, list[tuple]] = {}
-        self.events: list[Event] = []
+        self.events: list[tuple] = []  # see the module docstring
         # root out port -> (arrival step, payload) per delivered message
         self.out_streams: dict[str, list[tuple[int, Record]]] = {
             p.name: []
@@ -409,9 +403,7 @@ class Kernel:
         payload: str = "-",
         channel: str = "",
     ) -> None:
-        self.events.append(
-            Event(self.step, kind, subject, seq, tokens, payload, channel)
-        )
+        self.events.append((self.step, kind, subject, seq, tokens, payload, channel))
 
     # -- run loop ----------------------------------------------------------
 
@@ -464,7 +456,7 @@ class Kernel:
         for m in due:
             cid, seq, ch, payload, text, tokens, pinned, _bind = m
             if ch.external:
-                events.append(Event(
+                events.append((
                     step, DELIVER, self._root_subjects[ch.target_port],
                     seq, tokens, text, cid,
                 ))
@@ -479,7 +471,7 @@ class Kernel:
                 group.rr += 1
             else:
                 replica = self._select(group, m)
-            events.append(Event(
+            events.append((
                 step, DELIVER, replica.subjects[ch.target_port], seq, tokens, text, cid,
             ))
             activations.append((group, replica, ch.target_port, payload, tokens))
@@ -591,7 +583,7 @@ class Kernel:
                         self._event(STRIP, cid, seq, stripped, "-", cid)
             tokens = tuple(sorted(toks))
         text = payload.render()
-        self.events.append(Event(self.step, SEND, cid, seq, tokens, text, cid))
+        self.events.append((self.step, SEND, cid, seq, tokens, text, cid))
         arrive = self.step + ch.latency
         bucket = self.in_flight.get(arrive)
         if bucket is None:

@@ -624,8 +624,8 @@ def _judge(exp, kernel: Kernel) -> str | None:
             return f"stores hold {total} rows"
         return None
     if isinstance(exp, EventOccurs):
-        for ev in kernel.events:
-            if ev.kind == exp.kind and ev.subject == exp.subject:
+        for _step, kind, subject, _seq, _tokens, _payload, _channel in kernel.events:
+            if kind == exp.kind and subject == exp.subject:
                 return None
         return "no such event"
     raise TypeError(f"unknown expectation {exp!r}")

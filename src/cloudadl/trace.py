@@ -1,6 +1,7 @@
 """Tab-separated trace rendering.
 
-One line per event: step, kind, subject, sequence number, tokens, payload.
+One line per kernel event tuple (see the kernel module docstring): step,
+kind, subject, sequence number, tokens, payload; the channel is left out.
 Empty columns hold "-". Tokens render as name#serial, sorted, joined by
 commas. Two runs of the same model, scenario, and seed render to the same
 bytes.
@@ -16,8 +17,6 @@ from __future__ import annotations
 
 from typing import Iterable, TextIO
 
-from .kernel import Event
-
 BATCH_LINES = 512
 
 
@@ -27,18 +26,19 @@ def render_tokens(tokens: tuple[tuple[str, int], ...]) -> str:
     return ",".join(f"{name}#{serial}" for name, serial in sorted(tokens))
 
 
-def render_trace(events: Iterable[Event], out: TextIO) -> None:
+def render_trace(events: Iterable[tuple], out: TextIO) -> None:
     # Events share tokens tuples: a message's SEND and DELIVER, its gateless
     # hops, and every untokened event. Render each distinct tuple once.
     columns: dict[tuple, str] = {(): "-"}
     lines: list[str] = []
     append = lines.append
-    for ev in events:
-        toks = columns.get(ev.tokens)
+    for step, kind, subject, seq, tokens, payload, _channel in events:
+        toks = columns.get(tokens)
         if toks is None:
-            toks = columns[ev.tokens] = render_tokens(ev.tokens)
-        seq = "-" if ev.seq is None else ev.seq
-        append(f"{ev.step}\t{ev.kind}\t{ev.subject}\t{seq}\t{toks}\t{ev.payload}\n")
+            toks = columns[tokens] = render_tokens(tokens)
+        if seq is None:
+            seq = "-"
+        append(f"{step}\t{kind}\t{subject}\t{seq}\t{toks}\t{payload}\n")
         if len(lines) == BATCH_LINES:
             out.write("".join(lines))
             lines.clear()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import io
 import pathlib
+from collections import namedtuple
 
 from cloudadl.analyzer import check, elaborate
 from cloudadl.parser import parse_model
@@ -30,6 +31,15 @@ def checked(text: str, root: str):
 
 def codes(diags) -> list[str]:
     return [d.code for d in diags]
+
+
+# a kernel event tuple with its fields named, in the kernel's field order
+Event = namedtuple("Event", "step kind subject seq tokens payload channel")
+
+
+def events(kernel) -> list[Event]:
+    """The kernel's events as Event views, for tests that read fields by name."""
+    return [Event._make(e) for e in kernel.events]
 
 
 def trace_text(events) -> str:

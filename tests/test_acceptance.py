@@ -33,7 +33,7 @@ from cloudadl.scenario import (
     store_rows,
 )
 
-from helpers import MODELS_DIR, SCENARIOS_DIR, parse_ok, replaced, trace_text
+from helpers import MODELS_DIR, SCENARIOS_DIR, events, parse_ok, replaced, trace_text
 from modelgen import POOL_TEXT, pipeline_text, random_model
 
 
@@ -61,8 +61,8 @@ def test_a01_per_channel_fifo_holds_across_1000_random_cases():
         k.run()
         assert not k.truncated, case
         for ch in topo.channels:
-            sends = [e for e in k.events if e.kind == "SEND" and e.channel == ch.id]
-            delis = [e for e in k.events if e.kind == "DELIVER" and e.channel == ch.id]
+            sends = [e for e in events(k) if e.kind == "SEND" and e.channel == ch.id]
+            delis = [e for e in events(k) if e.kind == "DELIVER" and e.channel == ch.id]
             assert [e.seq for e in sends] == list(range(1, len(sends) + 1)), case
             assert [e.seq for e in delis] == [e.seq for e in sends], (case, ch.id)
             assert [e.payload for e in delis] == [e.payload for e in sends], case
@@ -90,8 +90,8 @@ def test_a02_each_of_10000_routed_messages_delivered_exactly_once():
         k.run()
         assert not k.truncated
         group_ch = "root.feed->root/w.i"
-        sends = [e for e in k.events if e.kind == "SEND" and e.channel == group_ch]
-        delis = [e for e in k.events if e.kind == "DELIVER" and e.channel == group_ch]
+        sends = [e for e in events(k) if e.kind == "SEND" and e.channel == group_ch]
+        delis = [e for e in events(k) if e.kind == "DELIVER" and e.channel == group_ch]
         assert len(sends) == len(delis) == 1250
         seen = [e.seq for e in delis]
         assert sorted(seen) == list(range(1, 1251))  # exactly once, no drops
@@ -124,7 +124,7 @@ def test_a03_context_tokens_pin_chains_to_their_opening_replica():
             assert not kernel.truncated
             assert len(kernel.out_streams["done"]) == 100  # all chains complete
             opener: dict[tuple, str] = {}
-            for e in kernel.events:
+            for e in events(kernel):
                 if e.kind != "DELIVER" or not e.subject.startswith("root/a#"):
                     continue
                 rid = e.subject.split(".")[0]
@@ -134,7 +134,7 @@ def test_a03_context_tokens_pin_chains_to_their_opening_replica():
                     else:
                         opener[tok] = rid
             assert len(opener) == 100
-            binds = [e for e in kernel.events if e.kind == "BIND"]
+            binds = [e for e in events(kernel) if e.kind == "BIND"]
             assert len(binds) == 100  # bound once, never rebound
             chains_checked += len(opener)
     assert chains_checked == 2 * 20 * 100
@@ -168,7 +168,7 @@ def test_a04_broadcast_and_index_selection_against_group_sizes():
                    injections=[Injection(1, "feed", rec(model, "M", v=0))])
         k.run()
         ch = "root/h.o->root/w.i"
-        hits = sorted(e.subject for e in k.events
+        hits = sorted(e.subject for e in events(k)
                       if e.kind == "DELIVER" and e.channel == ch)
         assert hits == [f"root/w#{i}.i" for i in range(n)]
         assert len(k.out_streams["drain"]) == n
@@ -180,7 +180,7 @@ def test_a04_broadcast_and_index_selection_against_group_sizes():
                        scales=[ScaleDirective(0, "root/w", n)],
                        injections=[Injection(1, "feed", rec(model, "M", v=i))])
             k.run()
-            got = [e.subject for e in k.events
+            got = [e.subject for e in events(k)
                    if e.kind == "DELIVER" and e.channel == "root/r.o->root/w.i"]
             assert got == [f"root/w#{i}.i"]
 
@@ -192,7 +192,7 @@ def test_a04_broadcast_and_index_selection_against_group_sizes():
                    injections=[Injection(1, "feed", rec(model, "M", v=0)),
                                Injection(4, "feed", rec(model, "M", v=1))])
         k.run()
-        ch_delis = [e for e in k.events
+        ch_delis = [e for e in events(k)
                     if e.kind == "DELIVER" and e.channel == ch]
         before = [e for e in ch_delis if e.payload == "M{v=0}"]
         after = [e for e in ch_delis if e.payload == "M{v=1}"]
@@ -235,7 +235,7 @@ def test_a06_supervision_escalates_twice_then_restarts_the_failed_subtree():
                strategies={"root/mid": "restart"},
                faults=[FaultDirective(1, "root/mid/sub/leaf", "overload")])
     k.run()
-    got = [(e.kind, e.subject) for e in k.events]
+    got = [(e.kind, e.subject) for e in events(k)]
     assert got == [
         ("RAISE", "root/mid/sub/leaf#0"),
         ("ESCALATE", "root/mid/sub/leaf"),
@@ -248,7 +248,7 @@ def test_a06_supervision_escalates_twice_then_restarts_the_failed_subtree():
                faults=[FaultDirective(1, "root/mid/sub/leaf", "overload")])
     with pytest.raises(FatalUnhandled):
         k.run()
-    assert [e.kind for e in k.events][-2:] == ["ESCALATE", "FATAL"]
+    assert [e.kind for e in events(k)][-2:] == ["ESCALATE", "FATAL"]
     print("PASS: 2 escalations + 1 subtree restart; all-escalate went fatal")
 
 

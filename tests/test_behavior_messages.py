@@ -33,6 +33,8 @@ JP = (
     " port out U fwd; port out W bad;"
 )
 A = U + W
+Z = "z" * 5000  # a word from the model far past ECHO_LIMIT
+LONG = "a word of 5000 characters"
 
 
 def comp(ports: str, clause: str, name: str = "A") -> str:
@@ -306,6 +308,60 @@ CASES = [
      "automaton: guard on a word of 41 characters needs a literal"),
     ("automaton_emit_type_past_the_echo_limit", auto("a, u, * -> a, emit o " + "X" * 41 + "{v=1}"),
      "automaton: unknown message type a word of 41 characters in emission"),
+
+    # 5,000-character words from the model in the other messages
+    ("unknown_argument_past_the_echo_limit", U + comp(IO, f"forward({Z}=1)"),
+     f"forward: unknown argument {LONG}"),
+    ("unknown_builtin_past_the_echo_limit", U + comp("port in U u;", f"{Z}()"),
+     f"unknown behavior {LONG} (known: approval_join, approve_if, automaton, collect,"
+     " delay, fault_at, forward, route_by, sample, store, validate_range)"),
+    ("verdict_port_past_the_echo_limit", U + comp(f"port in U u; port out U {Z};", "approve_if(field=v, equals=1)"),
+     f"approve_if: port {LONG} must carry a message type with exactly one boolean field"),
+    ("mixed_primitives_field_past_the_echo_limit",
+     f"message U {{ {Z}: integer; }}\nmessage T {{ {Z}: text; }}\n"
+     + comp("port in U u; port in T t; port out U o;", f"route_by(field={Z})"),
+     f"route_by: field {LONG} has mixed primitives across in ports"),
+    ("integer_field_past_the_echo_limit",
+     f"message T {{ {Z}: text; }}\n" + comp("port in T u; port out T o;", f"route_by(field={Z})"),
+     f"route_by: field {LONG} must be an integer field"),
+    ("equals_field_past_the_echo_limit",
+     f"message U {{ {Z}: integer; }}\n" + V
+     + comp("port in U u; port out V o;", f'approve_if(field={Z}, equals="x")'),
+     f"approve_if: 'equals' value \"x\" does not fit integer field {LONG}"),
+    ("same_type_port_past_the_echo_limit", U + W + comp(f"port in U {Z}; port out W o;", "forward(out=o)"),
+     f"forward: port {LONG} carries U but port 'o' carries W"),
+    ("same_type_type_past_the_echo_limit",
+     U + f"message {Z} {{ v: integer; }}\n" + comp(f"port in {Z} u; port out U o;", "forward(out=o)"),
+     f"forward: port 'u' carries {LONG} but port 'o' carries U"),
+    ("automaton_emit_carries_type_past_the_echo_limit",
+     A + f"message {Z} {{ v: integer; }}\n"
+     + comp(f"port in U u; port out {Z} o;", 'automaton(initial="a", "a, u, * -> a, emit o U{v=1}")'),
+     f"automaton: port 'o' carries {LONG}, not U"),
+    ("automaton_overlap_state_past_the_echo_limit", auto(f"{Z}, u, * -> a", f"{Z}, u, * -> a"),
+     f"automaton: guards '*' and '*' overlap in state {LONG} on port 'u'"),
+    ("automaton_overlap_port_past_the_echo_limit",
+     auto(f"a, {Z}, * -> a", f"a, {Z}, * -> a", ports=f"port in U {Z}; port out U o;"),
+     f"automaton: guards '*' and '*' overlap in state 'a' on port {LONG}"),
+    ("automaton_overlap_guard_past_the_echo_limit",
+     f"message U {{ v: integer; {Z}: text; }}\n"
+     + comp(IO, f'automaton(initial="a", "a, u, {Z} = \\"x\\" -> a", "a, u, v = 1 -> a")'),
+     "automaton: guards a word of 5006 characters and 'v = 1' overlap in state 'a' on port 'u'"),
+    ("automaton_guard_literal_field_past_the_echo_limit",
+     f"message U {{ {Z}: integer; }}\n" + comp(IO, f'automaton(initial="a", "a, u, {Z} = \\"x\\" -> a")'),
+     f"automaton: guard literal \"x\" does not fit integer field {LONG}"),
+    ("automaton_ordered_field_past_the_echo_limit",
+     f"message U {{ {Z}: text; }}\n" + comp(IO, f'automaton(initial="a", "a, u, {Z} < \\"x\\" -> a")'),
+     f"automaton: ordered comparison needs an integer field, {LONG} is text"),
+
+    # != on a boolean literal is = on the other literal
+    ("automaton_boolean_not_equal_both_literals",
+     V + comp("port in V u; port out V o;",
+              'automaton(initial="a", "a, u, ok != false -> a", "a, u, ok != true -> a")'),
+     None),
+    ("automaton_boolean_not_true_and_equal_false_overlap",
+     V + comp("port in V u; port out V o;",
+              'automaton(initial="a", "a, u, ok != true -> a", "a, u, ok = false -> a")'),
+     "automaton: guards 'ok != true' and 'ok = false' overlap in state 'a' on port 'u'"),
 ]
 
 

@@ -489,14 +489,15 @@ GUARD_GRID = (
         for literal in literals
     ]
 )
-GUARD_VERDICTS_SHA256 = "1af48460355ca95b7224f9fe43eb59e68ffae6a78eb43a96c70153868fafe018"
+# Re-pinned when != on a boolean came to be read as = on the other literal:
+# only (b != false, b != true) and its mirror turned disjoint.
+GUARD_VERDICTS_SHA256 = "3c2377a1cac94b2ab6d649a7ce77d3171fb9d514282617c3f5d061d3e71090a8"
 
 
 def test_guard_verdicts_on_a_grid():
     """Guard.matches on every payload and _guards_disjoint on every ordered
-    pair, pinned by digest: 45 guards, 48 payloads, 2,025 pairs. No payload
-    satisfies both guards of a disjoint pair; the converse need not hold
-    (b != false and b != true are not called disjoint)."""
+    pair, pinned by digest: 45 guards, 48 payloads, 2,025 pairs. A pair is
+    disjoint exactly when no payload satisfies both of its guards."""
     mdef = parse_ok("message G { v: integer; s: text; b: boolean; }").message_types["G"]
     payloads = [
         make_record(mdef, {"v": v, "s": s, "b": b})
@@ -509,8 +510,7 @@ def test_guard_verdicts_on_a_grid():
     for a in GUARD_GRID:
         for b in GUARD_GRID:
             disjoint = _guards_disjoint(a, b)
-            if disjoint:
-                assert not any(map(bool.__and__, hits[a], hits[b])), (a, b)
+            assert disjoint != any(map(bool.__and__, hits[a], hits[b])), (a, b)
             lines.append(f"{a.render()}\t{b.render()}\t{int(disjoint)}")
     assert len(lines) == 45 + 45 * 45
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -525,6 +525,14 @@ def test_instantiate_unknown_builtin():
     with pytest.raises(BehaviorConfigError) as exc:
         instantiate(model.component_types["A"], model)
     assert "zap" in str(exc.value)
+
+
+def test_instantiate_without_a_clause_names_a_long_type_by_its_length():
+    for name, shown in (("A", "'A'"), ("A" * 5000, "a word of 5000 characters")):
+        model = parse_ok(U + f"component {name} {{ port in U u; }}")
+        with pytest.raises(BehaviorConfigError) as exc:
+            instantiate(model.component_types[name], model)
+        assert str(exc.value) == f"{shown} has no behavior clause"
 
 
 def test_positional_after_named_only_for_variadic():

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import sys
 from random import Random
 
 import pytest
@@ -18,10 +20,13 @@ from cloudadl.kernel import (
 )
 from cloudadl.model import make_record
 from cloudadl.parser import load_files, parse_model
-from cloudadl.scenario import build_kernel, load_scenario_text
+from cloudadl.scenario import build_kernel, load_scenario, load_scenario_text, run_scenario
 
-from helpers import MODELS_DIR, parse_ok, replaced, trace_text
+from helpers import MODELS_DIR, PKG_ROOT, SCENARIOS_DIR, events, parse_ok, trace_text
 from modelgen import POOL_TEXT, pipeline_text
+
+sys.path.insert(0, str(PKG_ROOT / "perfbench"))
+import workloads  # noqa: E402
 
 
 def build(text: str, root: str, *, overrides=(), **kw):
@@ -46,7 +51,7 @@ def jobs(model, port, steps, tname="Job", field="n"):
 
 
 def deliveries(kernel, subject_prefix=""):
-    return [e for e in kernel.events if e.kind == "DELIVER"
+    return [e for e in events(kernel) if e.kind == "DELIVER"
             and e.subject.startswith(subject_prefix)]
 
 
@@ -68,8 +73,8 @@ def test_per_channel_fifo_under_random_latencies():
     k.run()
     assert not k.truncated
     for ch in topo.channels:
-        sends = [e for e in k.events if e.kind == "SEND" and e.channel == ch.id]
-        delis = [e for e in k.events if e.kind == "DELIVER" and e.channel == ch.id]
+        sends = [e for e in events(k) if e.kind == "SEND" and e.channel == ch.id]
+        delis = [e for e in events(k) if e.kind == "DELIVER" and e.channel == ch.id]
         assert [e.seq for e in sends] == list(range(1, len(sends) + 1))
         assert [e.seq for e in delis] == [e.seq for e in sends]
         assert [e.payload for e in delis] == [e.payload for e in sends]
@@ -196,8 +201,8 @@ def test_round_robin_over_live_replicas():
     assert rids == [f"root/w#{i}.i" for i in (0, 1, 2, 0, 1, 2)]
     assert len(k.out_streams["drain"]) == 6
     # untokened messages bind nothing and leave nothing held
-    assert not [e for e in k.events if e.kind == "BIND"]
-    assert all(e.tokens == () for e in k.events)
+    assert not [e for e in events(k) if e.kind == "BIND"]
+    assert all(e.tokens == () for e in events(k))
     assert all(not r.held for r in k.groups["root/w"].replicas.values())
 
 
@@ -227,12 +232,12 @@ def test_broadcast_copies_to_every_live_replica():
     )
     k.run()
     ch = "root/h.o->root/w.i"
-    sends = [e for e in k.events if e.kind == "SEND" and e.channel == ch]
+    sends = [e for e in events(k) if e.kind == "SEND" and e.channel == ch]
     assert [e.seq for e in sends] == [1, 2, 3]
     got = sorted(e.subject for e in deliveries(k) if e.channel == ch)
     assert got == ["root/w#0.i", "root/w#1.i", "root/w#2.i"]
     assert len(k.out_streams["drain"]) == 3
-    assert not [e for e in k.events if e.kind == "BIND"]
+    assert not [e for e in events(k) if e.kind == "BIND"]
 
 
 def test_index_mode_picks_modulo_live():
@@ -273,11 +278,11 @@ def test_tokens_mint_bind_stick_and_strip():
                    for s in (1, 2, 3, 4)
                ])
     k.run()
-    mints = [e for e in k.events if e.kind == "MINT"]
+    mints = [e for e in events(k) if e.kind == "MINT"]
     assert [e.tokens for e in mints] == [
         (("chain", 0),), (("chain", 1),), (("chain", 2),), (("chain", 3),),
     ]
-    binds = [e for e in k.events if e.kind == "BIND"]
+    binds = [e for e in events(k) if e.kind == "BIND"]
     assert len(binds) == 4  # one per token, never rebound
     # every group delivery carrying token t lands on the replica t bound to
     bound_to = {}
@@ -291,13 +296,13 @@ def test_tokens_mint_bind_stick_and_strip():
     # gateless hops (a.toB, b.next, c.back) carry each request's one token,
     # and the callbacks on c.back come home to the replica that token bound
     gateless = {ch.id for ch in topo.channels if not ch.gates}
-    hops = [e for e in k.events if e.kind == "SEND" and e.channel in gateless]
+    hops = [e for e in events(k) if e.kind == "SEND" and e.channel in gateless]
     assert len(hops) == 12
     assert all(len(e.tokens) == 1 and e.tokens[0] in bound_to for e in hops)
     backs = [e for e in deliveries(k) if e.channel == "root/c.back->root/a.back"]
     assert len(backs) == 4
     assert all(e.subject == bound_to[e.tokens[0]] + ".back" for e in backs)
-    strips = [e for e in k.events if e.kind == "STRIP"]
+    strips = [e for e in events(k) if e.kind == "STRIP"]
     assert [e.tokens for e in strips] == [e.tokens for e in mints]
     assert len(k.out_streams["done"]) == 4
     # fresh tokens alternate replicas via round robin
@@ -312,7 +317,7 @@ def test_token_rides_interior_hops():
         Injection(1, "task", rec(model, "Req", body="x")),
     ])
     k.run()
-    interior = [e for e in k.events
+    interior = [e for e in events(k)
                 if e.kind == "SEND" and "root/b" in e.channel]
     assert interior and all(e.tokens == (("chain", 0),) for e in interior)
 
@@ -331,7 +336,7 @@ def test_absorbed_tokens_are_held():
     k.run()
     replica = k.groups["root/w"].replicas[0]
     assert replica.held == {("sess", 0)}
-    assert not [e for e in k.events if e.kind == "STRIP"]
+    assert not [e for e in events(k) if e.kind == "STRIP"]
 
 
 def test_context_serials_are_global_per_context():
@@ -352,7 +357,7 @@ def test_context_serials_are_global_per_context():
         Injection(2, "f1", rec(model, "M", n=2)),
     ])
     k.run()
-    mints = [e.tokens for e in k.events if e.kind == "MINT"]
+    mints = [e.tokens for e in events(k) if e.kind == "MINT"]
     assert mints == [(("c1", 0),), (("c2", 0),), (("c1", 1),)]
 
 
@@ -376,7 +381,7 @@ def test_restart_resets_behavior_state():
         faults=[FaultDirective(3, "root/w", "wedge")],
     )
     k.run()
-    kinds = [e.kind for e in k.events if e.kind in ("RAISE", "RESTART")]
+    kinds = [e.kind for e in events(k) if e.kind in ("RAISE", "RESTART")]
     assert kinds == ["RAISE", "RESTART"]
     # counter reset by the restart: only the two post-fault messages pair up
     assert [p.get("n") for _t, p in k.out_streams["drain"]] == [4]
@@ -391,7 +396,7 @@ def test_resume_keeps_state():
         faults=[FaultDirective(3, "root/w", "wedge")],
     )
     k.run()
-    assert [e.kind for e in k.events if e.kind in
+    assert [e.kind for e in events(k) if e.kind in
             ("RAISE", "RESTART", "ESCALATE", "FATAL")] == ["RAISE"]
     assert [p.get("n") for _t, p in k.out_streams["drain"]] == [3]
 
@@ -405,7 +410,7 @@ def test_escalation_walks_to_root_and_goes_fatal():
     with pytest.raises(FatalUnhandled) as exc:
         k.run()
     assert exc.value.path == "root/mid/sub/leaf" and exc.value.kind == "overload"
-    tail = [(e.kind, e.subject) for e in k.events]
+    tail = [(e.kind, e.subject) for e in events(k)]
     assert tail == [
         ("RAISE", "root/mid/sub/leaf#0"),
         ("ESCALATE", "root/mid/sub/leaf"),
@@ -424,7 +429,7 @@ def test_escalation_stops_at_restarting_ancestor():
                faults=[FaultDirective(1, "root/mid/sub/leaf", "overload")])
     k.run()
     # the deciding ancestor restarts the escalating child subtree
-    got = [(e.kind, e.subject) for e in k.events]
+    got = [(e.kind, e.subject) for e in events(k)]
     assert got == [
         ("RAISE", "root/mid/sub/leaf#0"),
         ("ESCALATE", "root/mid/sub/leaf"),
@@ -454,7 +459,7 @@ def test_restart_preserves_queued_messages():
     )
     k.run()
     # both arrive at step 2; n=1 has no transition and raises, n=2 still runs
-    assert [e.kind for e in k.events if e.kind in ("RAISE", "RESTART")] == [
+    assert [e.kind for e in events(k) if e.kind in ("RAISE", "RESTART")] == [
         "RAISE", "RESTART",
     ]
     drained = [p.get("n") for _t, p in k.out_streams["drain"]]
@@ -475,9 +480,9 @@ def test_faulted_activation_drops_tokens():
         injections=[Injection(1, "feed", rec(model, "M", n=1))],
     )
     k.run()
-    assert [e.kind for e in k.events if e.kind == "RAISE"]
+    assert [e.kind for e in events(k) if e.kind == "RAISE"]
     assert k.groups["root/w"].replicas[0].held == set()
-    assert not [e for e in k.events if e.kind == "STRIP"]
+    assert not [e for e in events(k) if e.kind == "STRIP"]
 
 
 # --- scaling lifecycle ---
@@ -496,7 +501,7 @@ def test_scale_events_and_fresh_rids():
     k.run()
     group = k.groups["root/w"]
     assert sorted(group.replicas) == [0, 3]  # rids 1 and 2 retired, 3 is fresh
-    scale_events = [(e.step, e.payload) for e in k.events if e.kind == "SCALE"]
+    scale_events = [(e.step, e.payload) for e in events(k) if e.kind == "SCALE"]
     assert scale_events[0] == (0, "target=3,size=3")
     assert (8, "target=2,size=2") in scale_events
     # shrink happens via the retirement sweep once replicas drain
@@ -646,7 +651,7 @@ def test_inject_past_maxsteps_truncates_at_the_budget():
     k.run()
     assert k.truncated
     assert k.step == 11
-    assert k.events and max(e.step for e in k.events) <= 10
+    assert k.events and max(e.step for e in events(k)) <= 10
     assert len(k.out_streams["drain"]) == 1  # the step-20 inject never ran
 
 
@@ -661,7 +666,7 @@ def test_lone_late_inject_matches_an_early_one_shifted():
     early, late = runs
     shift = 50_000 - 1
     assert late.step == early.step + shift
-    assert [replaced(e, step=e.step + shift) for e in early.events] == late.events
+    assert [e._replace(step=e.step + shift) for e in events(early)] == events(late)
 
 
 def test_same_step_directives_run_scales_then_faults_then_injects(tmp_path):
@@ -680,7 +685,7 @@ def test_same_step_directives_run_scales_then_faults_then_injects(tmp_path):
     assert scn is not None, diags
     k = build_kernel(scn)
     k.run()
-    at_two = [(e.kind, e.payload) for e in k.events if e.step == 2]
+    at_two = [(e.kind, e.payload) for e in events(k) if e.step == 2]
     assert at_two == [
         ("SCALE", "target=3,size=3"),
         ("SCALE", "target=2,size=3"),
@@ -718,7 +723,7 @@ def test_groups_retiring_on_one_step_shrink_in_declaration_order():
     )
     k.run()
     shrinks = [
-        (e.step, e.subject) for e in k.events
+        (e.step, e.subject) for e in events(k)
         if e.kind == "SCALE" and e.payload == "target=1,size=1"
     ]
     assert shrinks == [(7, "root/a"), (7, "root/b")]
@@ -762,7 +767,7 @@ def test_round_robin_follows_scale_up_shrink_and_regrowth():
         # the cursor stands at 5, so the regrown pair [0, 3] starts at #3
         (6, "root/w#3.i"), (6, "root/w#0.i"),
     ]
-    scales = [(e.step, e.payload) for e in k.events if e.kind == "SCALE"]
+    scales = [(e.step, e.payload) for e in events(k) if e.kind == "SCALE"]
     assert scales == [
         (0, "target=3,size=3"),
         (3, "target=1,size=3"),
@@ -806,7 +811,7 @@ def test_instances_of_one_type_share_the_behavior_not_the_state():
         strategies={"root/a": "restart"},
     )
     k.run()
-    assert [e.subject for e in k.events if e.kind == "RESTART"] == ["root/a"]
+    assert [e.subject for e in events(k) if e.kind == "RESTART"] == ["root/a"]
     assert [p.get("n") for _t, p in k.out_streams["da"]] == [2]
     assert [p.get("n") for _t, p in k.out_streams["db"]] == [11]
     assert k.groups["root/a"].replicas[0].state == 1
@@ -851,7 +856,7 @@ def test_store_rows_stay_with_their_replica_across_a_restart():
         strategies={"root/w": "restart"},
     )
     k.run()
-    assert [e.subject for e in k.events if e.kind == "RESTART"] == ["root/w"]
+    assert [e.subject for e in events(k) if e.kind == "RESTART"] == ["root/w"]
     assert store_payloads(k, "root/w") == {0: [4], 1: []}
     assert store_payloads(k, "root/v") == {0: [10], 1: [11]}
     rows = [r.state for g in k.groups.values() for r in g.replicas.values()]
@@ -1047,14 +1052,14 @@ def restart_run(width: int, strategies: dict[str, str]):
 
 def test_a_leaf_restart_resets_only_the_leaf():
     k, calls = restart_run(300, {"root/mid/p": "restart"})
-    assert [e.subject for e in k.events if e.kind == "RESTART"] == ["root/mid/p"] * 3
+    assert [e.subject for e in events(k) if e.kind == "RESTART"] == ["root/mid/p"] * 3
     # the first call starts root/mid/k#1 at the step 0 scale
     assert calls == ["root/mid/k"] + ["root/mid/p"] * 3
 
 
 def test_a_restart_decided_by_the_root_resets_the_escalating_subtree():
     k, calls = restart_run(300, {"root": "restart"})
-    assert [e.subject for e in k.events if e.kind == "RESTART"] == ["root/mid"] * 3
+    assert [e.subject for e in events(k) if e.kind == "RESTART"] == ["root/mid"] * 3
     # after the scale: p, then both replicas of k, in group order, per restart
     assert calls == ["root/mid/k"] + ["root/mid/p", "root/mid/k", "root/mid/k"] * 3
 
@@ -1078,3 +1083,23 @@ def restart_digest(k) -> str:
 def test_restart_traces_are_pinned(strategies, digest):
     k, _ = restart_run(20, strategies)
     assert restart_digest(k) == digest
+
+
+# --- the event history ---
+
+
+def test_events_are_plain_tuples_the_collector_stops_tracking(tmp_path):
+    sessions = workloads.sessions(str(tmp_path), 7, 40)
+    for path in (SCENARIOS_DIR / "request_chain.scn", sessions.scenario):
+        scenario, diags = load_scenario(str(path))
+        assert not diags, [d.render() for d in diags]
+        history = run_scenario(scenario).kernel.events
+        assert history
+        assert all(type(e) is tuple and len(e) == 7 for e in history)
+        # A pass untracks a tuple only if its items are untracked by then,
+        # and it may reach the tuple before its items; an event holds a
+        # token tuple of (context, serial) tuples, so three passes suffice.
+        for _ in range(3):
+            gc.collect()
+        assert not [e for e in history if gc.is_tracked(e)], path
+    assert any(e[4] for e in history)  # the sessions run carries tokens

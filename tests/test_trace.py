@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import tracemalloc
 
-from cloudadl.kernel import Event
 from cloudadl.model import Record
 from cloudadl.trace import render_tokens, render_trace
 
@@ -21,18 +20,18 @@ def test_render_event_columns():
     # kernel events carry payloads already rendered to text
     payload = Record("M", (("n", 3), ("s", "x y"))).render()
     assert payload == 'M{n=3,s="x y"}'
-    ev = Event(4, "DELIVER", "root/w#1.i", 7, (("sess", 0),), payload, "ch")
+    ev = (4, "DELIVER", "root/w#1.i", 7, (("sess", 0),), payload, "ch")
     assert trace_text([ev]) == '4\tDELIVER\troot/w#1.i\t7\tsess#0\tM{n=3,s="x y"}\n'
 
 
 def test_render_event_empty_fields():
-    ev = Event(0, "SCALE", "root/w", None, (), "target=2,size=2", "")
+    ev = (0, "SCALE", "root/w", None, (), "target=2,size=2", "")
     assert trace_text([ev]) == "0\tSCALE\troot/w\t-\t-\ttarget=2,size=2\n"
 
 
 def test_render_trace_joins_lines():
-    a = Event(0, "SCALE", "root/w", None, (), "target=1,size=1", "")
-    b = Event(1, "FATAL", "root", None, (), "boom", "")
+    a = (0, "SCALE", "root/w", None, (), "target=1,size=1", "")
+    b = (1, "FATAL", "root", None, (), "boom", "")
     text = trace_text([a, b])
     assert text == (
         "0\tSCALE\troot/w\t-\t-\ttarget=1,size=1\n"
@@ -47,10 +46,10 @@ def test_render_trace_sorts_and_reuses_token_columns():
     second = tuple([("b", 1), ("a", 2)])
     assert first == second and first is not second
     events = [
-        Event(1, "SEND", "c", 1, first, "M{}", "c"),
-        Event(2, "DELIVER", "root.o", 1, second, "M{}", "c"),
-        Event(2, "MINT", "c", None, (("a", 3),), "-", "c"),
-        Event(3, "DELIVER", "root.o", 2, first, "M{}", "c"),
+        (1, "SEND", "c", 1, first, "M{}", "c"),
+        (2, "DELIVER", "root.o", 1, second, "M{}", "c"),
+        (2, "MINT", "c", None, (("a", 3),), "-", "c"),
+        (3, "DELIVER", "root.o", 2, first, "M{}", "c"),
     ]
     assert trace_text(events) == (
         "1\tSEND\tc\t1\ta#2,b#1\tM{}\n"
@@ -64,7 +63,7 @@ def test_render_trace_memory_stays_bounded(tmp_path):
     # the shape and size of the held-out stream run: 60,000 untokened events
     # and a 3.6 MB trace; joining it into one string first peaks near 10 MiB
     events = [
-        Event(
+        (
             i // 2,
             "DELIVER" if i % 2 else "SEND",
             f"root/s{i % 7}#0.a" if i % 2 else f"root/s{i % 7}.b->root/s{i % 7 + 1}.a",

@@ -27,7 +27,6 @@ from cloudadl.behaviors import (
 from cloudadl.diagnostics import Diagnostic
 from cloudadl.harness import RunReport
 from cloudadl.kernel import (
-    Event,
     FaultDirective,
     Injection,
     Replica,
@@ -101,7 +100,6 @@ FROZEN = {
 MUTABLE = {
     ArchitectureModel: lambda pos, x: ArchitectureModel({x: MessageTypeDef(x, (), pos)}),
     Token: lambda pos, x: Token(lexer.IDENT, x, 1, 1),
-    Event: lambda pos, x: Event(1, "SEND", x, 0, (), "M{}"),
     Emit: lambda pos, x: Emit(x, None),
     ActivationContext: lambda pos, x: ActivationContext(x, None),
     Injection: lambda pos, x: Injection(1, x, None),
@@ -118,7 +116,7 @@ MUTABLE = {
     _RawScenario: lambda pos, x: _RawScenario(x),
 }
 
-SLOTTED = {Token, Event, Emit, ActivationContext, Injection}
+SLOTTED = {Token, Emit, ActivationContext, Injection}
 
 # fields whose default is a fresh container per instance
 DEFAULT_CONTAINERS = {
