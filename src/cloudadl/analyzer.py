@@ -32,7 +32,6 @@ from .diagnostics import (
     E_TYPE_MISMATCH,
     E_UNRESOLVED,
     Diagnostic,
-    error,
     quoted,
 )
 from .model import (
@@ -43,6 +42,7 @@ from .model import (
     ConnectorDecl,
     Endpoint,
     PortDecl,
+    SubcomponentDecl,
 )
 from .values import Value
 
@@ -57,7 +57,7 @@ def check(model: ArchitectureModel, root_type: str | None = None) -> list[Diagno
     _check_recursion(model, diags)
     if root_type is not None and root_type not in model.component_types:
         diags.append(
-            error(E_UNRESOLVED, "<model>", 0, 0, f"unknown root component type {quoted(root_type)}")
+            Diagnostic(E_UNRESOLVED, "<model>", 0, 0, f"unknown root component type {quoted(root_type)}")
         )
     return diags
 
@@ -101,7 +101,7 @@ def _check_component(
     for conn in cdef.connectors:
         _check_connector(model, cdef, conn, seen_pairs, diags)
 
-    connector_keys = {(c.source.parts, c.target.parts) for c in cdef.connectors}
+    connector_keys = {c.key() for c in cdef.connectors}
     ctx_names: set[str] = set()
     for ctx in cdef.contexts:
         if ctx.name in ctx_names:
@@ -116,7 +116,7 @@ def _check_component(
                 diags.append(
                     _err(
                         gate,
-                        f"gate '{gate.source.render()} -> {gate.target.render()}' does not match any connector",
+                        f"gate '{gate.render()}' does not match any connector",
                         E_GATE_REF,
                     )
                 )
@@ -124,7 +124,7 @@ def _check_component(
                 diags.append(
                     _err(
                         gate,
-                        f"connector '{gate.source.render()} -> {gate.target.render()}' is already a gate of context '{ctx.name}'",
+                        f"connector '{gate.render()}' is already a gate of context '{ctx.name}'",
                         E_GATE_REF,
                     )
                 )
@@ -155,30 +155,14 @@ def _check_component(
                 diags.append(_err(cdef.behavior, str(exc), E_BEHAVIOR))
 
 
-class _End(Value):
-    """A resolved connector endpoint inside one component type."""
-
-    _fields = ("port", "sub_name", "sub_replicating", "sub_decomposed")
-
-    def __init__(
-        self,
-        port: PortDecl,
-        sub_name: str | None,
-        sub_replicating: bool = False,
-        sub_decomposed: bool = False,
-    ):
-        self.port = port
-        self.sub_name = sub_name  # None for the component's own port
-        self.sub_replicating = sub_replicating
-        self.sub_decomposed = sub_decomposed
-
-
 def _resolve_end(
     model: ArchitectureModel,
     cdef: ComponentTypeDef,
     ep: Endpoint,
     diags: list[Diagnostic],
-) -> _End | None:
+) -> tuple[PortDecl, SubcomponentDecl | None] | None:
+    """The port a connector endpoint names, and the subcomponent it sits on
+    (None for the component's own port); None if it does not resolve."""
     if len(ep.parts) > 2:
         diags.append(
             _err(
@@ -195,7 +179,7 @@ def _resolve_end(
                 _err(ep, f"{quoted(cdef.name)} has no port {quoted(ep.port)}", E_UNRESOLVED)
             )
             return None
-        return _End(port, None)
+        return port, None
     sub = cdef.subcomponent(ep.sub)
     if sub is None:
         diags.append(
@@ -211,7 +195,7 @@ def _resolve_end(
             _err(ep, f"{quoted(sub.type_ref)} has no port {quoted(ep.port)}", E_UNRESOLVED)
         )
         return None
-    return _End(port, sub.name, sub.replicating, sub_type.is_decomposed)
+    return port, sub
 
 
 def _check_connector(
@@ -221,7 +205,7 @@ def _check_connector(
     seen_pairs: set[tuple[tuple[str, ...], tuple[str, ...]]],
     diags: list[Diagnostic],
 ) -> None:
-    pair = (conn.source.parts, conn.target.parts)
+    pair = conn.key()
     if pair in seen_pairs:
         diags.append(
             _err(conn, f"duplicate connector '{conn.render()}'", E_DUP_CONNECT)
@@ -233,9 +217,11 @@ def _check_connector(
     tgt = _resolve_end(model, cdef, conn.target, diags)
     if src is None or tgt is None:
         return
+    src_port, src_sub = src
+    tgt_port, tgt_sub = tgt
 
     ok = True
-    if src.sub_name is None and tgt.sub_name is None:
+    if src_sub is None and tgt_sub is None:
         diags.append(
             _err(
                 conn,
@@ -244,19 +230,19 @@ def _check_connector(
             )
         )
         ok = False
-    elif src.sub_name is not None and src.sub_name == tgt.sub_name:
+    elif src_sub is not None and src_sub is tgt_sub:
         diags.append(
             _err(
                 conn,
-                f"connector '{conn.render()}' loops back into subcomponent '{src.sub_name}'",
+                f"connector '{conn.render()}' loops back into subcomponent '{src_sub.name}'",
                 E_DIRECTION,
             )
         )
         ok = False
     else:
-        want_src = IN if src.sub_name is None else OUT
-        want_tgt = OUT if tgt.sub_name is None else IN
-        if src.port.direction != want_src:
+        want_src = IN if src_sub is None else OUT
+        want_tgt = OUT if tgt_sub is None else IN
+        if src_port.direction != want_src:
             diags.append(
                 _err(
                     conn,
@@ -265,7 +251,7 @@ def _check_connector(
                 )
             )
             ok = False
-        if tgt.port.direction != want_tgt:
+        if tgt_port.direction != want_tgt:
             diags.append(
                 _err(
                     conn,
@@ -275,15 +261,15 @@ def _check_connector(
             )
             ok = False
 
-    if src.port.message_type != tgt.port.message_type and (
-        src.port.message_type in model.message_types
-        and tgt.port.message_type in model.message_types
+    if src_port.message_type != tgt_port.message_type and (
+        src_port.message_type in model.message_types
+        and tgt_port.message_type in model.message_types
     ):
         diags.append(
             _err(
                 conn,
-                f"'{conn.source.render()}' carries {src.port.message_type} "
-                f"but '{conn.target.render()}' carries {tgt.port.message_type}",
+                f"'{conn.source.render()}' carries {src_port.message_type} "
+                f"but '{conn.target.render()}' carries {tgt_port.message_type}",
                 E_TYPE_MISMATCH,
             )
         )
@@ -295,15 +281,15 @@ def _check_connector(
     # The replicating marker on the sending out port must agree with whether
     # the connector feeds a replica group. Own in ports carry no marker, and
     # decomposed targets hide their groups until fusion, so both are skipped.
-    if src.sub_name is None:
+    if src_sub is None:
         return
-    if tgt.sub_name is not None and tgt.sub_decomposed:
+    if tgt_sub is None:
+        tgt_group = tgt_port.replicating
+    elif model.component_types[tgt_sub.type_ref].is_decomposed:
         return
-    src_marked = src.port.replicating
-    if tgt.sub_name is None:
-        tgt_group = tgt.port.replicating
     else:
-        tgt_group = tgt.sub_replicating
+        tgt_group = tgt_sub.replicating
+    src_marked = src_port.replicating
     if src_marked and not tgt_group:
         diags.append(
             _err(
@@ -353,8 +339,7 @@ def _check_recursion(model: ArchitectureModel, diags: list[Diagnostic]) -> None:
 
 
 def _err(node, message: str, code: str) -> Diagnostic:
-    pos = node.pos
-    return error(code, pos.origin, pos.line, pos.col, message)
+    return Diagnostic(code, *node.pos, message)
 
 
 # ---------------------------------------------------------------------------

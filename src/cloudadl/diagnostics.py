@@ -27,12 +27,9 @@ ECHO_LIMIT = 40  # a diagnostic names a longer word by its length, not its text
 
 
 class Diagnostic(Frozen):
-    _fields = ("severity", "code", "origin", "line", "col", "message")
+    _fields = ("code", "origin", "line", "col", "message")
 
-    def __init__(
-        self, severity: str, code: str, origin: str, line: int, col: int, message: str
-    ):
-        set_field(self, "severity", severity)  # "error" | "warning"
+    def __init__(self, code: str, origin: str, line: int, col: int, message: str):
         set_field(self, "code", code)
         set_field(self, "origin", origin)
         set_field(self, "line", line)
@@ -43,13 +40,9 @@ class Diagnostic(Frozen):
         return f"{self.origin}:{self.line}:{self.col}: {self.code}: {self.message}"
 
 
-def error(code: str, origin: str, line: int, col: int, message: str) -> Diagnostic:
-    return Diagnostic("error", code, origin, line, col, message)
-
-
 def io_error(path: str, exc: OSError) -> Diagnostic:
     """A file that could not be opened, read or written."""
-    return error(E_IO, path, 0, 0, exc.strerror or str(exc))
+    return Diagnostic(E_IO, path, 0, 0, exc.strerror or str(exc))
 
 
 def quoted(word: str, quote: str = "'") -> str:

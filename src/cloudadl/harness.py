@@ -10,7 +10,7 @@ from __future__ import annotations
 import sys
 from typing import TextIO
 
-from .diagnostics import E_UNRESOLVED, Diagnostic, error, io_error, render_all
+from .diagnostics import E_UNRESOLVED, Diagnostic, io_error, render_all
 from .kernel import Kernel, KernelError
 from .scenario import ScenarioResult, load_scenario, run_scenario, store_rows
 from .trace import render_trace
@@ -75,7 +75,7 @@ def _judged(path: str, trace_path: str | None) -> RunReport:
     try:
         result = run_scenario(scenario)
     except KernelError as exc:
-        diag = error(E_UNRESOLVED, path, exc.line, 1 if exc.line else 0, str(exc))
+        diag = Diagnostic(E_UNRESOLVED, path, exc.line, 1 if exc.line else 0, str(exc))
         return _diagnosed(path, [diag], f"scenario {name}: not runnable")
     if trace_path:
         problem = _written(trace_path, render_trace, result.kernel.events)

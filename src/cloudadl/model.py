@@ -1,6 +1,7 @@
 """Abstract model types for cloudADL architectures.
 
-Source positions (origin, line, col) are carried for diagnostics but excluded
+Each declaration carries its source position as a plain (origin, line, col)
+tuple in its `pos` field. Positions serve diagnostics only and are excluded
 from equality, so two parses of equivalent text compare structurally equal.
 """
 
@@ -19,23 +20,13 @@ OPEN = "open"
 CLOSE = "close"
 
 
-class Pos(Frozen):
-    _fields = ("origin", "line", "col")
-    _compare = ()
-
-    def __init__(self, origin: str = "<none>", line: int = 0, col: int = 0):
-        set_field(self, "origin", origin)
-        set_field(self, "line", line)
-        set_field(self, "col", col)
-
-
-_NO_POS = Pos()
+_NO_POS = ("<none>", 0, 0)
 
 
 class FieldDef(Frozen):
     _fields = ("name", "primitive", "pos")
 
-    def __init__(self, name: str, primitive: str, pos: Pos = _NO_POS):
+    def __init__(self, name: str, primitive: str, pos: tuple = _NO_POS):
         set_field(self, "name", name)
         set_field(self, "primitive", primitive)  # one of PRIMITIVES
         set_field(self, "pos", pos)
@@ -44,7 +35,7 @@ class FieldDef(Frozen):
 class MessageTypeDef(Frozen):
     _fields = ("name", "fields", "pos")
 
-    def __init__(self, name: str, fields: tuple[FieldDef, ...], pos: Pos = _NO_POS):
+    def __init__(self, name: str, fields: tuple[FieldDef, ...], pos: tuple = _NO_POS):
         set_field(self, "name", name)
         set_field(self, "fields", fields)
         set_field(self, "pos", pos)
@@ -76,7 +67,7 @@ class PortDecl(Frozen):
         direction: str,
         message_type: str,
         replicating: bool = False,
-        pos: Pos = _NO_POS,
+        pos: tuple = _NO_POS,
     ):
         set_field(self, "name", name)
         set_field(self, "direction", direction)  # IN | OUT
@@ -89,7 +80,7 @@ class SubcomponentDecl(Frozen):
     _fields = ("name", "type_ref", "replicating", "pos")
 
     def __init__(
-        self, name: str, type_ref: str, replicating: bool = False, pos: Pos = _NO_POS
+        self, name: str, type_ref: str, replicating: bool = False, pos: tuple = _NO_POS
     ):
         set_field(self, "name", name)
         set_field(self, "type_ref", type_ref)
@@ -106,7 +97,7 @@ class Endpoint(Frozen):
 
     _fields = ("parts", "pos")
 
-    def __init__(self, parts: tuple[str, ...], pos: Pos = _NO_POS):
+    def __init__(self, parts: tuple[str, ...], pos: tuple = _NO_POS):
         set_field(self, "parts", parts)
         set_field(self, "pos", pos)
 
@@ -127,29 +118,21 @@ class Endpoint(Frozen):
 
 
 class ConnectorDecl(Frozen):
-    _fields = ("source", "target", "pos")
-
-    def __init__(self, source: Endpoint, target: Endpoint, pos: Pos = _NO_POS):
-        set_field(self, "source", source)
-        set_field(self, "target", target)
-        set_field(self, "pos", pos)
-
-    def render(self) -> str:
-        return f"{self.source.render()} -> {self.target.render()}"
-
-
-class GateRef(Frozen):
-    """Reference to a connector by repeating its endpoint pair."""
+    """A `connect` item, or a context's gate, which names a connector by
+    repeating its endpoint pair."""
 
     _fields = ("source", "target", "pos")
 
-    def __init__(self, source: Endpoint, target: Endpoint, pos: Pos = _NO_POS):
+    def __init__(self, source: Endpoint, target: Endpoint, pos: tuple = _NO_POS):
         set_field(self, "source", source)
         set_field(self, "target", target)
         set_field(self, "pos", pos)
 
     def key(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
         return (self.source.parts, self.target.parts)
+
+    def render(self) -> str:
+        return f"{self.source.render()} -> {self.target.render()}"
 
 
 class ContextDecl(Frozen):
@@ -158,9 +141,9 @@ class ContextDecl(Frozen):
     def __init__(
         self,
         name: str,
-        opening: tuple[GateRef, ...],
-        closing: tuple[GateRef, ...],
-        pos: Pos = _NO_POS,
+        opening: tuple[ConnectorDecl, ...],
+        closing: tuple[ConnectorDecl, ...],
+        pos: tuple = _NO_POS,
     ):
         set_field(self, "name", name)
         set_field(self, "opening", opening)
@@ -194,7 +177,7 @@ class BehaviorArg(Frozen):
 class BehaviorClause(Frozen):
     _fields = ("builtin", "args", "pos")
 
-    def __init__(self, builtin: str, args: tuple[BehaviorArg, ...], pos: Pos = _NO_POS):
+    def __init__(self, builtin: str, args: tuple[BehaviorArg, ...], pos: tuple = _NO_POS):
         set_field(self, "builtin", builtin)
         set_field(self, "args", args)
         set_field(self, "pos", pos)
@@ -213,7 +196,7 @@ class ComponentTypeDef(Frozen):
         connectors: tuple[ConnectorDecl, ...],
         contexts: tuple[ContextDecl, ...],
         behavior: BehaviorClause | None,
-        pos: Pos = _NO_POS,
+        pos: tuple = _NO_POS,
     ):
         set_field(self, "name", name)
         set_field(self, "ports", ports)
@@ -247,7 +230,7 @@ class ComponentTypeDef(Frozen):
                     for key in dict.fromkeys(g.key() for g in getattr(ctx, side)):
                         found.setdefault(key, []).append((action, ctx.name))
             index = self.__dict__["_gates"] = {k: tuple(v) for k, v in found.items()}
-        return index.get((conn.source.parts, conn.target.parts), ())
+        return index.get(conn.key(), ())
 
     def _first_by_name(self, attr: str, decls: tuple) -> dict:
         index = self.__dict__.get(attr)

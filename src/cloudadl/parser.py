@@ -27,7 +27,7 @@ from __future__ import annotations
 import os
 
 from . import lexer
-from .diagnostics import E_DUP_DEF, E_IO, E_SYNTAX, Diagnostic, error, io_error, quoted
+from .diagnostics import E_DUP_DEF, E_IO, E_SYNTAX, Diagnostic, io_error, quoted
 from .lexer import EOF, IDENT, INT, STRING, LexError
 from .model import (
     ArchitectureModel,
@@ -38,11 +38,9 @@ from .model import (
     ContextDecl,
     Endpoint,
     FieldDef,
-    GateRef,
     Ident,
     MessageTypeDef,
     PortDecl,
-    Pos,
     PRIMITIVES,
     SubcomponentDecl,
 )
@@ -204,8 +202,8 @@ class ModelParser(TokenCursor):
         super().__init__(tokens)
         self.origin = origin
 
-    def _pos(self, tok: lexer.Token) -> Pos:
-        return Pos(self.origin, tok.line, tok.col)
+    def _pos(self, tok: lexer.Token) -> tuple[str, int, int]:
+        return (self.origin, tok.line, tok.col)
 
     def parse_model(self) -> tuple[ArchitectureModel, list[Diagnostic]]:
         model = ArchitectureModel()
@@ -328,7 +326,10 @@ class ModelParser(TokenCursor):
         return Endpoint(tuple(parts), self._pos(first))
 
     def parse_connector(self) -> ConnectorDecl:
-        kw = self.expect_keyword("connect")
+        return self.parse_endpoint_pair(self.expect_keyword("connect"))
+
+    def parse_endpoint_pair(self, kw: lexer.Token) -> ConnectorDecl:
+        """endpoint "->" endpoint ";" after `kw`, which gives the position."""
         source = self.parse_endpoint()
         self.expect("->")
         target = self.parse_endpoint()
@@ -339,8 +340,8 @@ class ModelParser(TokenCursor):
         kw = self.expect_keyword("context")
         name = self.expect_name("context name")
         self.expect("{")
-        opening: list[GateRef] = []
-        closing: list[GateRef] = []
+        opening: list[ConnectorDecl] = []
+        closing: list[ConnectorDecl] = []
         while not self.at("}"):
             tok = self.tokens[self.pos]
             kind = tok.value
@@ -351,11 +352,7 @@ class ModelParser(TokenCursor):
                     tok.col,
                 )
             self.pos += 1
-            source = self.parse_endpoint()
-            self.expect("->")
-            target = self.parse_endpoint()
-            self.expect(";")
-            gate = GateRef(source, target, self._pos(tok))
+            gate = self.parse_endpoint_pair(tok)
             (opening if kind == "open" else closing).append(gate)
         self.expect("}")
         return ContextDecl(name.value, tuple(opening), tuple(closing), self._pos(kw))
@@ -392,8 +389,8 @@ def _declare(decls: dict, kind: str, decl: FieldDef | PortDecl | SubcomponentDec
     """Add a field, port or subcomponent to its type's declarations; a
     repeated name is a syntax error at the repeat's position."""
     if decl.name in decls:
-        pos = decl.pos
-        raise LexError(f"{kind} {quoted(decl.name)} is already declared", pos.line, pos.col)
+        _origin, line, col = decl.pos
+        raise LexError(f"{kind} {quoted(decl.name)} is already declared", line, col)
     decls[decl.name] = decl
 
 
@@ -407,9 +404,8 @@ def _define(
     """Add a message or component type to `model`; the two kinds share one
     namespace, and a name already in it adds an E_DUP_DEF to `dups`."""
     if tdef.name in model.message_types or tdef.name in model.component_types:
-        pos = tdef.pos
         message = f"{kind} type {quoted(tdef.name)} is already defined{where}"
-        dups.append(error(E_DUP_DEF, pos.origin, pos.line, pos.col, message))
+        dups.append(Diagnostic(E_DUP_DEF, *tdef.pos, message))
     elif kind == "message":
         model.message_types[tdef.name] = tdef
     else:
@@ -429,19 +425,19 @@ def parse_model(
         parser = ModelParser(tokens, origin)
         model, dups = parser.parse_model()
     except LexError as exc:
-        return None, [error(E_SYNTAX, origin, exc.line, exc.col, exc.message)]
+        return None, [Diagnostic(E_SYNTAX, origin, exc.line, exc.col, exc.message)]
     if dups:
         return None, dups
     return model, []
 
 
 def merge_models(
-    fragments: list[tuple[ArchitectureModel, str]]
+    fragments: list[ArchitectureModel],
 ) -> tuple[ArchitectureModel | None, list[Diagnostic]]:
     """Union fragment definitions; cross-fragment duplicate names rejected."""
     merged = ArchitectureModel()
     diags: list[Diagnostic] = []
-    for fragment, _origin in fragments:
+    for fragment in fragments:
         for mdef in fragment.message_types.values():
             _define(merged, "message", mdef, diags, " in another file")
         for cdef in fragment.component_types.values():
@@ -464,12 +460,12 @@ def read_source(path: str) -> tuple[str | None, list[Diagnostic]]:
         line = data.count(b"\n", 0, at) + 1
         col = at - data.rfind(b"\n", 0, at)
         message = f"not valid UTF-8: byte 0x{data[at]:02x}"
-        return None, [error(E_IO, origin, line, col, message)]
+        return None, [Diagnostic(E_IO, origin, line, col, message)]
 
 
 def load_files(paths: list[str]) -> tuple[ArchitectureModel | None, list[Diagnostic]]:
     """Parse and merge a set of .arc files."""
-    fragments: list[tuple[ArchitectureModel, str]] = []
+    fragments: list[ArchitectureModel] = []
     diags: list[Diagnostic] = []
     for path in paths:
         origin = os.fspath(path)
@@ -481,7 +477,7 @@ def load_files(paths: list[str]) -> tuple[ArchitectureModel | None, list[Diagnos
         if fragment is None:
             diags.extend(file_diags)
         else:
-            fragments.append((fragment, origin))
+            fragments.append(fragment)
     if diags:
         return None, diags
     return merge_models(fragments)

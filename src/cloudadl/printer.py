@@ -49,7 +49,7 @@ def format_component(cdef: ComponentTypeDef) -> str:
         prefix = "replicating " if s.replicating else ""
         lines.append(f"{INDENT}{prefix}component {s.type_ref} {s.name};")
     for c in cdef.connectors:
-        lines.append(f"{INDENT}connect {c.source.render()} -> {c.target.render()};")
+        lines.append(f"{INDENT}connect {c.render()};")
     for ctx in cdef.contexts:
         lines.extend(format_context(ctx))
     if cdef.behavior is not None:
@@ -62,13 +62,9 @@ def format_component(cdef: ComponentTypeDef) -> str:
 def format_context(ctx: ContextDecl) -> list[str]:
     lines = [f"{INDENT}context {ctx.name} {{"]
     for gate in ctx.opening:
-        lines.append(
-            f"{INDENT}{INDENT}open {gate.source.render()} -> {gate.target.render()};"
-        )
+        lines.append(f"{INDENT}{INDENT}open {gate.render()};")
     for gate in ctx.closing:
-        lines.append(
-            f"{INDENT}{INDENT}close {gate.source.render()} -> {gate.target.render()};"
-        )
+        lines.append(f"{INDENT}{INDENT}close {gate.render()};")
     lines.append(f"{INDENT}}}")
     return lines
 

@@ -48,7 +48,6 @@ from .diagnostics import (
     E_TYPE_MISMATCH,
     E_UNRESOLVED,
     Diagnostic,
-    error,
     quoted,
 )
 from .kernel import (
@@ -442,14 +441,14 @@ def load_scenario_text(
         try:
             _parse_line(raw, lineno, stripped)
         except _LineError as exc:
-            diags.append(error(exc.code, origin, lineno, 1, exc.message))
+            diags.append(Diagnostic(exc.code, origin, lineno, 1, exc.message))
     if diags:
         return None, diags
 
     if not raw.model_paths:
-        return None, [error(E_SYNTAX, origin, 0, 0, "scenario names no model file")]
+        return None, [Diagnostic(E_SYNTAX, origin, 0, 0, "scenario names no model file")]
     if raw.root_type is None:
-        return None, [error(E_SYNTAX, origin, 0, 0, "scenario names no root component")]
+        return None, [Diagnostic(E_SYNTAX, origin, 0, 0, "scenario names no root component")]
 
     # an absolute model path stays as it is
     model, diags = load_files([os.path.join(base_dir or ".", p) for p in raw.model_paths])
@@ -478,7 +477,7 @@ def load_scenario_text(
     )
     problems = _resolve_directives(raw, scenario, topology)
     if problems:
-        return None, [error(code, origin, line, 1, message) for line, code, message in problems]
+        return None, [Diagnostic(code, origin, line, 1, message) for line, code, message in problems]
     return scenario, []
 
 

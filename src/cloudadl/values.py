@@ -6,10 +6,9 @@ class attribute; the two bases here supply `==`, hash and repr from it:
 - `_fields`: the fields repr shows, in declaration order, as
   `Class(name=value!r, ...)`. A field left out of `_fields` (only
   `InstanceSpec.behavior`) is out of repr and `==` alike.
-- `_compare`: the fields `==` compares and the hash hashes, in order. It
-  defaults to `_fields` without `pos`: source positions never take part in
-  equality, so two parses of equivalent text compare equal. `Pos` sets it
-  to `()`, so any two positions compare equal.
+- `==` compares, and the hash hashes, the fields of `_fields` in order,
+  except a field named `pos`: source positions never take part in
+  equality, so two parses of equivalent text compare equal.
 
 Rules:
 
@@ -62,9 +61,7 @@ class Value:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        compare = cls.__dict__.get("_compare")
-        if compare is None:
-            compare = tuple(name for name in cls._fields if name != "pos")
+        compare = tuple(name for name in cls._fields if name != "pos")
         cls._key = staticmethod(_key_getter(compare))
 
     def __eq__(self, other: object) -> bool:

@@ -23,7 +23,6 @@ from cloudadl.model import (
     ContextDecl,
     Endpoint,
     FieldDef,
-    GateRef,
     Ident,
     MessageTypeDef,
     PortDecl,
@@ -105,11 +104,11 @@ def _random_component(rng: Random, name: str, type_names: list[str]) -> Componen
     contexts = []
     for _ in range(rng.randint(0, 2)):
         opening = tuple(
-            GateRef(_random_endpoint(rng, used), _random_endpoint(rng, used))
+            ConnectorDecl(_random_endpoint(rng, used), _random_endpoint(rng, used))
             for _ in range(rng.randint(1, 2))
         )
         closing = tuple(
-            GateRef(_random_endpoint(rng, used), _random_endpoint(rng, used))
+            ConnectorDecl(_random_endpoint(rng, used), _random_endpoint(rng, used))
             for _ in range(rng.randint(0, 2))
         )
         contexts.append(ContextDecl(fresh_name(rng, ctx_used), opening, closing))

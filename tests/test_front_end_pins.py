@@ -162,7 +162,7 @@ def _topology_digest(files, root: str) -> str:
     for origin, text in files:
         fragment, diags = parse_model(text, origin)
         assert fragment is not None, render_all(diags)
-        fragments.append((fragment, origin))
+        fragments.append(fragment)
     model, diags = merge_models(fragments)
     assert model is not None, render_all(diags)
     assert not check(model, root)
@@ -173,38 +173,38 @@ def _topology_digest(files, root: str) -> str:
 
 BUNDLED_ELABORATION_PINNED = {
     "pipeline4.arc": (
-        "eb79c751d753f91bcb3b18cc5e9db8fbfe9cc84cb2fd2ea3a028ef1c1bc913d4"
+        "5d03bf1a010f784ec38b3bd0f7ddd9f45733ec37ff27c9b9c9f84f6f15b8f8f5"
     ),
     "request_chain.arc": (
-        "76b96a6cf6f8f303a0edf3ca33c6eb8db20fe9e2e5d60424a44eaec74f8deab9"
+        "472128d2e3287d1397552ede98fb0c9a538513cab6bbe15b3b5f379de510d34d"
     ),
     "sensor_channel.arc": (
-        "909c0bae62651a0ee54bc4c12349a0ffa0dfbc4a69105847d6194803dbb1328a"
+        "53dcb303949c04876bfec2cf519d5707711028753fa9ac6f5e649220f0b9ba8a"
     ),
     "supervised.arc": (
-        "7e69f59243207ec9e4dbe7d715860acfefc179880700840952348551e8d439b5"
+        "bd62de87bdca37fad95e3f3069f4ea7ca179a8fdfc49a18d9e7b9c7f12b46057"
     ),
 }
 
 # (workload, seed) at test_workload_outputs.SMALL sizes
 WORKLOAD_ELABORATION_PINNED = {
     ("bigmodel", 1): (
-        "f03c006e9b4cdbe7f5b892be13d2bd58d717c8466758d79e666f1c43e0a501ad"
+        "a58b5c185f0eeaf5e345d6f1df9f539c4c72cd6cd6a05b3a8f37d47c0293d27f"
     ),
     ("bigmodel", 7): (
-        "77902daf7163c8c108078f54480add770b91d65c185f05a3c6cfeb89daa2350b"
+        "e763c8a3050beda3c82ca44788d3bdc38b75b87a1a8b94b73158cf2eee4da17e"
     ),
     ("sessions", 1): (
-        "8643ce6bbcabf34f7ef27249935c3b99f8e33469fed7129976c16b21ff56c6b2"
+        "f1d328451271aa38f529fbfc02302bc031aa7baf47f93441a6c8cd5b9666a508"
     ),
     ("sessions", 7): (
-        "8643ce6bbcabf34f7ef27249935c3b99f8e33469fed7129976c16b21ff56c6b2"
+        "f1d328451271aa38f529fbfc02302bc031aa7baf47f93441a6c8cd5b9666a508"
     ),
     ("stream", 1): (
-        "c367ed4cda82d648131084547a50dd5054fff263caea96e8faaa03919746c6d4"
+        "240d587d082e395a4980227ef5a11dda0c64a826d57eadb4de57fc02e8db7274"
     ),
     ("stream", 7): (
-        "c367ed4cda82d648131084547a50dd5054fff263caea96e8faaa03919746c6d4"
+        "240d587d082e395a4980227ef5a11dda0c64a826d57eadb4de57fc02e8db7274"
     ),
 }
 

@@ -14,7 +14,6 @@ from cloudadl.model import (
     ContextDecl,
     Endpoint,
     FieldDef,
-    GateRef,
     MessageTypeDef,
     PortDecl,
     Record,
@@ -75,7 +74,7 @@ def test_gates_of_lists_opens_then_closes_in_context_order():
         return Endpoint(tuple(src.split("."))), Endpoint(tuple(tgt.split(".")))
 
     a, b = ConnectorDecl(*ends("i", "s.i")), ConnectorDecl(*ends("s.o", "o"))
-    gate_a, gate_b = GateRef(a.source, a.target), GateRef(b.source, b.target)
+    gate_a, gate_b = ConnectorDecl(a.source, a.target), ConnectorDecl(b.source, b.target)
     contexts = (
         ContextDecl("x", (gate_a,), (gate_a, gate_b)),
         ContextDecl("y", (gate_a, gate_a), ()),

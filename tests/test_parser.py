@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from random import Random
 
 import pytest
@@ -10,8 +11,9 @@ from cloudadl import lexer
 from cloudadl.model import Ident
 from cloudadl.parser import load_files, parse_model
 from cloudadl.printer import pretty_print
+from cloudadl.values import Value
 
-from helpers import codes, parse_ok
+from helpers import MODELS_DIR, codes, parse_ok
 from modelgen import random_model
 
 
@@ -449,3 +451,37 @@ def test_round_trip_is_stable():
     once = pretty_print(model)
     twice = pretty_print(parse_model(once, "<g>")[0])
     assert once == twice
+
+
+def positioned(model):
+    """Every declaration in `model` that has a `pos` field, at any depth."""
+    stack = [*model.message_types.values(), *model.component_types.values()]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, tuple):
+            stack.extend(node)
+        elif isinstance(node, Value):
+            if "pos" in node._fields:
+                yield node
+            stack.extend(getattr(node, name) for name in node._fields if name != "pos")
+
+
+def test_positions_are_tuples_the_collector_stops_tracking():
+    """A position is a plain (origin, line, col) tuple of atoms, so one full
+    collection untracks it; a record or a namedtuple would stay tracked."""
+    models = {
+        path.name: parse_ok(path.read_text(encoding="utf-8"))
+        for path in sorted(MODELS_DIR.glob("*.arc"))
+    }
+    gc.collect()
+    kinds = set()
+    for name, model in models.items():
+        for decl in positioned(model):
+            kinds.add(type(decl).__name__)
+            assert not gc.is_tracked(decl.pos), (name, decl)
+            origin, line, col = decl.pos
+            assert origin == "<test>" and line > 0 and col > 0, (name, decl)
+    assert kinds == {
+        "BehaviorClause", "ComponentTypeDef", "ConnectorDecl", "ContextDecl", "Endpoint",
+        "FieldDef", "MessageTypeDef", "PortDecl", "SubcomponentDecl",
+    }

@@ -147,7 +147,7 @@ def test_bundled_scenarios_load(tmp_path):
 )
 def test_load_rejections(tmp_path, body):
     diags = bad(tmp_path, POOL_TEXT, body)
-    assert all(d.severity == "error" for d in diags)
+    assert all(d.code.startswith("E_") for d in diags)
 
 
 POOL_OTHER_TEXT = POOL_TEXT + "message Other { s: text; }\n"

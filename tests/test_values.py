@@ -15,7 +15,7 @@ import pytest
 
 import cloudadl
 from cloudadl import lexer
-from cloudadl.analyzer import ChannelSpec, InstanceSpec, RuntimeTopology, _End
+from cloudadl.analyzer import ChannelSpec, InstanceSpec, RuntimeTopology
 from cloudadl.behaviors import (
     ActivationContext,
     Emission,
@@ -43,11 +43,9 @@ from cloudadl.model import (
     ContextDecl,
     Endpoint,
     FieldDef,
-    GateRef,
     Ident,
     MessageTypeDef,
     PortDecl,
-    Pos,
     Record,
     SubcomponentDecl,
 )
@@ -62,8 +60,8 @@ from cloudadl.scenario import (
     _RawScenario,
 )
 
-P1 = Pos("a.arc", 1, 2)
-P2 = Pos("b.arc", 3, 4)
+P1 = ("a.arc", 1, 2)
+P2 = ("b.arc", 3, 4)
 
 
 def cdef(name, pos=P1):
@@ -77,14 +75,13 @@ FROZEN = {
     SubcomponentDecl: lambda pos, x: SubcomponentDecl(x, "T", False, pos),
     Endpoint: lambda pos, x: Endpoint((x, "p"), pos),
     ConnectorDecl: lambda pos, x: ConnectorDecl(Endpoint((x,)), Endpoint(("y",)), pos),
-    GateRef: lambda pos, x: GateRef(Endpoint((x,)), Endpoint(("y",)), pos),
     ContextDecl: lambda pos, x: ContextDecl(x, (), (), pos),
     Ident: lambda pos, x: Ident(x),
     BehaviorArg: lambda pos, x: BehaviorArg("n", x),
     BehaviorClause: lambda pos, x: BehaviorClause(x, (), pos),
     ComponentTypeDef: lambda pos, x: cdef(x, pos),
     Record: lambda pos, x: Record("M", (("n", x),)),
-    Diagnostic: lambda pos, x: Diagnostic("error", "E_SYNTAX", "m.arc", 1, 1, x),
+    Diagnostic: lambda pos, x: Diagnostic("E_SYNTAX", "m.arc", 1, 1, x),
     Raise: lambda pos, x: Raise(x),
     Guard: lambda pos, x: Guard("n", "=", x),
     Emission: lambda pos, x: Emission(x, None),
@@ -108,7 +105,6 @@ MUTABLE = {
     InstanceSpec: lambda pos, x: InstanceSpec(x, cdef("T", pos), None, False, object()),
     ChannelSpec: lambda pos, x: ChannelSpec(x, "root", "a", "root/w", "i", "M", False, False, ()),
     RuntimeTopology: lambda pos, x: RuntimeTopology(x, {}, []),
-    _End: lambda pos, x: _End(PortDecl("p", IN, "M", False, pos), x),
     RunReport: lambda pos, x: RunReport(x, 0),
     OracleResult: lambda pos, x: OracleResult({x: []}),
     Scenario: lambda pos, x: Scenario(x, "s.scn", ArchitectureModel(), "Sys"),
@@ -167,13 +163,6 @@ def test_frozen_records_hash_and_refuse_assignment(cls):
     assert getattr(a, first) is before
 
 
-def test_any_two_positions_compare_equal():
-    assert P1 == P2 == Pos()
-    assert hash(P1) == hash(P2)
-    with pytest.raises(AttributeError):
-        P1.line = 9
-
-
 @pytest.mark.parametrize("cls", MUTABLE, ids=name_of)
 def test_mutable_records_are_unhashable(cls):
     a = MUTABLE[cls](P1, "x")
@@ -193,7 +182,9 @@ def test_default_containers_are_not_shared(cls):
 def test_repr_lists_the_fields_and_omits_the_behavior():
     assert repr(Ident("x")) == "Ident(name='x')"
     assert repr(Token(lexer.INT, "7", 1, 2)) == "Token(type='INT', value='7', line=1, col=2)"
-    assert repr(Pos("m.arc", 3, 4)) == "Pos(origin='m.arc', line=3, col=4)"
+    assert repr(FieldDef("n", "integer", P1)) == (
+        "FieldDef(name='n', primitive='integer', pos=('a.arc', 1, 2))"
+    )
     inst = InstanceSpec("root/w", cdef("T"), "root", True, object())
     assert repr(inst) == (
         f"InstanceSpec(path='root/w', type_def={cdef('T')!r}, parent='root', replicating=True)"
