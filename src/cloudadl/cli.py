@@ -56,20 +56,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    topology = None
     model, diags = load_files(args.files)
-    if model is None:
-        print(render_all(diags), file=sys.stderr)
-        return STATUS_DIAGNOSTICS
-    diags = check(model, args.root)
+    if model is not None:
+        diags = check(model, args.root)
+        if args.root and not diags:
+            topology = elaborate(model, args.root)
+            diags = check_selection_ports(topology)
     if diags:
         print(render_all(diags), file=sys.stderr)
         return STATUS_DIAGNOSTICS
-    topology = elaborate(model, args.root) if args.root else None
-    if topology is not None:
-        diags = check_selection_ports(topology)
-        if diags:
-            print(render_all(diags), file=sys.stderr)
-            return STATUS_DIAGNOSTICS
     print(
         f"ok: {len(model.message_types)} message types, "
         f"{len(model.component_types)} component types"

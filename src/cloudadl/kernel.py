@@ -25,6 +25,13 @@ All choice points (replica selection, token binding, escalation) are
 functions of this order plus the scenario seed, so a run is reproducible
 event for event.
 
+The delivery loop picks the replica of each message into a group: a
+pinned message (a broadcast copy or an index emit) goes to its replica;
+otherwise a tokened message goes to the replica bound to its least bound
+token; otherwise round robin over the live replicas. On a replica-group
+channel the message's fresh tokens then bind to that replica, except for
+broadcast copies, and the BIND is traced before its DELIVER.
+
 The kernel configures no behaviors: each group runs the behavior that
 analyzer.elaborate() configured for its component type and put on the
 instance, shared with every other instance of that type. Only the
@@ -328,11 +335,7 @@ class Kernel:
         maxsteps: int = DEFAULT_MAXSTEPS,
     ):
         self.topology = topology
-        self.seed = seed
         self.strategies = dict(strategies or {})
-        self.injections = list(injections or [])
-        self.scales = list(scales or [])
-        self.faults = list(faults or [])
         self.maxsteps = maxsteps
 
         self.groups: dict[str, Group] = {
@@ -369,10 +372,10 @@ class Kernel:
         # the context of every activation; see the module docstring
         self._ctx = ActivationContext(0, None)
 
+        scales, faults, injections = scales or (), faults or (), injections or ()
         problems = directive_problems(
             topology, strategies=[(0, path, s) for path, s in self.strategies.items()],
-            scales=self.scales, faults=self.faults, injections=self.injections,
-            maxsteps=maxsteps,
+            scales=scales, faults=faults, injections=injections, maxsteps=maxsteps,
         )
         if problems:
             line, _code, message = problems[0]
@@ -380,7 +383,7 @@ class Kernel:
 
         # step -> (scales, faults, injections) due then, each in declaration order
         self._directives: dict[int, tuple[list, list, list]] = {}
-        for slot, batch in enumerate((self.scales, self.faults, self.injections)):
+        for slot, batch in enumerate((scales, faults, injections)):
             for d in batch:
                 self._directives.setdefault(d.step, ([], [], []))[slot].append(d)
         # steps that have a directive or an in-flight bucket; may repeat
@@ -452,9 +455,9 @@ class Kernel:
         due.sort()
         step = self.step
         events = self.events
+        bindings = self.bindings
         activations = []
-        for m in due:
-            cid, seq, ch, payload, text, tokens, pinned, _bind = m
+        for cid, seq, ch, payload, text, tokens, pinned, bind in due:
             if ch.external:
                 events.append((
                     step, DELIVER, self._root_subjects[ch.target_port],
@@ -463,14 +466,32 @@ class Kernel:
                 self.out_streams[ch.target_port].append((step, payload))
                 continue
             group = self.groups[ch.target_path]
-            if pinned is None and not tokens:
+            replica = None
+            if pinned is not None:
+                replica = group.replicas.get(pinned)
+                if replica is None:
+                    raise KernelError(
+                        f"message pinned to missing replica {group.path}#{pinned}"
+                    )
+            elif tokens:
+                # tokens are sorted, so the first bound one is the least
+                for tok in tokens:
+                    rid = bindings.get((group.path, tok))
+                    if rid is not None:
+                        replica = group.replicas[rid]
+                        break
+            if replica is None:
                 live = group.live()
                 if not live:
                     raise KernelError(f"no live replica of '{group.path}'")
                 replica = live[group.rr % len(live)]
                 group.rr += 1
-            else:
-                replica = self._select(group, m)
+            if tokens and bind and ch.group:
+                fresh = tuple(tok for tok in tokens if (group.path, tok) not in bindings)
+                if fresh:
+                    for tok in fresh:
+                        bindings[(group.path, tok)] = replica.rid
+                    events.append((step, BIND, replica.name, seq, fresh, "-", cid))
             events.append((
                 step, DELIVER, replica.subjects[ch.target_port], seq, tokens, text, cid,
             ))
@@ -499,41 +520,6 @@ class Kernel:
                             self._dispatch(out, act.payload, tokens)
                     else:
                         self._send(group.path, act, tokens)
-
-    def _select(self, group: Group, m: tuple) -> Replica:
-        """The replica a pinned or tokened message goes to; binds its fresh
-        tokens there."""
-        cid, seq, ch, _payload, _text, tokens, pinned, bind = m
-        if pinned is not None:
-            replica = group.replicas.get(pinned)
-            if replica is None:
-                raise KernelError(
-                    f"message pinned to missing replica {group.path}#{pinned}"
-                )
-        else:
-            # tokens are sorted, so the first bound one is the least
-            rid = None
-            for tok in tokens:
-                rid = self.bindings.get((group.path, tok))
-                if rid is not None:
-                    break
-            if rid is not None:
-                replica = group.replicas[rid]
-            else:
-                live = group.live()
-                if not live:
-                    raise KernelError(f"no live replica of '{group.path}'")
-                replica = live[group.rr % len(live)]
-                group.rr += 1
-        if tokens and bind and ch.group:
-            fresh = tuple(
-                tok for tok in tokens if (group.path, tok) not in self.bindings
-            )
-            if fresh:
-                for tok in fresh:
-                    self.bindings[(group.path, tok)] = replica.rid
-                self._event(BIND, replica.name, seq, fresh, "-", cid)
-        return replica
 
     # -- sending ------------------------------------------------------------
 

@@ -20,13 +20,13 @@ from __future__ import annotations
 from collections import deque
 from random import Random
 
-from .analyzer import elaborate
+from .analyzer import ROOT_PATH, elaborate
 from .behaviors import MODE_ONE, ActivationContext, Raise
 from .model import OUT, Record
 from .scenario import Scenario
 from .values import Value
 
-EXCLUDED_BUILTINS = ("sample", "fault_at", "route_by")
+EXCLUDED_BUILTINS = ("sample", "fault_at")
 
 WORK_LIMIT = 1_000_000
 
@@ -64,7 +64,7 @@ def predict(scenario: Scenario) -> OracleResult:
             raise OracleInapplicable(f"behavior '{clause.builtin}' is timing-dependent")
         behavior = inst.behavior
         if behavior.mode != MODE_ONE:
-            raise OracleInapplicable("behavior uses broadcast selection")
+            raise OracleInapplicable("behavior uses replica selection")
         behaviors[inst.path] = behavior
         states[inst.path] = behavior.initial_state()
 
@@ -74,12 +74,10 @@ def predict(scenario: Scenario) -> OracleResult:
             result.streams[p.name] = []
     ctx = ActivationContext(0, Random(0))
     work: deque = deque()
-    for inj in sorted(
-        enumerate(scenario.injections), key=lambda pair: (pair[1].step, pair[0])
-    ):
-        injection = inj[1]
-        for ch in topology.channels_from.get(("root", injection.port), []):
-            work.append((ch, injection.payload))
+    # sorted is stable, so same-step injects keep their declaration order
+    for inj in sorted(scenario.injections, key=lambda injection: injection.step):
+        for ch in topology.channels_from.get((ROOT_PATH, inj.port), []):
+            work.append((ch, inj.payload))
 
     pops = 0
     while work:

@@ -339,6 +339,66 @@ def test_absorbed_tokens_are_held():
     assert not [e for e in events(k) if e.kind == "STRIP"]
 
 
+def test_a_pinned_message_goes_to_its_replica_over_a_token_binding():
+    text = (
+        "message M { v: integer; }\n"
+        "component R { port in M i; port out M o replicating;"
+        " behavior route_by(field=v); }\n"
+        "component W { port in M i; port out M o;"
+        ' behavior automaton(initial="s",'
+        ' "s, i, v = 0 -> s, emit o M{v=1}", "s, i, v = 1 -> s"); }\n'
+        "component Sys { port in M feed; component R r;"
+        " replicating component W w;"
+        " connect feed -> r.i; connect r.o -> w.i; connect w.o -> r.i;"
+        " context sess { open feed -> r.i; } }"
+    )
+    model = parse_ok(text)
+    _, _, k = build(
+        text, "Sys",
+        scales=[ScaleDirective(0, "root/w", 2)],
+        injections=[Injection(1, "feed", rec(model, "M", v=0))],
+    )
+    k.run()
+    tok = ("sess", 0)
+    into_w = [
+        (e.step, e.kind, e.subject, e.tokens) for e in events(k)
+        if e.kind == "BIND" or (e.kind == "DELIVER" and e.subject.startswith("root/w#"))
+    ]
+    # the route_by pick binds the fresh token to w#0, BIND before DELIVER;
+    # v=1 then goes to w#1 although its token is bound to w#0, and binds nothing
+    assert into_w == [
+        (3, "BIND", "root/w#0", (tok,)),
+        (3, "DELIVER", "root/w#0.i", (tok,)),
+        (5, "DELIVER", "root/w#1.i", (tok,)),
+    ]
+    assert k.bindings == {("root/w", tok): 0}
+
+
+def test_broadcast_copies_of_a_tokened_message_bind_nothing():
+    text = (
+        "message M { n: integer; }\n"
+        "component H { port in M i; port out M o replicating;"
+        " behavior forward(out=o, broadcast=true); }\n"
+        "component W { port in M i; behavior store(); }\n"
+        "component Sys { port in M feed; component H h;"
+        " replicating component W w;"
+        " connect feed -> h.i; connect h.o -> w.i;"
+        " context sess { open feed -> h.i; } }"
+    )
+    model = parse_ok(text)
+    _, _, k = build(
+        text, "Sys",
+        scales=[ScaleDirective(0, "root/w", 3)],
+        injections=[Injection(1, "feed", rec(model, "M", n=0))],
+    )
+    k.run()
+    copies = deliveries(k, "root/w#")
+    assert sorted(e.subject for e in copies) == [f"root/w#{i}.i" for i in range(3)]
+    assert all(e.tokens == (("sess", 0),) for e in copies)
+    assert not [e for e in events(k) if e.kind == "BIND"]
+    assert not k.bindings
+
+
 def test_context_serials_are_global_per_context():
     # two contexts interleaved: each keeps its own counter from 0
     text = (
