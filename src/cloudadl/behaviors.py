@@ -556,32 +556,6 @@ class Guard(Frozen):
         return f"{self.field} {self.op} {render_value(self.literal)}"
 
 
-class Emission(Frozen):
-    _fields = ("port", "payload")
-
-    def __init__(self, port: str, payload: Record | None):
-        set_field(self, "port", port)
-        set_field(self, "payload", payload)  # None forwards the triggering payload
-
-
-class Transition(Frozen):
-    _fields = ("state", "port", "guard", "next_state", "emissions")
-
-    def __init__(
-        self,
-        state: str,
-        port: str,
-        guard: Guard,
-        next_state: str,
-        emissions: tuple[Emission, ...],
-    ):
-        set_field(self, "state", state)
-        set_field(self, "port", port)
-        set_field(self, "guard", guard)
-        set_field(self, "next_state", next_state)
-        set_field(self, "emissions", emissions)
-
-
 class AutomatonBehavior(Behavior):
     """Finite state machine over incoming messages.
 
@@ -593,6 +567,10 @@ class AutomatonBehavior(Behavior):
     Guards of transitions sharing (state, port) must be provably disjoint,
     so at most one transition can fire; activation with no matching
     transition raises a fault.
+
+    table maps (state, in port) to that pair's transitions in declaration
+    order, each as (guard, next state, emissions); an emission is
+    (out port, payload), where payload None forwards the triggering one.
     """
 
     params = (("initial", True),)
@@ -603,17 +581,17 @@ class AutomatonBehavior(Behavior):
         lines = bound["transitions"]
         if not lines:
             raise shape.fail("needs at least one transition string")
-        self.table: dict[tuple[str, str], list[Transition]] = {}
+        self.table: dict[tuple[str, str], list[tuple]] = {}
         for raw in lines:
-            text = as_str(shape.builtin, "transition", raw)
-            tr = _parse_transition(shape, text)
-            self.table.setdefault((tr.state, tr.port), []).append(tr)
-        for (state, port), group in self.table.items():
-            for i, a in enumerate(group):
-                for b in group[i + 1 :]:
-                    if not _guards_disjoint(a.guard, b.guard):
+            key, rule = _parse_transition(shape, as_str(shape.builtin, "transition", raw))
+            self.table.setdefault(key, []).append(rule)
+        for (state, port), rules in self.table.items():
+            guards = [rule[0] for rule in rules]
+            for i, a in enumerate(guards):
+                for b in guards[i + 1 :]:
+                    if not _guards_disjoint(a, b):
                         raise shape.fail(
-                            f"guards {_echoed(a.guard.render())} and {_echoed(b.guard.render())}"
+                            f"guards {_echoed(a.render())} and {_echoed(b.render())}"
                             f" overlap in state {quoted(state)} on port {quoted(port)}"
                         )
 
@@ -621,17 +599,17 @@ class AutomatonBehavior(Behavior):
         return self.initial
 
     def handle(self, state, port, payload, ctx):
-        for tr in self.table.get((state, port), ()):
-            if tr.guard.matches(payload):
+        for guard, next_state, emissions in self.table.get((state, port), ()):
+            if guard.matches(payload):
                 actions = [
-                    Emit(e.port, payload if e.payload is None else e.payload)
-                    for e in tr.emissions
+                    Emit(out, payload if literal is None else literal)
+                    for out, literal in emissions
                 ]
-                return tr.next_state, actions
+                return next_state, actions
         return state, [Raise("no_transition")]
 
 
-def _parse_transition(shape: _Shape, text: str) -> Transition:
+def _parse_transition(shape: _Shape, text: str) -> tuple[tuple[str, str], tuple]:
     try:
         cursor = TokenCursor(lexer.tokenize(text))
         state = cursor.expect(lexer.IDENT, "state name").value
@@ -642,7 +620,7 @@ def _parse_transition(shape: _Shape, text: str) -> Transition:
         guard = _parse_guard(shape, cursor, in_port)
         cursor.expect("->")
         next_state = cursor.expect(lexer.IDENT, "state name").value
-        emissions: list[Emission] = []
+        emissions: list[tuple[str, Record | None]] = []
         if cursor.accept(","):
             while True:
                 emissions.append(_parse_emission(shape, cursor, in_port))
@@ -655,7 +633,7 @@ def _parse_transition(shape: _Shape, text: str) -> Transition:
             )
     except lexer.LexError as exc:
         raise shape.fail(f"bad transition {_echoed(text)}: {exc.message}") from exc
-    return Transition(state, port_name, guard, next_state, tuple(emissions))
+    return (state, port_name), (guard, next_state, tuple(emissions))
 
 
 def _echoed(text: str) -> str:
@@ -688,7 +666,9 @@ def _parse_guard(shape: _Shape, cursor: TokenCursor, in_port: PortDecl) -> Guard
     return Guard(fname, op, literal)
 
 
-def _parse_emission(shape: _Shape, cursor: TokenCursor, in_port: PortDecl) -> Emission:
+def _parse_emission(
+    shape: _Shape, cursor: TokenCursor, in_port: PortDecl
+) -> tuple[str, Record | None]:
     cursor.expect_keyword("emit")
     port = shape.port(cursor.expect(lexer.IDENT, "port name").value, OUT)
     if cursor.at(lexer.IDENT) and cursor.tokens[cursor.pos + 1].type == "{":
@@ -705,9 +685,9 @@ def _parse_emission(shape: _Shape, cursor: TokenCursor, in_port: PortDecl) -> Em
             payload = make_record(mdef, values)
         except ValueError as exc:
             raise shape.fail(str(exc)) from exc
-        return Emission(port.name, payload)
+        return port.name, payload
     shape.same_type(in_port, port)
-    return Emission(port.name, None)
+    return port.name, None
 
 
 def _interval(op: str, v: object) -> tuple[object, object]:

@@ -18,7 +18,6 @@ receiving behavior is insensitive to cross-port interleaving.
 from __future__ import annotations
 
 from collections import deque
-from random import Random
 
 from .analyzer import ROOT_PATH, elaborate
 from .behaviors import MODE_ONE, ActivationContext, Raise
@@ -72,7 +71,7 @@ def predict(scenario: Scenario) -> OracleResult:
     for p in topology.root.type_def.ports:
         if p.direction == OUT:
             result.streams[p.name] = []
-    ctx = ActivationContext(0, Random(0))
+    ctx = ActivationContext(0, None)  # sample, the one builtin that draws, is refused
     work: deque = deque()
     # sorted is stable, so same-step injects keep their declaration order
     for inj in sorted(scenario.injections, key=lambda injection: injection.step):
@@ -94,8 +93,6 @@ def predict(scenario: Scenario) -> OracleResult:
         for act in actions:
             if isinstance(act, Raise):
                 raise OracleInapplicable(f"behavior at {path} raised '{act.kind}'")
-            if act.mode != MODE_ONE:
-                raise OracleInapplicable("behavior uses replica selection")
         states[path] = state
         for act in actions:
             for ch2 in topology.channels_from.get((path, act.port), []):

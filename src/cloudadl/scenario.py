@@ -18,7 +18,13 @@ A scenario is line-oriented; `//` starts a comment outside string quotes.
     expect event <KIND> <subject>
 
 Expectations are judged after the run; the first failing one decides the
-report, but all failures are listed.
+report, but all failures are listed. `Scenario.expectations` keeps each
+one as the tuple the reader builds:
+
+    ("count", port, n, by)            // by is None without `by <step>`
+    ("prefix", port, records)         // the checked Records, in order
+    ("store", path, n)
+    ("event", KIND, subject)
 
 Payload literals (`inject`, `expect prefix`) are read in one of two ways.
 A plain literal (ASCII names, unescaped strings, decimal integers, `true`
@@ -69,53 +75,7 @@ from .kernel import (
 )
 from .model import OUT, ArchitectureModel, Record, make_record
 from .parser import RESERVED, TokenCursor, load_files, read_source
-from .values import Frozen, Value, set_field
-
-
-class CountIs(Frozen):
-    _fields = ("port", "count", "by")
-
-    def __init__(self, port: str, count: int, by: int | None = None):
-        set_field(self, "port", port)
-        set_field(self, "count", count)
-        set_field(self, "by", by)
-
-    def describe(self) -> str:
-        tail = f" by step {self.by}" if self.by is not None else ""
-        return f"count {self.port} {self.count}{tail}"
-
-
-class SeqPrefix(Frozen):
-    _fields = ("port", "payloads")
-
-    def __init__(self, port: str, payloads: tuple[Record, ...]):
-        set_field(self, "port", port)
-        set_field(self, "payloads", payloads)
-
-    def describe(self) -> str:
-        return f"prefix {self.port} ({len(self.payloads)} messages)"
-
-
-class StoreContains(Frozen):
-    _fields = ("path", "count")
-
-    def __init__(self, path: str, count: int):
-        set_field(self, "path", path)
-        set_field(self, "count", count)
-
-    def describe(self) -> str:
-        return f"store {self.path} {self.count}"
-
-
-class EventOccurs(Frozen):
-    _fields = ("kind", "subject")
-
-    def __init__(self, kind: str, subject: str):
-        set_field(self, "kind", kind)
-        set_field(self, "subject", subject)
-
-    def describe(self) -> str:
-        return f"event {self.kind} {self.subject}"
+from .values import Value
 
 
 class Scenario(Value):
@@ -147,7 +107,7 @@ class Scenario(Value):
         injections: list[Injection] | None = None,
         scales: list[ScaleDirective] | None = None,
         faults: list[FaultDirective] | None = None,
-        expectations: list | None = None,
+        expectations: list[tuple] | None = None,
     ):
         self.name = name
         self.origin = origin
@@ -510,26 +470,22 @@ def _resolve_directives(
     return problems
 
 
-def _expectation(shape: tuple, topology: RuntimeTopology, model: ArchitectureModel):
+def _expectation(shape: tuple, topology: RuntimeTopology, model: ArchitectureModel) -> tuple:
     if shape[0] == "count":
-        _, port, count, by = shape
-        _stream_type(port, topology)
-        return CountIs(port, count, by)
-    if shape[0] == "prefix":
+        _stream_type(shape[1], topology)
+    elif shape[0] == "prefix":
         _, port, payload_text = shape
         want = _stream_type(port, topology)
         parsed = _parse_payloads(payload_text)
-        return SeqPrefix(port, tuple(_checked_record(t, v, want, model) for t, v in parsed))
-    if shape[0] == "store":
-        _, path, count = shape
+        return ("prefix", port, tuple(_checked_record(t, v, want, model) for t, v in parsed))
+    elif shape[0] == "store":
+        path = shape[1]
         inst = topology.instances.get(path)
         if inst is None or not inst.atomic:
             raise _LineError(f"no atomic instance at {quoted(path)}", E_UNRESOLVED)
         if inst.type_def.behavior is None or inst.type_def.behavior.builtin != "store":
             raise _LineError(f"{quoted(path)} does not run a store behavior", E_UNRESOLVED)
-        return StoreContains(path, count)
-    _, kind, subject = shape
-    return EventOccurs(kind, subject)
+    return shape
 
 
 def _stream_type(port: str, topology: RuntimeTopology) -> str:
@@ -592,39 +548,50 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     for exp in scenario.expectations:
         message = _judge(exp, kernel)
         if message is not None:
-            failures.append(f"{exp.describe()}: {message}")
+            failures.append(f"{_describe(exp)}: {message}")
     if kernel.truncated:
         failures.append(f"run truncated at maxsteps {scenario.maxsteps}")
     verdict = "fail" if failures else "pass"
     return ScenarioResult(scenario, verdict, failures, kernel)
 
 
-def _judge(exp, kernel: Kernel) -> str | None:
-    if isinstance(exp, CountIs):
-        stream = kernel.out_streams[exp.port]
-        if len(stream) != exp.count:
+def _describe(exp: tuple) -> str:
+    if exp[0] == "count":
+        tail = f" by step {exp[3]}" if exp[3] is not None else ""
+        return f"count {exp[1]} {exp[2]}{tail}"
+    if exp[0] == "prefix":
+        return f"prefix {exp[1]} ({len(exp[2])} messages)"
+    return f"{exp[0]} {exp[1]} {exp[2]}"  # store and event
+
+
+def _judge(exp: tuple, kernel: Kernel) -> str | None:
+    if exp[0] == "count":
+        _, port, count, by = exp
+        stream = kernel.out_streams[port]
+        if len(stream) != count:
             return f"saw {len(stream)} messages"
-        if exp.by is not None and exp.count > 0:
-            arrived = stream[exp.count - 1][0]
-            if arrived > exp.by:
-                return f"message {exp.count} arrived at step {arrived}"
+        if by is not None and count > 0:
+            arrived = stream[count - 1][0]
+            if arrived > by:
+                return f"message {count} arrived at step {arrived}"
         return None
-    if isinstance(exp, SeqPrefix):
-        stream = kernel.out_streams[exp.port][: len(exp.payloads)]
-        got = tuple(payload for _step, payload in stream)
-        if got != exp.payloads:
+    if exp[0] == "prefix":
+        _, port, payloads = exp
+        got = tuple(payload for _step, payload in kernel.out_streams[port][: len(payloads)])
+        if got != payloads:
             rendered = ", ".join(r.render() for r in got) or "nothing"
             return f"stream starts with {rendered}"
         return None
-    if isinstance(exp, StoreContains):
-        group = kernel.groups[exp.path]
-        total = sum(len(r.state) for r in group.replicas.values())
-        if total != exp.count:
+    if exp[0] == "store":
+        _, path, count = exp
+        total = sum(len(r.state) for r in kernel.groups[path].replicas.values())
+        if total != count:
             return f"stores hold {total} rows"
         return None
-    if isinstance(exp, EventOccurs):
+    if exp[0] == "event":
+        _, want_kind, want_subject = exp
         for _step, kind, subject, _seq, _tokens, _payload, _channel in kernel.events:
-            if kind == exp.kind and subject == exp.subject:
+            if kind == want_kind and subject == want_subject:
                 return None
         return "no such event"
     raise TypeError(f"unknown expectation {exp!r}")

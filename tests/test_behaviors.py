@@ -426,6 +426,16 @@ def test_automaton_transitions_and_emissions():
     assert acts == [Emit("fwd", rec(m, "U", v=0))]  # literal emission
 
 
+def test_automaton_emissions_go_out_in_written_order():
+    b, m = make(
+        U + 'component A { port in U u; port out U o; behavior automaton('
+        'initial="s", "s, u, * -> s, emit o U{v=0}; emit o"); }'
+    )
+    s, acts = b.handle("s", "u", rec(m, "U", v=7), ctx())
+    assert s == "s"
+    assert acts == [Emit("o", rec(m, "U", v=0)), Emit("o", rec(m, "U", v=7))]
+
+
 def test_automaton_guard_filters():
     b, m = make(AUTO)
     s, acts = b.handle("idle", "go", rec(m, "U", v=50), ctx())

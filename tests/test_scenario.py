@@ -5,10 +5,6 @@ from __future__ import annotations
 import pytest
 
 from cloudadl.scenario import (
-    CountIs,
-    EventOccurs,
-    SeqPrefix,
-    StoreContains,
     load_scenario,
     load_scenario_text,
     run_scenario,
@@ -92,10 +88,11 @@ def test_load_full_directives(tmp_path):
     assert len(s.scales) == 1 and s.scales[0].count == 3
     assert len(s.injections) == 1
     assert s.injections[0].payload.get("n") == 5
-    kinds = [type(e).__name__ for e in s.expectations]
-    assert kinds == ["CountIs", "SeqPrefix", "EventOccurs"]
-    count = s.expectations[0]
-    assert (count.port, count.count, count.by) == ("drain", 1, 10)
+    assert s.expectations == [
+        ("count", "drain", 1, 10),
+        ("prefix", "drain", (s.injections[0].payload,)),
+        ("event", "SCALE", "root/w"),
+    ]
 
 
 def test_load_store_expectation(tmp_path):
@@ -103,9 +100,7 @@ def test_load_store_expectation(tmp_path):
         tmp_path, STORE_TEXT,
         "root Sys\ninject feed at 1 Job{n=1}\nexpect store root/k 1\n",
     )
-    exp = s.expectations[0]
-    assert isinstance(exp, StoreContains)
-    assert (exp.path, exp.count) == ("root/k", 1)
+    assert s.expectations == [("store", "root/k", 1)]
 
 
 def test_load_scenario_file_missing():
@@ -443,6 +438,31 @@ def test_count_deadline_is_inclusive(tmp_path, by, failure):
     )
     result = run_scenario(s)
     assert result.failures == ([failure] if failure else [])
+
+
+@pytest.mark.parametrize(
+    "inject, expect, failure",
+    [
+        (True, "count drain 2", "count drain 2: saw 1 messages"),
+        (
+            True,
+            "prefix drain Job{n=2}",
+            "prefix drain (1 messages): stream starts with Job{n=1}",
+        ),
+        (
+            False,
+            "prefix drain Job{n=1}",
+            "prefix drain (1 messages): stream starts with nothing",
+        ),
+        (True, "event SCALE root/w", "event SCALE root/w: no such event"),
+    ],
+)
+def test_failure_line_of_each_expectation(tmp_path, inject, expect, failure):
+    body = "root Pool\n" + ("inject feed at 1 Job{n=1}\n" if inject else "")
+    s = good(tmp_path, POOL_TEXT, body + f"expect {expect}\n")
+    result = run_scenario(s)
+    assert result.verdict == "fail"
+    assert result.failures == [failure]
 
 
 SCALED_STORE_TEXT = (
