@@ -12,12 +12,24 @@ Time advances in integer steps. A step runs four phases:
   4. a retirement sweep that removes drained replicas marked for
      shrinking.
 
-The run loop keeps an agenda: directives and in-flight messages are
-bucketed by step, and a heap holds the steps that have a bucket. After a
-step the kernel jumps straight to the next such step, so a step with no
-directive and no arrival costs nothing. Nothing can happen on such a step
-(no phase has work, and no replica can become drained), so step numbers
-in traces are those of a run that ticks through every step. A run that
+A directive is a plain tuple, step first:
+
+  scale   (step, path, count, line)
+  fault   (step, path, kind, rid, line)
+  inject  (step, port, payload, line)
+
+A fault's rid None faults the lowest live replica. line is the
+directive's scenario line, or 0 for one built directly.
+
+The run loop keeps an agenda. Each kind of directive waits on its own
+stack, sorted by step with the earliest on top, and a step pops the
+directives due then; the sort is stable, so those of one step keep their
+declaration order. In-flight messages are bucketed by arrival step. A
+heap holds the steps that have a directive or a bucket. After a step the
+kernel jumps straight to the next such step, so a step with no directive
+and no arrival costs nothing. Nothing can happen on such a step (no
+phase has work, and no replica can become drained), so step numbers in
+traces are those of a run that ticks through every step. A run that
 ends by quiescence stops on its last active step; a run whose next
 active step lies past `maxsteps` stops at `maxsteps + 1`, truncated.
 
@@ -69,6 +81,7 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Iterable
+from operator import itemgetter
 from random import Random
 
 from .analyzer import ROOT_PATH, ChannelSpec, InstanceSpec, RuntimeTopology
@@ -82,7 +95,7 @@ from .behaviors import (
 )
 from .diagnostics import E_SYNTAX, E_TYPE_MISMATCH, E_UNRESOLVED, quoted
 from .model import IN, OPEN, OUT, Record
-from .values import Frozen, Value, set_field
+from .values import Value
 
 SEND = "SEND"
 DELIVER = "DELIVER"
@@ -179,41 +192,6 @@ class Group:
         return len(self.replicas)
 
 
-# A directive keeps its scenario line, 0 when built directly.
-class Injection(Value):
-    __slots__ = ("step", "port", "payload", "line")
-    _fields = __slots__
-
-    def __init__(self, step: int, port: str, payload: Record, line: int = 0):
-        self.step = step
-        self.port = port
-        self.payload = payload
-        self.line = line
-
-
-class ScaleDirective(Frozen):
-    _fields = ("step", "path", "count", "line")
-
-    def __init__(self, step: int, path: str, count: int, line: int = 0):
-        set_field(self, "step", step)
-        set_field(self, "path", path)
-        set_field(self, "count", count)
-        set_field(self, "line", line)
-
-
-class FaultDirective(Frozen):
-    _fields = ("step", "path", "kind", "rid", "line")
-
-    def __init__(
-        self, step: int, path: str, kind: str, rid: int | None = None, line: int = 0
-    ):
-        set_field(self, "step", step)
-        set_field(self, "path", path)
-        set_field(self, "kind", kind)
-        set_field(self, "rid", rid)  # None faults the lowest live replica
-        set_field(self, "line", line)
-
-
 # -- directive rules --------------------------------------------------------
 # Which directives a run can execute, stated once. A rule gives None or a
 # Problem, (scenario line or 0, diagnostic code, message): the scenario
@@ -263,9 +241,9 @@ def directive_problems(
     topology: RuntimeTopology,
     *,
     strategies: Iterable[tuple[int, str, str]] = (),
-    scales: Iterable[ScaleDirective] = (),
-    faults: Iterable[FaultDirective] = (),
-    injections: Iterable[Injection] = (),
+    scales: Iterable[tuple] = (),
+    faults: Iterable[tuple] = (),
+    injections: Iterable[tuple] = (),
     maxsteps: int = 0,
 ) -> list[Problem]:
     """The problem of each directive a run cannot execute, for its first
@@ -278,32 +256,32 @@ def directive_problems(
         if problem is None and path not in instances:
             problem = _unknown_instance(path, line)
         problems.append(problem)
-    for sc in scales:
-        inst = instances.get(sc.path)
+    for step, path, count, line in scales:
+        inst = instances.get(path)
         if inst is None:
-            problem = _unknown_instance(sc.path, sc.line)
+            problem = _unknown_instance(path, line)
         elif not inst.replicating:
-            problem = sc.line, E_UNRESOLVED, f"{quoted(sc.path)} is not a replicating instance"
-        elif sc.count < 1:
-            problem = sc.line, E_SYNTAX, "replica count must be at least 1"
+            problem = line, E_UNRESOLVED, f"{quoted(path)} is not a replicating instance"
+        elif count < 1:
+            problem = line, E_SYNTAX, "replica count must be at least 1"
         else:
-            problem = step_problem(sc.step, sc.line)
+            problem = step_problem(step, line)
         problems.append(problem)
-    for f in faults:
-        inst = instances.get(f.path)
+    for step, path, _kind, _rid, line in faults:
+        inst = instances.get(path)
         if inst is None:
-            problem = _unknown_instance(f.path, f.line)
+            problem = _unknown_instance(path, line)
         elif not inst.atomic:
-            problem = f.line, E_UNRESOLVED, f"{quoted(f.path)} is not an atomic instance"
+            problem = line, E_UNRESOLVED, f"{quoted(path)} is not an atomic instance"
         else:
-            problem = step_problem(f.step, f.line)
+            problem = step_problem(step, line)
         problems.append(problem)
     root_in = root_in_ports(topology)
-    for inj in injections:
-        problem = inject_port_problem(root_in, inj.port, inj.line)
+    for step, port, payload, line in injections:
+        problem = inject_port_problem(root_in, port, line)
         if problem is None:
-            problem = payload_type_problem(root_in[inj.port], inj.payload.type_name, inj.line)
-        problems.append(problem or step_problem(inj.step, inj.line))
+            problem = payload_type_problem(root_in[port], payload.type_name, line)
+        problems.append(problem or step_problem(step, line))
     return [p for p in problems if p is not None]
 
 
@@ -329,9 +307,9 @@ class Kernel:
         *,
         seed: int = 0,
         strategies: dict[str, str] | None = None,
-        injections: list[Injection] | None = None,
-        scales: list[ScaleDirective] | None = None,
-        faults: list[FaultDirective] | None = None,
+        injections: list[tuple] | None = None,
+        scales: list[tuple] | None = None,
+        faults: list[tuple] | None = None,
         maxsteps: int = DEFAULT_MAXSTEPS,
     ):
         self.topology = topology
@@ -381,14 +359,13 @@ class Kernel:
             line, _code, message = problems[0]
             raise KernelError(message, line)
 
-        # step -> (scales, faults, injections) due then, each in declaration order
-        self._directives: dict[int, tuple[list, list, list]] = {}
-        for slot, batch in enumerate((scales, faults, injections)):
-            for d in batch:
-                self._directives.setdefault(d.step, ([], [], []))[slot].append(d)
-        # steps that have a directive or an in-flight bucket; may repeat
-        self._agenda: list[int] = list(self._directives)
-        heapq.heapify(self._agenda)
+        # the scale, fault and inject stacks, the next due last; sorted copies,
+        # so the caller's lists are never popped
+        self._directives = [
+            sorted(batch, key=itemgetter(0))[::-1] for batch in (scales, faults, injections)
+        ]
+        # steps with a directive or an in-flight bucket, may repeat; sorted is a heap
+        self._agenda: list[int] = sorted({d[0] for batch in self._directives for d in batch})
         # groups with a retiring replica, visited by the sweep in group order
         self._retiring: set[str] = set()
         self._group_rank = {path: i for i, path in enumerate(self.groups)}
@@ -425,28 +402,26 @@ class Kernel:
         self.truncated = True
 
     def _run_directives(self) -> None:
-        due = self._directives.pop(self.step, None)
-        if due is None:
-            return
-        scales, faults, injections = due
-        for sc in scales:
-            self._scale(sc.path, sc.count)
-        for f in faults:
-            group = self.groups[f.path]
-            rid = f.rid
+        step = self.step
+        scales, faults, injections = self._directives
+        while scales and scales[-1][0] == step:
+            _step, path, count, _line = scales.pop()
+            self._scale(path, count)
+        while faults and faults[-1][0] == step:
+            _step, path, kind, rid, line = faults.pop()
+            group = self.groups[path]
             if rid is None:
                 live = group.live()
                 if not live:
-                    raise KernelError(f"no live replica of '{f.path}' to fault", f.line)
+                    raise KernelError(f"no live replica of '{path}' to fault", line)
                 rid = live[0].rid
             elif rid not in group.replicas:
-                raise KernelError(
-                    f"no replica {f.path}#{rid} at step {self.step} to fault", f.line
-                )
-            self._fault(group.inst.path, rid, f.kind)
-        for inj in injections:
-            for ch in self.topology.channels_from.get((ROOT_PATH, inj.port), []):
-                self._dispatch(ch, inj.payload, ())
+                raise KernelError(f"no replica {path}#{rid} at step {step} to fault", line)
+            self._fault(path, rid, kind)
+        while injections and injections[-1][0] == step:
+            _step, port, payload, _line = injections.pop()
+            for ch in self.topology.channels_from.get((ROOT_PATH, port), []):
+                self._dispatch(ch, payload, ())
 
     def _deliver_and_activate(self) -> None:
         due = self.in_flight.pop(self.step, None)

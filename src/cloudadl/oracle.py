@@ -18,6 +18,7 @@ receiving behavior is insensitive to cross-port interleaving.
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 
 from .analyzer import ROOT_PATH, elaborate
 from .behaviors import MODE_ONE, ActivationContext, Raise
@@ -74,9 +75,9 @@ def predict(scenario: Scenario) -> OracleResult:
     ctx = ActivationContext(0, None)  # sample, the one builtin that draws, is refused
     work: deque = deque()
     # sorted is stable, so same-step injects keep their declaration order
-    for inj in sorted(scenario.injections, key=lambda injection: injection.step):
-        for ch in topology.channels_from.get((ROOT_PATH, inj.port), []):
-            work.append((ch, inj.payload))
+    for _step, port, payload, _line in sorted(scenario.injections, key=itemgetter(0)):
+        for ch in topology.channels_from.get((ROOT_PATH, port), []):
+            work.append((ch, payload))
 
     pops = 0
     while work:

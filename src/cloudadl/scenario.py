@@ -60,11 +60,8 @@ from .kernel import (
     DEFAULT_MAXSTEPS,
     EVENT_KINDS,
     FatalUnhandled,
-    FaultDirective,
-    Injection,
     Kernel,
     Problem,
-    ScaleDirective,
     directive_problems,
     inject_port_problem,
     maxsteps_problem,
@@ -104,9 +101,9 @@ class Scenario(Value):
         maxsteps: int = DEFAULT_MAXSTEPS,
         latency_overrides: list[tuple[str, int]] | None = None,
         strategies: dict[str, str] | None = None,
-        injections: list[Injection] | None = None,
-        scales: list[ScaleDirective] | None = None,
-        faults: list[FaultDirective] | None = None,
+        injections: list[tuple] | None = None,
+        scales: list[tuple] | None = None,
+        faults: list[tuple] | None = None,
         expectations: list[tuple] | None = None,
     ):
         self.name = name
@@ -198,8 +195,8 @@ class _RawScenario(Value):
         self.maxsteps = DEFAULT_MAXSTEPS
         self.latency_overrides: list[tuple[str, int]] = []
         self.strategies: list[tuple[int, str, str]] = []  # (line, path, strategy)
-        self.scales: list[ScaleDirective] = []
-        self.faults: list[FaultDirective] = []
+        self.scales: list[tuple] = []  # the kernel's directive tuples
+        self.faults: list[tuple] = []
         self.injections: list[tuple[int, str, int, str]] = []  # (line, port, step, literal)
         self.expectations: list[tuple[int, tuple]] = []  # (line, kind and arguments)
 
@@ -257,7 +254,7 @@ def _parse_line(raw: _RawScenario, lineno: int, line: str) -> None:
         if len(words) != 5 or words[3] != "at":
             raise _LineError("usage: scale <path> <count> at <step>")
         count, step = _int_arg(words[2], "count"), _int_arg(words[4], "step")
-        raw.scales.append(ScaleDirective(step, words[1], count, lineno))
+        raw.scales.append((step, words[1], count, lineno))
     elif head == "fault":
         if len(words) != 5 or words[2] != "at":
             raise _LineError("usage: fault <path[#rid]> at <step> <kind>")
@@ -266,7 +263,7 @@ def _parse_line(raw: _RawScenario, lineno: int, line: str) -> None:
             path, rid_text = path.rsplit("#", 1)
             rid = _int_arg(rid_text, "replica id")
         step = _int_arg(words[3], "step")
-        raw.faults.append(FaultDirective(step, path, words[4], rid, lineno))
+        raw.faults.append((step, path, words[4], rid, lineno))
     elif head == "inject":
         if len(words) < 4 or words[2] != "at":
             raise _LineError("usage: inject <port> at <step> <Type{...}>")
@@ -290,7 +287,11 @@ def _parse_expect(raw: _RawScenario, lineno: int, line: str, words: list[str]) -
         if len(words) != 4 and (len(words) != 6 or words[4] != "by"):
             raise _LineError("usage: expect count <port> <n> [by <step>]")
         count = _int_arg(words[3], "count")
+        if count < 0:
+            raise _LineError("count must not be negative")
         by = _int_arg(words[5], "step") if len(words) == 6 else None
+        if by is not None:
+            _line_rule(step_problem(by))
         shape: tuple = ("count", words[2], count, by)
     elif kind == "prefix":
         if len(words) < 4:
@@ -299,7 +300,10 @@ def _parse_expect(raw: _RawScenario, lineno: int, line: str, words: list[str]) -
     elif kind == "store":
         if len(words) != 4:
             raise _LineError("usage: expect store <path> <n>")
-        shape = ("store", words[2], _int_arg(words[3], "rows"))
+        rows = _int_arg(words[3], "rows")
+        if rows < 0:
+            raise _LineError("rows must not be negative")
+        shape = ("store", words[2], rows)
     elif kind == "event":
         if len(words) != 4:
             raise _LineError("usage: expect event <KIND> <subject>")
@@ -459,7 +463,7 @@ def _resolve_directives(
                 raise _LineError("inject takes exactly one payload literal")
             record = _checked_record(*parsed[0], root_in[port], scenario.model)
             _line_rule(step_problem(step))
-            scenario.injections.append(Injection(step, port, record, lineno))
+            scenario.injections.append((step, port, record, lineno))
         except _LineError as exc:
             problems.append((lineno, exc.code, exc.message))
     for lineno, shape in raw.expectations:

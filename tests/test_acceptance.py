@@ -13,13 +13,7 @@ import pytest
 
 from cloudadl.analyzer import apply_latency_overrides, check, elaborate
 from cloudadl.harness import STATUS_FATAL, run_file
-from cloudadl.kernel import (
-    FatalUnhandled,
-    FaultDirective,
-    Injection,
-    Kernel,
-    ScaleDirective,
-)
+from cloudadl.kernel import FatalUnhandled, Kernel
 from cloudadl.model import make_record
 from cloudadl.oracle import predict
 from cloudadl.parser import load_files, parse_model
@@ -54,7 +48,7 @@ def test_a01_per_channel_fifo_holds_across_1000_random_cases():
             topo, [(ch.id, rng.randint(1, 4)) for ch in topo.channels]
         )
         injections = [
-            Injection(rng.randint(1, 6), "feed", rec(model, "Item", n=i))
+            (rng.randint(1, 6), "feed", rec(model, "Item", n=i), 0)
             for i in range(rng.randint(1, 12))
         ]
         k = Kernel(topo, seed=case, injections=injections)
@@ -79,12 +73,12 @@ def test_a02_each_of_10000_routed_messages_delivered_exactly_once():
     for size in range(1, 9):
         topo = elaborate(model, "Pool")
         injections = [
-            Injection(1 + i // 50, "feed", rec(model, "Job", n=i))
+            (1 + i // 50, "feed", rec(model, "Job", n=i), 0)
             for i in range(1250)
         ]
         k = Kernel(
             topo,
-            scales=[ScaleDirective(0, "root/w", size)],
+            scales=[(0, "root/w", size, 0)],
             injections=injections,
         )
         k.run()
@@ -114,9 +108,9 @@ def test_a03_context_tokens_pin_chains_to_their_opening_replica():
             topo = elaborate(model, "RequestChain")
             kernel = Kernel(
                 topo, seed=seed,
-                scales=[ScaleDirective(0, "root/a", k_replicas)],
+                scales=[(0, "root/a", k_replicas, 0)],
                 injections=[
-                    Injection(1 + i, "task", rec(model, "Req", body=f"r{i}"))
+                    (1 + i, "task", rec(model, "Req", body=f"r{i}"), 0)
                     for i in range(100)
                 ],
             )
@@ -164,8 +158,8 @@ def test_a04_broadcast_and_index_selection_against_group_sizes():
         # broadcast: one copy per live replica
         topo = elaborate(model, "BSys")
         k = Kernel(topo,
-                   scales=[ScaleDirective(0, "root/w", n)],
-                   injections=[Injection(1, "feed", rec(model, "M", v=0))])
+                   scales=[(0, "root/w", n, 0)],
+                   injections=[(1, "feed", rec(model, "M", v=0), 0)])
         k.run()
         ch = "root/h.o->root/w.i"
         hits = sorted(e.subject for e in events(k)
@@ -177,8 +171,8 @@ def test_a04_broadcast_and_index_selection_against_group_sizes():
         for i in range(n):
             topo = elaborate(model, "ISys")
             k = Kernel(topo,
-                       scales=[ScaleDirective(0, "root/w", n)],
-                       injections=[Injection(1, "feed", rec(model, "M", v=i))])
+                       scales=[(0, "root/w", n, 0)],
+                       injections=[(1, "feed", rec(model, "M", v=i), 0)])
             k.run()
             got = [e.subject for e in events(k)
                    if e.kind == "DELIVER" and e.channel == "root/r.o->root/w.i"]
@@ -187,10 +181,10 @@ def test_a04_broadcast_and_index_selection_against_group_sizes():
         # broadcast tracks the group across a scale event
         topo = elaborate(model, "BSys")
         k = Kernel(topo,
-                   scales=[ScaleDirective(0, "root/w", n),
-                           ScaleDirective(3, "root/w", n + 1)],
-                   injections=[Injection(1, "feed", rec(model, "M", v=0)),
-                               Injection(4, "feed", rec(model, "M", v=1))])
+                   scales=[(0, "root/w", n, 0),
+                           (3, "root/w", n + 1, 0)],
+                   injections=[(1, "feed", rec(model, "M", v=0), 0),
+                               (4, "feed", rec(model, "M", v=1), 0)])
         k.run()
         ch_delis = [e for e in events(k)
                     if e.kind == "DELIVER" and e.channel == ch]
@@ -206,7 +200,7 @@ def test_a05_root_stream_invariant_under_10_latency_assignments():
     model, diags = load_files([str(MODELS_DIR / "pipeline4.arc")])
     assert not diags
     injections = [
-        Injection(s, "feed", rec(model, "Item", n=s)) for s in (1, 2, 3, 4, 5)
+        (s, "feed", rec(model, "Item", n=s), 0) for s in (1, 2, 3, 4, 5)
     ]
     renders = set()
     for assignment in range(10):
@@ -233,7 +227,7 @@ def test_a06_supervision_escalates_twice_then_restarts_the_failed_subtree():
     topo = elaborate(model, "Supervised")
     k = Kernel(topo,
                strategies={"root/mid": "restart"},
-               faults=[FaultDirective(1, "root/mid/sub/leaf", "overload")])
+               faults=[(1, "root/mid/sub/leaf", "overload", None, 0)])
     k.run()
     got = [(e.kind, e.subject) for e in events(k)]
     assert got == [
@@ -245,7 +239,7 @@ def test_a06_supervision_escalates_twice_then_restarts_the_failed_subtree():
 
     topo = elaborate(model, "Supervised")
     k = Kernel(topo,
-               faults=[FaultDirective(1, "root/mid/sub/leaf", "overload")])
+               faults=[(1, "root/mid/sub/leaf", "overload", None, 0)])
     with pytest.raises(FatalUnhandled):
         k.run()
     assert [e.kind for e in events(k)][-2:] == ["ESCALATE", "FATAL"]
@@ -272,10 +266,10 @@ def test_a07_sensor_channel_acks_all_stores_valid_and_matches_oracle():
     ack stream equal to the sequential reference prediction."""
     scenario, diags = load_scenario(str(SCENARIOS_DIR / "sensor_channel.scn"))
     assert scenario is not None, diags
-    forged = [i for i in scenario.injections if i.payload.get("cred") != "valid"]
+    forged = [i for i in scenario.injections if i[2].get("cred") != "valid"]
     assert len(forged) == 17
     assert len(scenario.injections) == 100
-    assert any(s.path == "root/store" and s.count == 3 for s in scenario.scales)
+    assert any(s[1:3] == ("root/store", 3) for s in scenario.scales)
 
     result = run_scenario(scenario)
     assert result.verdict == "pass", result.failures
@@ -451,7 +445,7 @@ def test_acceptance_suite_is_fast_enough():
         text, root, _stages = pipeline_text(rng)
         model, _diags = parse_model(text, "<speed>")
         topo = elaborate(model, root)
-        k = Kernel(topo, injections=[Injection(1, "feed", rec(model, "Item", n=0))])
+        k = Kernel(topo, injections=[(1, "feed", rec(model, "Item", n=0), 0)])
         k.run()
     per_case = (time.perf_counter() - t0) / 20
     assert per_case < 0.05, per_case

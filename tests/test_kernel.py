@@ -10,14 +10,7 @@ from random import Random
 import pytest
 
 from cloudadl.analyzer import apply_latency_overrides, check, elaborate
-from cloudadl.kernel import (
-    FatalUnhandled,
-    FaultDirective,
-    Injection,
-    Kernel,
-    KernelError,
-    ScaleDirective,
-)
+from cloudadl.kernel import FatalUnhandled, Kernel, KernelError
 from cloudadl.model import make_record
 from cloudadl.parser import load_files, parse_model
 from cloudadl.scenario import build_kernel, load_scenario, load_scenario_text, run_scenario
@@ -45,7 +38,7 @@ def rec(model, tname, **vals):
 
 def jobs(model, port, steps, tname="Job", field="n"):
     return [
-        Injection(step, port, rec(model, tname, **{field: i}))
+        (step, port, rec(model, tname, **{field: i}), 0)
         for i, step in enumerate(steps)
     ]
 
@@ -66,7 +59,7 @@ def test_per_channel_fifo_under_random_latencies():
     overrides = [(ch.id, rng.randint(1, 4)) for ch in topo.channels]
     apply_latency_overrides(topo, overrides)
     inj = [
-        Injection(rng.randint(1, 5), "feed", rec(model, "Item", n=i))
+        (rng.randint(1, 5), "feed", rec(model, "Item", n=i), 0)
         for i in range(30)
     ]
     k = Kernel(topo, injections=inj)
@@ -89,8 +82,8 @@ def test_same_step_deliveries_ordered_by_channel_id():
     )
     model, topo, k = build(
         text, "A",
-        injections=[Injection(1, "x", make_record(
-            parse_ok(text).message_types["M"], {"n": 0}))],
+        injections=[(1, "x", make_record(
+            parse_ok(text).message_types["M"], {"n": 0}), 0)],
     )
     k.run()
     got = [e.subject for e in deliveries(k)]
@@ -131,7 +124,7 @@ def test_arrival_step_dominates_channel_order():
     topo = elaborate(model, "A")
     apply_latency_overrides(topo, [("root.x->root/b1.i", 3)])
     k = Kernel(topo, injections=[
-        Injection(1, "x", rec(model, "M", n=0)),
+        (1, "x", rec(model, "M", n=0), 0),
     ])
     k.run()
     got = [(e.step, e.subject) for e in deliveries(k)]
@@ -151,9 +144,9 @@ def test_one_replica_handles_same_step_arrivals_in_channel_order():
         text, "A",
         overrides=[("root.x->root/b.i", 2), ("root.y->root/b.i", 3)],
         injections=[
-            Injection(1, "y", rec(model, "M", n=1)),
-            Injection(1, "y", rec(model, "M", n=2)),
-            Injection(2, "x", rec(model, "M", n=3)),
+            (1, "y", rec(model, "M", n=1), 0),
+            (1, "y", rec(model, "M", n=2), 0),
+            (2, "x", rec(model, "M", n=3), 0),
         ],
     )
     k.run()
@@ -174,7 +167,7 @@ def test_identical_runs_identical_traces():
         for _ in range(2):
             topo = elaborate(model, root)
             k = Kernel(topo, seed=seed, injections=[
-                Injection(s, "feed", rec(model, "Item", n=s)) for s in (1, 1, 2, 5)
+                (s, "feed", rec(model, "Item", n=s), 0) for s in (1, 1, 2, 5)
             ])
             k.run()
             runs.append(trace_text(k.events))
@@ -193,7 +186,7 @@ def pool(**kw):
 def test_round_robin_over_live_replicas():
     model = parse_ok(POOL_TEXT)
     _, _, k = pool(
-        scales=[ScaleDirective(0, "root/w", 3)],
+        scales=[(0, "root/w", 3, 0)],
         injections=jobs(model, "feed", [1] * 6),
     )
     k.run()
@@ -227,8 +220,8 @@ def test_broadcast_copies_to_every_live_replica():
     )
     model, topo, k = build(
         text, "Sys",
-        scales=[ScaleDirective(0, "root/w", 3)],
-        injections=[Injection(1, "feed", rec(parse_ok(text), "M", n=5))],
+        scales=[(0, "root/w", 3, 0)],
+        injections=[(1, "feed", rec(parse_ok(text), "M", n=5), 0)],
     )
     k.run()
     ch = "root/h.o->root/w.i"
@@ -253,10 +246,10 @@ def test_index_mode_picks_modulo_live():
     model = parse_ok(text)
     _, _, k = build(
         text, "Sys",
-        scales=[ScaleDirective(0, "root/w", 3)],
+        scales=[(0, "root/w", 3, 0)],
         injections=[
-            Injection(1, "feed", rec(model, "M", v=4)),
-            Injection(2, "feed", rec(model, "M", v=6)),
+            (1, "feed", rec(model, "M", v=4), 0),
+            (2, "feed", rec(model, "M", v=6), 0),
         ],
     )
     k.run()
@@ -272,9 +265,9 @@ def test_tokens_mint_bind_stick_and_strip():
     assert not diags
     topo = elaborate(model, "RequestChain")
     k = Kernel(topo,
-               scales=[ScaleDirective(0, "root/a", 2)],
+               scales=[(0, "root/a", 2, 0)],
                injections=[
-                   Injection(s, "task", rec(model, "Req", body=f"r{s}"))
+                   (s, "task", rec(model, "Req", body=f"r{s}"), 0)
                    for s in (1, 2, 3, 4)
                ])
     k.run()
@@ -314,7 +307,7 @@ def test_token_rides_interior_hops():
     model, _ = load_files([str(MODELS_DIR / "request_chain.arc")])
     topo = elaborate(model, "RequestChain")
     k = Kernel(topo, injections=[
-        Injection(1, "task", rec(model, "Req", body="x")),
+        (1, "task", rec(model, "Req", body="x"), 0),
     ])
     k.run()
     interior = [e for e in events(k)
@@ -331,7 +324,7 @@ def test_absorbed_tokens_are_held():
         " context sess { open feed -> w.i; } }"
     )
     model, topo, k = build(text, "Sys", injections=[
-        Injection(1, "feed", rec(parse_ok(text), "M", n=0)),
+        (1, "feed", rec(parse_ok(text), "M", n=0), 0),
     ])
     k.run()
     replica = k.groups["root/w"].replicas[0]
@@ -355,8 +348,8 @@ def test_a_pinned_message_goes_to_its_replica_over_a_token_binding():
     model = parse_ok(text)
     _, _, k = build(
         text, "Sys",
-        scales=[ScaleDirective(0, "root/w", 2)],
-        injections=[Injection(1, "feed", rec(model, "M", v=0))],
+        scales=[(0, "root/w", 2, 0)],
+        injections=[(1, "feed", rec(model, "M", v=0), 0)],
     )
     k.run()
     tok = ("sess", 0)
@@ -388,8 +381,8 @@ def test_broadcast_copies_of_a_tokened_message_bind_nothing():
     model = parse_ok(text)
     _, _, k = build(
         text, "Sys",
-        scales=[ScaleDirective(0, "root/w", 3)],
-        injections=[Injection(1, "feed", rec(model, "M", n=0))],
+        scales=[(0, "root/w", 3, 0)],
+        injections=[(1, "feed", rec(model, "M", n=0), 0)],
     )
     k.run()
     copies = deliveries(k, "root/w#")
@@ -412,9 +405,9 @@ def test_context_serials_are_global_per_context():
     )
     model = parse_ok(text)
     _, _, k = build(text, "Sys", injections=[
-        Injection(1, "f1", rec(model, "M", n=0)),
-        Injection(1, "f2", rec(model, "M", n=1)),
-        Injection(2, "f1", rec(model, "M", n=2)),
+        (1, "f1", rec(model, "M", n=0), 0),
+        (1, "f2", rec(model, "M", n=1), 0),
+        (2, "f1", rec(model, "M", n=2), 0),
     ])
     k.run()
     mints = [e.tokens for e in events(k) if e.kind == "MINT"]
@@ -437,8 +430,8 @@ def test_restart_resets_behavior_state():
     _, _, k = build(
         SUP, "Sys",
         strategies={"root/w": "restart"},
-        injections=[Injection(s, "feed", rec(model, "M", n=s)) for s in (1, 3, 4)],
-        faults=[FaultDirective(3, "root/w", "wedge")],
+        injections=[(s, "feed", rec(model, "M", n=s), 0) for s in (1, 3, 4)],
+        faults=[(3, "root/w", "wedge", None, 0)],
     )
     k.run()
     kinds = [e.kind for e in events(k) if e.kind in ("RAISE", "RESTART")]
@@ -452,8 +445,8 @@ def test_resume_keeps_state():
     _, _, k = build(
         SUP, "Sys",
         strategies={"root/w": "resume"},
-        injections=[Injection(s, "feed", rec(model, "M", n=s)) for s in (1, 3)],
-        faults=[FaultDirective(3, "root/w", "wedge")],
+        injections=[(s, "feed", rec(model, "M", n=s), 0) for s in (1, 3)],
+        faults=[(3, "root/w", "wedge", None, 0)],
     )
     k.run()
     assert [e.kind for e in events(k) if e.kind in
@@ -465,7 +458,7 @@ def test_escalation_walks_to_root_and_goes_fatal():
     model, _ = load_files([str(MODELS_DIR / "supervised.arc")])
     topo = elaborate(model, "Supervised")
     k = Kernel(topo, faults=[
-        FaultDirective(1, "root/mid/sub/leaf", "overload"),
+        (1, "root/mid/sub/leaf", "overload", None, 0),
     ])
     with pytest.raises(FatalUnhandled) as exc:
         k.run()
@@ -486,7 +479,7 @@ def test_escalation_stops_at_restarting_ancestor():
     topo = elaborate(model, "Supervised")
     k = Kernel(topo,
                strategies={"root/mid": "restart"},
-               faults=[FaultDirective(1, "root/mid/sub/leaf", "overload")])
+               faults=[(1, "root/mid/sub/leaf", "overload", None, 0)])
     k.run()
     # the deciding ancestor restarts the escalating child subtree
     got = [(e.kind, e.subject) for e in events(k)]
@@ -513,8 +506,8 @@ def test_restart_preserves_queued_messages():
         text, "Sys",
         strategies={"root/w": "restart"},
         injections=[
-            Injection(1, "feed", rec(model, "M", n=1)),
-            Injection(1, "feed", rec(model, "M", n=2)),
+            (1, "feed", rec(model, "M", n=1), 0),
+            (1, "feed", rec(model, "M", n=2), 0),
         ],
     )
     k.run()
@@ -537,7 +530,7 @@ def test_faulted_activation_drops_tokens():
     _, _, k = build(
         text, "Sys",
         strategies={"root/w": "resume"},
-        injections=[Injection(1, "feed", rec(model, "M", n=1))],
+        injections=[(1, "feed", rec(model, "M", n=1), 0)],
     )
     k.run()
     assert [e.kind for e in events(k) if e.kind == "RAISE"]
@@ -552,9 +545,9 @@ def test_scale_events_and_fresh_rids():
     model = parse_ok(POOL_TEXT)
     _, _, k = pool(
         scales=[
-            ScaleDirective(0, "root/w", 3),
-            ScaleDirective(4, "root/w", 1),
-            ScaleDirective(8, "root/w", 2),
+            (0, "root/w", 3, 0),
+            (4, "root/w", 1, 0),
+            (8, "root/w", 2, 0),
         ],
         injections=jobs(model, "feed", [1, 1, 1]),
     )
@@ -574,8 +567,8 @@ def test_retiring_replicas_not_selected_but_drain():
     model = parse_ok(POOL_TEXT)
     _, _, k = pool(
         scales=[
-            ScaleDirective(0, "root/w", 2),
-            ScaleDirective(2, "root/w", 1),
+            (0, "root/w", 2, 0),
+            (2, "root/w", 1, 0),
         ],
         injections=jobs(model, "feed", [1, 2, 3, 4]),
     )
@@ -598,12 +591,12 @@ def test_held_tokens_block_retirement():
     _, _, k = build(
         text, "Sys",
         scales=[
-            ScaleDirective(0, "root/w", 2),
-            ScaleDirective(4, "root/w", 1),
+            (0, "root/w", 2, 0),
+            (4, "root/w", 1, 0),
         ],
         injections=[
-            Injection(1, "feed", rec(model, "M", n=0)),
-            Injection(2, "feed", rec(model, "M", n=1)),
+            (1, "feed", rec(model, "M", n=0), 0),
+            (2, "feed", rec(model, "M", n=1), 0),
         ],
     )
     k.run()
@@ -625,7 +618,7 @@ def test_maxsteps_truncates_livelock():
     model = parse_ok(text)
     _, _, k = build(
         text, "Sys", maxsteps=25,
-        injections=[Injection(1, "feed", rec(model, "M", n=0))],
+        injections=[(1, "feed", rec(model, "M", n=0), 0)],
     )
     k.run()
     assert k.truncated
@@ -635,10 +628,10 @@ def test_maxsteps_truncates_livelock():
 @pytest.mark.parametrize(
     "kw",
     [
-        {"injections": [Injection(1, "nope", None)]},
-        {"scales": [ScaleDirective(0, "root", 2)]},
-        {"scales": [ScaleDirective(0, "root/w", 0)]},
-        {"faults": [FaultDirective(1, "root", "x")]},
+        {"injections": [(1, "nope", None, 0)]},
+        {"scales": [(0, "root", 2, 0)]},
+        {"scales": [(0, "root/w", 0, 0)]},
+        {"faults": [(1, "root", "x", None, 0)]},
         {"strategies": {"root/nope": "restart"}},
         {"strategies": {"root/w": "panic"}},
     ],
@@ -647,7 +640,7 @@ def test_directive_validation(kw):
     model = parse_ok(POOL_TEXT)
     topo = elaborate(model, "Pool")
     if kw.get("injections"):
-        kw["injections"] = [Injection(1, "nope", rec(model, "Job", n=0))]
+        kw["injections"] = [(1, "nope", rec(model, "Job", n=0), 0)]
     with pytest.raises(KernelError):
         Kernel(topo, **kw)
 
@@ -666,9 +659,9 @@ def test_negative_steps_and_budgets_are_rejected(case):
     topo = elaborate(model, "Pool")
     arg, message = NEGATIVE[case]
     value = {
-        "injections": [Injection(-5, "feed", rec(model, "Job", n=0))],
-        "scales": [ScaleDirective(-3, "root/w", 2)],
-        "faults": [FaultDirective(-2, "root/w", "boom")],
+        "injections": [(-5, "feed", rec(model, "Job", n=0), 0)],
+        "scales": [(-3, "root/w", 2, 0)],
+        "faults": [(-2, "root/w", "boom", None, 0)],
         "maxsteps": -1,
     }[arg]
     with pytest.raises(KernelError) as exc:
@@ -680,16 +673,16 @@ def test_directive_errors_use_the_scenario_wording_and_line():
     model = parse_ok(POOL_TEXT)
     topo = elaborate(model, "Pool")
     cases = [
-        ({"scales": [ScaleDirective(0, "root/nope", 2, 7)]}, "unknown instance 'root/nope'"),
-        ({"faults": [FaultDirective(1, "root/nope", "x", None, 8)]},
+        ({"scales": [(0, "root/nope", 2, 7)]}, "unknown instance 'root/nope'"),
+        ({"faults": [(1, "root/nope", "x", None, 8)]},
          "unknown instance 'root/nope'"),
-        ({"injections": [Injection(1, "drain", rec(model, "Job", n=0), 9)]},
+        ({"injections": [(1, "drain", rec(model, "Job", n=0), 9)]},
          "the root component has no in port 'drain'"),
     ]
     for kw, message in cases:
         with pytest.raises(KernelError) as exc:
             Kernel(topo, **kw)
-        line = next(iter(kw.values()))[0].line
+        line = next(iter(kw.values()))[0][-1]
         assert (str(exc.value), exc.value.line) == (message, line)
 
 
@@ -698,7 +691,7 @@ def test_injection_payload_type_checked():
     topo = elaborate(model, "Pool")
     with pytest.raises(KernelError):
         Kernel(topo, injections=[
-            Injection(1, "feed", rec(model, "Other", s="x")),
+            (1, "feed", rec(model, "Other", s="x"), 0),
         ])
 
 
@@ -727,6 +720,23 @@ def test_lone_late_inject_matches_an_early_one_shifted():
     shift = 50_000 - 1
     assert late.step == early.step + shift
     assert [e._replace(step=e.step + shift) for e in events(early)] == events(late)
+
+
+def test_directives_given_out_of_step_order_run_by_step_then_declaration():
+    model = parse_ok(POOL_TEXT)
+    _, _, k = pool(
+        scales=[(4, "root/w", 3, 0), (0, "root/w", 2, 0), (4, "root/w", 1, 0)],
+        injections=jobs(model, "feed", [5, 1, 5, 1]),
+    )
+    k.run()
+    assert [p.get("n") for _step, p in k.out_streams["drain"]] == [1, 3, 0, 2]
+    scales = [(e.step, e.payload) for e in events(k) if e.kind == "SCALE"]
+    assert scales == [
+        (0, "target=2,size=2"),
+        (4, "target=3,size=3"),
+        (4, "target=1,size=3"),
+        (4, "target=1,size=1"),  # the sweep removes #1 and #2
+    ]
 
 
 def test_same_step_directives_run_scales_then_faults_then_injects(tmp_path):
@@ -773,13 +783,13 @@ def test_groups_retiring_on_one_step_shrink_in_declaration_order():
         text, "Sys",
         overrides=[("root/h?.o->*", 5)],
         scales=[
-            ScaleDirective(0, "root/b", 2),
-            ScaleDirective(0, "root/a", 2),
+            (0, "root/b", 2, 0),
+            (0, "root/a", 2, 0),
             # declared b first; pinned broadcast copies keep both #1 busy
-            ScaleDirective(3, "root/b", 1),
-            ScaleDirective(3, "root/a", 1),
+            (3, "root/b", 1, 0),
+            (3, "root/a", 1, 0),
         ],
-        injections=[Injection(1, "feed", rec(model, "M", n=0))],
+        injections=[(1, "feed", rec(model, "M", n=0), 0)],
     )
     k.run()
     shrinks = [
@@ -813,9 +823,9 @@ def test_round_robin_follows_scale_up_shrink_and_regrowth():
     model = parse_ok(POOL_TEXT)
     _, _, k = pool(
         scales=[
-            ScaleDirective(0, "root/w", 3),
-            ScaleDirective(3, "root/w", 1),
-            ScaleDirective(5, "root/w", 2),
+            (0, "root/w", 3, 0),
+            (3, "root/w", 1, 0),
+            (5, "root/w", 2, 0),
         ],
         injections=jobs(model, "feed", [1, 1, 1, 3, 3, 5, 5]),
     )
@@ -852,8 +862,8 @@ TWO_COLLECTORS = (
 
 def test_instances_of_one_type_share_the_behavior_not_the_state():
     model = parse_ok(TWO_COLLECTORS)
-    feed = [Injection(s, "fa", rec(model, "M", n=s)) for s in (1, 2, 3)]
-    feed.append(Injection(1, "fb", rec(model, "M", n=10)))
+    feed = [(s, "fa", rec(model, "M", n=s), 0) for s in (1, 2, 3)]
+    feed.append((1, "fb", rec(model, "M", n=10), 0))
     _, _, k = build(TWO_COLLECTORS, "Sys", injections=feed)
     assert k.groups["root/a"].behavior is k.groups["root/b"].behavior
     k.run()
@@ -863,11 +873,11 @@ def test_instances_of_one_type_share_the_behavior_not_the_state():
     assert k.groups["root/b"].replicas[0].state == 1
 
     # restarting root/a resets its count only: b's next message pairs up
-    later = [Injection(5, "fa", rec(model, "M", n=5)), Injection(5, "fb", rec(model, "M", n=11))]
+    later = [(5, "fa", rec(model, "M", n=5), 0), (5, "fb", rec(model, "M", n=11), 0)]
     _, _, k = build(
         TWO_COLLECTORS, "Sys",
         injections=feed + later,
-        faults=[FaultDirective(5, "root/a", "wedge")],
+        faults=[(5, "root/a", "wedge", None, 0)],
         strategies={"root/a": "restart"},
     )
     k.run()
@@ -899,9 +909,9 @@ def store_payloads(kernel, path):
 
 def test_store_rows_stay_with_their_replica_across_a_restart():
     model = parse_ok(TWO_STORES)
-    feed = [Injection(1, "feed", rec(model, "M", n=i)) for i in range(4)]
-    side = [Injection(1, "side", rec(model, "M", n=10 + i)) for i in range(2)]
-    scales = [ScaleDirective(0, "root/w", 2), ScaleDirective(0, "root/v", 2)]
+    feed = [(1, "feed", rec(model, "M", n=i), 0) for i in range(4)]
+    side = [(1, "side", rec(model, "M", n=10 + i), 0) for i in range(2)]
+    scales = [(0, "root/w", 2, 0), (0, "root/v", 2, 0)]
     _, _, k = build(TWO_STORES, "Sys", scales=scales, injections=feed + side)
     k.run()
     assert store_payloads(k, "root/w") == {0: [0, 2], 1: [1, 3]}
@@ -911,8 +921,8 @@ def test_store_rows_stay_with_their_replica_across_a_restart():
     _, _, k = build(
         TWO_STORES, "Sys",
         scales=scales,
-        injections=feed + side + [Injection(4, "feed", rec(model, "M", n=4))],
-        faults=[FaultDirective(3, "root/w", "wedge", rid=1)],
+        injections=feed + side + [(4, "feed", rec(model, "M", n=4), 0)],
+        faults=[(3, "root/w", "wedge", 1, 0)],
         strategies={"root/w": "restart"},
     )
     k.run()
@@ -930,7 +940,7 @@ def test_deliveries_to_one_port_share_one_subject_object():
     model = parse_ok(POOL_TEXT)
     _, _, k = build(
         POOL_TEXT, "Pool",
-        scales=[ScaleDirective(0, "root/w", 2)],
+        scales=[(0, "root/w", 2, 0)],
         injections=jobs(model, "feed", [1, 1, 2, 2, 3, 3]),
     )
     k.run()
@@ -993,7 +1003,7 @@ def test_sampling_replicas_each_get_their_own_generator(monkeypatch):
     model = parse_ok(SAMPLED_POOL)
     _, _, k = build(
         SAMPLED_POOL, "Sys", seed=5,
-        scales=[ScaleDirective(2, "root/s", 3)],
+        scales=[(2, "root/s", 3, 0)],
         injections=jobs(model, "feed", range(1, 9), "M"),
     )
     assert seeds == ["5:root/s#0"]
@@ -1099,9 +1109,9 @@ def restart_run(width: int, strategies: dict[str, str]):
     _, _, k = build(
         text, "Sys",
         strategies=strategies,
-        scales=[ScaleDirective(0, "root/mid/k", 2)],
+        scales=[(0, "root/mid/k", 2, 0)],
         injections=jobs(model, "feed", range(1, 11), "M"),
-        faults=[FaultDirective(s, "root/mid/p", "boom") for s in (3, 4, 8)],
+        faults=[(s, "root/mid/p", "boom", None, 0) for s in (3, 4, 8)],
     )
     calls: list[str] = []
     for path, group in k.groups.items():

@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from cloudadl.analyzer import apply_latency_overrides, elaborate
-from cloudadl.kernel import Injection, Kernel
+from cloudadl.kernel import Kernel
 from cloudadl.model import make_record
 from cloudadl.oracle import OracleInapplicable, predict
 from cloudadl.scenario import Scenario, load_scenario, run_scenario, store_rows
@@ -58,7 +58,7 @@ def test_prediction_is_latency_free():
     text, root, _ = chain_text(Random(5))
     model = parse_ok(text)
     injections = [
-        Injection(s, "feed", make_record(model.message_types["Item"], {"n": s}))
+        (s, "feed", make_record(model.message_types["Item"], {"n": s}), 0)
         for s in (1, 2, 3)
     ]
     scenario = Scenario("t", "<test>", model, root, injections=injections)

@@ -85,12 +85,12 @@ def test_load_full_directives(tmp_path):
     assert s.seed == 9 and s.maxsteps == 50
     assert s.latency_overrides == [("root.feed*", 2)]
     assert s.strategies == {"root/w": "restart"}
-    assert len(s.scales) == 1 and s.scales[0].count == 3
-    assert len(s.injections) == 1
-    assert s.injections[0].payload.get("n") == 5
+    assert s.scales == [(0, "root/w", 3, 8)]  # (step, path, count, line)
+    [(step, port, payload, line)] = s.injections
+    assert (step, port, payload.get("n"), line) == (1, "feed", 5, 9)
     assert s.expectations == [
         ("count", "drain", 1, 10),
-        ("prefix", "drain", (s.injections[0].payload,)),
+        ("prefix", "drain", (payload,)),
         ("event", "SCALE", "root/w"),
     ]
 
@@ -291,6 +291,20 @@ DIRECTIVE_DIAGNOSTICS = {
         ["expect count nope 1"],
         ["4:1: E_UNRESOLVED: the root component has no out port 'nope'"],
     ),
+    # an expectation that can never hold is refused as the line is read,
+    # before its port or instance is looked up
+    "count_negative": (
+        ["expect count nope -1"],
+        ["4:1: E_SYNTAX: count must not be negative"],
+    ),
+    "count_by_negative_step": (
+        ["expect count drain 1 by -1"],
+        ["4:1: E_SYNTAX: step must not be negative"],
+    ),
+    "store_rows_negative": (
+        ["expect store root/nope -1"],
+        ["4:1: E_SYNTAX: rows must not be negative"],
+    ),
     "inject_unknown_message_type": (
         ["inject feed at 1 Nope{n=0}"],
         ["4:1: E_UNRESOLVED: unknown message type 'Nope'"],
@@ -341,14 +355,14 @@ def test_inject_payload_literal(tmp_path):
         tmp_path, LITERAL_TEXT,
         'root Sys\ninject upd at 1 Update{value=3, cred="ok", flag=true}\n',
     )
-    payload = s.injections[0].payload
+    payload = s.injections[0][2]
     assert payload.type_name == "Update"
     assert dict(payload.values) == {"value": 3, "cred": "ok", "flag": True}
 
 
 def test_inject_payload_literal_negative_and_escape(tmp_path):
     s = good(tmp_path, LITERAL_TEXT, 'root Sys\ninject feed at 1 M{n=-5, s="a\\"b"}\n')
-    payload = s.injections[0].payload
+    payload = s.injections[0][2]
     assert payload.type_name == "M"
     assert dict(payload.values) == {"n": -5, "s": 'a"b'}
 

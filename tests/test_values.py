@@ -21,12 +21,7 @@ from cloudadl.analyzer import ChannelSpec, InstanceSpec, RuntimeTopology
 from cloudadl.behaviors import ActivationContext, Emit, Guard, Raise
 from cloudadl.diagnostics import Diagnostic
 from cloudadl.harness import RunReport
-from cloudadl.kernel import (
-    FaultDirective,
-    Injection,
-    Replica,
-    ScaleDirective,
-)
+from cloudadl.kernel import Replica
 from cloudadl.lexer import Token
 from cloudadl.model import (
     IN,
@@ -72,8 +67,6 @@ FROZEN = {
     Diagnostic: lambda pos, x: Diagnostic("E_SYNTAX", "m.arc", 1, 1, x),
     Raise: lambda pos, x: Raise(x),
     Guard: lambda pos, x: Guard("n", "=", x),
-    ScaleDirective: lambda pos, x: ScaleDirective(1, x, 2),
-    FaultDirective: lambda pos, x: FaultDirective(1, x, "boom"),
 }
 
 MUTABLE = {
@@ -81,7 +74,6 @@ MUTABLE = {
     Token: lambda pos, x: Token(lexer.IDENT, x, 1, 1),
     Emit: lambda pos, x: Emit(x, None),
     ActivationContext: lambda pos, x: ActivationContext(x, None),
-    Injection: lambda pos, x: Injection(1, x, None),
     Replica: lambda pos, x: Replica(0, None, None, x, {}),
     # a fresh behavior object each time: it is not compared
     InstanceSpec: lambda pos, x: InstanceSpec(x, cdef("T", pos), None, False, object()),
@@ -94,7 +86,7 @@ MUTABLE = {
     _RawScenario: lambda pos, x: _RawScenario(x),
 }
 
-SLOTTED = {Token, Emit, ActivationContext, Injection}
+SLOTTED = {Token, Emit, ActivationContext}
 
 # fields whose default is a fresh container per instance
 DEFAULT_CONTAINERS = {
