@@ -535,7 +535,7 @@ def check_selection_ports(topology: RuntimeTopology) -> list[Diagnostic]:
 
 
 def _fuse(instances, leaving, owner, source, start, mtype, channels) -> None:
-    """Emit one channel per connector chain that leaves `source`.
+    """Add to `channels` one channel per connector chain that leaves `source`.
 
     `source` is the source parts of connectors declared in `owner`, and
     `start` the (path, port) where the chains begin. Chains are followed

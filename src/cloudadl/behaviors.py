@@ -6,26 +6,26 @@ arguments its builtin declares and configures it once per model: check()
 and every elaborate() of the model share the object; no two models do.
 The per-replica state lives in the kernel and is threaded through
 handle(), which never writes to the behavior itself, so sharing is safe.
-handle() returns the successor state plus a list of actions, so a restart
-can reset a replica by going back to initial_state().
+
+handle(state, port, payload, step, rng) returns the successor state and a
+list of emits, so a restart can reset a replica by going back to
+initial_state(). An emit is (out port, payload), or (out port, payload,
+index) when the behavior's mode is MODE_INDEX. handle() faults by raising
+Fault(kind): the kernel then commits no state and sends nothing.
 
 store is the one exception to immutable states: its handle() appends the
 new row to its row list in place and returns that same list, so an
 activation costs O(1) however many rows are kept. The kernel's rule that
-an activation which raises commits no state is unaffected, because store
-never raises; initial_state() returns a fresh list on every call, so a
+an activation which faults commits no state is unaffected, because store
+never faults; initial_state() returns a fresh list on every call, so a
 restart still empties the rows and no two replicas share one.
 
-A behavior whose handle() reads ctx.rng sets the class attribute draws;
-the kernel seeds a generator only for the replicas of such a behavior, and
+A behavior whose handle() reads rng sets the class attribute draws; the
+kernel seeds a generator only for the replicas of such a behavior, and
 hands every other one rng None. sample is the one builtin that draws.
 
-The kernel and the oracle each reuse one ActivationContext for all the
-activations of a run, setting its fields before each call. So handle()
-reads ctx while it runs and must not keep it after it returns.
-
-Verdict records are shared immutable values: approve_if, validate_range
-and approval_join build their false and their true record once, when the
+Verdict emits are shared immutable values: approve_if, validate_range and
+approval_join build their false and their true emit once, when the
 behavior is configured, and every activation emits one of the two. A
 Record is frozen and keeps its rendered text, so each verdict is checked
 and rendered once per model, not once per activation.
@@ -53,54 +53,29 @@ from .model import (
     render_value,
 )
 from .parser import TokenCursor, describe
-from .values import Frozen, Value, set_field
+from .values import Frozen, set_field
 
-MODE_ONE = "one"
-MODE_BROADCAST = "broadcast"
-MODE_INDEX = "index"
+# a behavior's mode: how each of its emits picks receivers
+MODE_ONE = "one"  # one per attached channel; sticky or round robin in a group
+MODE_BROADCAST = "broadcast"  # a copy to every live replica
+MODE_INDEX = "index"  # the live replica at the emit's index, modulo their count
 
 
 class BehaviorConfigError(Exception):
     pass
 
 
-class Emit(Value):
-    """Send payload through an out port.
-
-    mode "one" picks a single receiver per attached channel (sticky or
-    round-robin for replica groups); "broadcast" copies to every live
-    replica; "index" pins the receiver by position in the live list.
-    """
-
-    __slots__ = ("port", "payload", "mode", "index")
-    _fields = __slots__
-
-    def __init__(self, port: str, payload: Record, mode: str = MODE_ONE, index: int = 0):
-        self.port = port
-        self.payload = payload
-        self.mode = mode
-        self.index = index
-
-
-class Raise(Frozen):
-    _fields = ("kind",)
+class Fault(Exception):
+    """Raised by handle() to fault the activating replica with `kind`."""
 
     def __init__(self, kind: str):
-        set_field(self, "kind", kind)
-
-
-class ActivationContext(Value):
-    __slots__ = ("step", "rng")
-    _fields = __slots__
-
-    def __init__(self, step: int, rng: Random | None):
-        self.step = step
-        self.rng = rng  # the replica's generator; None unless the behavior draws
+        super().__init__(kind)
+        self.kind = kind
 
 
 class Behavior:
-    mode = MODE_ONE  # how its emits pick receivers; see Emit
-    draws = False  # True if handle() reads ctx.rng
+    mode = MODE_ONE
+    draws = False  # True if handle() reads rng
     # the arguments a builtin takes, bound by instantiate(); see bind_args
     params: tuple[tuple[str, bool], ...] = ()
     variadic: str | None = None
@@ -112,12 +87,11 @@ class Behavior:
         return None
 
     def handle(
-        self, state: object, port: str, payload: Record, ctx: ActivationContext
-    ) -> tuple[object, list]:
-        """The successor state and the actions for one message on `port`.
-
-        ctx is shared with every other activation of the run: read it here,
-        never keep it after returning."""
+        self, state: object, port: str, payload: Record, step: int, rng: Random | None
+    ) -> tuple[object, list[tuple]]:
+        """The successor state and the emits for one message on `port` at
+        `step`; rng is the replica's generator, or None unless the behavior
+        draws. Raises Fault to fault the replica."""
         raise NotImplementedError
 
 
@@ -282,8 +256,8 @@ class ForwardBehavior(Behavior):
             self.mode = MODE_BROADCAST
         shape.forwards_to(self.out)
 
-    def handle(self, state, port, payload, ctx):
-        return state, [Emit(self.out.name, payload, self.mode)]
+    def handle(self, state, port, payload, step, rng):
+        return state, [(self.out.name, payload)]
 
 
 class RouteByBehavior(Behavior):
@@ -299,35 +273,24 @@ class RouteByBehavior(Behavior):
             raise shape.fail(f"field {quoted(self.field)} must be an integer field")
         shape.forwards_to(self.out)
 
-    def handle(self, state, port, payload, ctx):
-        return state, [Emit(self.out.name, payload, self.mode, payload.get(self.field))]
+    def handle(self, state, port, payload, step, rng):
+        return state, [(self.out.name, payload, payload.get(self.field))]
 
 
-def _verdict_records(shape: _Shape, port: PortDecl) -> dict[bool, Record]:
-    """The false and the true record a verdict port can carry."""
+def _verdict_emits(shape: _Shape, port: PortDecl) -> dict[bool, tuple[str, Record]]:
+    """The emit of the false and of the true record through a verdict port."""
     flag = shape.verdict_field(port)
     mdef = shape.message_type(port)
-    return {ok: make_record(mdef, {flag: ok}) for ok in (False, True)}
+    return {ok: (port.name, make_record(mdef, {flag: ok})) for ok in (False, True)}
 
 
-class _VerdictBehavior(Behavior):
-    """Shared emit logic for behaviors that answer with a boolean record."""
-
-    def __init__(self, shape: _Shape, bound: dict[str, object]):
-        self.out = shape.pick_out(bound)
-        self.verdicts = _verdict_records(shape, self.out)
-
-    def verdict(self, ok: bool) -> Emit:
-        return Emit(self.out.name, self.verdicts[ok])
-
-
-class ApproveIfBehavior(_VerdictBehavior):
+class ApproveIfBehavior(Behavior):
     """Answer true when a payload field equals a literal."""
 
     params = (("field", True), ("equals", True), ("out", False))
 
     def __init__(self, shape, bound):
-        super().__init__(shape, bound)
+        self.verdicts = _verdict_emits(shape, shape.pick_out(bound))
         self.field = as_name(shape.builtin, "field", bound["field"])
         self.expected = bound["equals"]
         if isinstance(self.expected, Ident):
@@ -338,17 +301,17 @@ class ApproveIfBehavior(_VerdictBehavior):
                 f"'equals' value {render_value(self.expected)} does not fit {prim} field {quoted(self.field)}"
             )
 
-    def handle(self, state, port, payload, ctx):
-        return state, [self.verdict(payload.get(self.field) == self.expected)]
+    def handle(self, state, port, payload, step, rng):
+        return state, [self.verdicts[payload.get(self.field) == self.expected]]
 
 
-class ValidateRangeBehavior(_VerdictBehavior):
+class ValidateRangeBehavior(Behavior):
     """Answer true when an integer payload field lies inside closed bounds."""
 
     params = (("field", True), ("min", False), ("max", False), ("out", False))
 
     def __init__(self, shape, bound):
-        super().__init__(shape, bound)
+        self.verdicts = _verdict_emits(shape, shape.pick_out(bound))
         self.field = as_name(shape.builtin, "field", bound["field"])
         if shape.field_primitive(shape.in_ports, self.field) != "integer":
             raise shape.fail(f"field {quoted(self.field)} must be an integer field")
@@ -357,10 +320,10 @@ class ValidateRangeBehavior(_VerdictBehavior):
         self.lo = as_int(shape.builtin, "min", bound["min"]) if "min" in bound else None
         self.hi = as_int(shape.builtin, "max", bound["max"]) if "max" in bound else None
 
-    def handle(self, state, port, payload, ctx):
+    def handle(self, state, port, payload, step, rng):
         v = payload.get(self.field)
         ok = (self.lo is None or v >= self.lo) and (self.hi is None or v <= self.hi)
-        return state, [self.verdict(ok)]
+        return state, [self.verdicts[ok]]
 
 
 class StoreBehavior(Behavior):
@@ -369,8 +332,8 @@ class StoreBehavior(Behavior):
     def initial_state(self):
         return []
 
-    def handle(self, state, port, payload, ctx):
-        state.append((ctx.step, payload))
+    def handle(self, state, port, payload, step, rng):
+        state.append((step, payload))
         return state, []
 
 
@@ -389,10 +352,10 @@ class CollectBehavior(Behavior):
     def initial_state(self):
         return 0
 
-    def handle(self, state, port, payload, ctx):
+    def handle(self, state, port, payload, step, rng):
         count = state + 1
         if count % self.n == 0:
-            return count, [Emit(self.out.name, payload)]
+            return count, [(self.out.name, payload)]
         return count, []
 
 
@@ -413,14 +376,14 @@ class SampleBehavior(Behavior):
         self.out = shape.pick_out(bound)
         shape.forwards_to(self.out)
 
-    def handle(self, state, port, payload, ctx):
-        if ctx.rng.randrange(100) < self.percent:
-            return state, [Emit(self.out.name, payload)]
+    def handle(self, state, port, payload, step, rng):
+        if rng.randrange(100) < self.percent:
+            return state, [(self.out.name, payload)]
         return state, []
 
 
 class FaultAtBehavior(Behavior):
-    """Raise a fault when activated at one exact step; otherwise forward."""
+    """Fault when activated at one exact step; otherwise forward."""
 
     params = (("step", True), ("kind", False), ("out", False))
 
@@ -434,11 +397,11 @@ class FaultAtBehavior(Behavior):
         if self.out is not None:
             shape.forwards_to(self.out)
 
-    def handle(self, state, port, payload, ctx):
-        if ctx.step == self.step:
-            return state, [Raise(self.kind)]
+    def handle(self, state, port, payload, step, rng):
+        if step == self.step:
+            raise Fault(self.kind)
         if self.out is not None:
-            return state, [Emit(self.out.name, payload)]
+            return state, [(self.out.name, payload)]
         return state, []
 
 
@@ -457,10 +420,10 @@ class DelayBehavior(Behavior):
     def initial_state(self):
         return ()
 
-    def handle(self, state, port, payload, ctx):
+    def handle(self, state, port, payload, step, rng):
         queue = state + (payload,)
         if len(queue) > self.k:
-            return queue[1:], [Emit(self.out.name, queue[0])]
+            return queue[1:], [(self.out.name, queue[0])]
         return queue, []
 
 
@@ -480,7 +443,7 @@ class ApprovalJoinBehavior(Behavior):
     def __init__(self, shape, bound):
         self.item = shape.port(as_name(shape.builtin, "item", bound["item"]), IN)
         self.respond = shape.port(as_name(shape.builtin, "respond", bound["respond"]), OUT)
-        self.verdicts = _verdict_records(shape, self.respond)
+        self.verdicts = _verdict_emits(shape, self.respond)
         self.request, self.forward = (
             shape.port(as_name(shape.builtin, arg, bound[arg]), OUT) if arg in bound else None
             for arg in ("request", "forward")
@@ -503,12 +466,12 @@ class ApprovalJoinBehavior(Behavior):
             queues[name] = ()
         return queues
 
-    def handle(self, state, port, payload, ctx):
+    def handle(self, state, port, payload, step, rng):
         queues = dict(state)
         queues[port] = queues[port] + (payload,)
-        actions = []
+        emits = []
         if port == self.item.name and self.request is not None:
-            actions.append(Emit(self.request.name, payload))
+            emits.append((self.request.name, payload))
         while queues[self.item.name] and all(queues[v] for v in self.verdict_ports):
             item = queues[self.item.name][0]
             queues[self.item.name] = queues[self.item.name][1:]
@@ -518,9 +481,9 @@ class ApprovalJoinBehavior(Behavior):
                 queues[vport] = queues[vport][1:]
                 ok = ok and bool(verdict.get(vfield))
             if ok and self.forward is not None:
-                actions.append(Emit(self.forward.name, item))
-            actions.append(Emit(self.respond.name, self.verdicts[ok]))
-        return queues, actions
+                emits.append((self.forward.name, item))
+            emits.append(self.verdicts[ok])
+        return queues, emits
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +529,7 @@ class AutomatonBehavior(Behavior):
     The guard is `*` or `field OP literal` with OP one of = != < <= > >=.
     Guards of transitions sharing (state, port) must be provably disjoint,
     so at most one transition can fire; activation with no matching
-    transition raises a fault.
+    transition raises Fault("no_transition").
 
     table maps (state, in port) to that pair's transitions in declaration
     order, each as (guard, next state, emissions); an emission is
@@ -598,15 +561,13 @@ class AutomatonBehavior(Behavior):
     def initial_state(self):
         return self.initial
 
-    def handle(self, state, port, payload, ctx):
+    def handle(self, state, port, payload, step, rng):
         for guard, next_state, emissions in self.table.get((state, port), ()):
             if guard.matches(payload):
-                actions = [
-                    Emit(out, payload if literal is None else literal)
-                    for out, literal in emissions
+                return next_state, [
+                    (out, payload if literal is None else literal) for out, literal in emissions
                 ]
-                return next_state, actions
-        return state, [Raise("no_transition")]
+        raise Fault("no_transition")
 
 
 def _parse_transition(shape: _Shape, text: str) -> tuple[tuple[str, str], tuple]:

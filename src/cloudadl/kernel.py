@@ -8,7 +8,10 @@ Time advances in integer steps. A step runs four phases:
      order (arrival step, channel id, sequence number);
   3. one activation per delivered message, in the same total order; a
      replica keeps no mailbox, since the channels already give FIFO order
-     and every message delivered in a step is handled in that step;
+     and every message delivered in a step is handled in that step. An
+     activation commits the state handle() returns and sends its emits
+     by the behavior's mode; one that raises Fault commits and sends
+     nothing and goes to the replica's supervisor;
   4. a retirement sweep that removes drained replicas marked for
      shrinking.
 
@@ -50,11 +53,8 @@ instance, shared with every other instance of that type. Only the
 per-replica states are the kernel's own.
 
 A replica gets a random generator, seeded from the scenario seed and its
-"path#rid", only when its behavior draws (Behavior.draws). The kernel
-keeps one ActivationContext for all activations: it sets ctx.step once
-per step and ctx.rng before each activation, to the replica's generator,
-or None for every replica whose behavior does not draw. So a handle()
-must not keep ctx after it returns. A replica also builds the subject
+"path#rid", only when its behavior draws (Behavior.draws); every other
+replica's activations get rng None. A replica also builds the subject
 strings of its events once, when it starts, and every event it is the
 subject of shares them.
 
@@ -85,14 +85,7 @@ from operator import itemgetter
 from random import Random
 
 from .analyzer import ROOT_PATH, ChannelSpec, InstanceSpec, RuntimeTopology
-from .behaviors import (
-    MODE_BROADCAST,
-    MODE_ONE,
-    ActivationContext,
-    Behavior,
-    Emit,
-    Raise,
-)
+from .behaviors import MODE_BROADCAST, MODE_ONE, Behavior, Fault
 from .diagnostics import E_SYNTAX, E_TYPE_MISMATCH, E_UNRESOLVED, quoted
 from .model import IN, OPEN, OUT, Record
 from .values import Value
@@ -307,9 +300,9 @@ class Kernel:
         *,
         seed: int = 0,
         strategies: dict[str, str] | None = None,
-        injections: list[tuple] | None = None,
-        scales: list[tuple] | None = None,
-        faults: list[tuple] | None = None,
+        injections: Iterable[tuple] | None = None,
+        scales: Iterable[tuple] | None = None,
+        faults: Iterable[tuple] | None = None,
         maxsteps: int = DEFAULT_MAXSTEPS,
     ):
         self.topology = topology
@@ -347,10 +340,9 @@ class Kernel:
         self._root_subjects = {port: f"{ROOT_PATH}.{port}" for port in self.out_streams}
         self.step = 0
         self.truncated = False
-        # the context of every activation; see the module docstring
-        self._ctx = ActivationContext(0, None)
 
-        scales, faults, injections = scales or (), faults or (), injections or ()
+        # read once, so the checks and the stacks see the same directives
+        scales, faults, injections = (list(d or ()) for d in (scales, faults, injections))
         problems = directive_problems(
             topology, strategies=[(0, path, s) for path, s in self.strategies.items()],
             scales=scales, faults=faults, injections=injections, maxsteps=maxsteps,
@@ -359,8 +351,7 @@ class Kernel:
             line, _code, message = problems[0]
             raise KernelError(message, line)
 
-        # the scale, fault and inject stacks, the next due last; sorted copies,
-        # so the caller's lists are never popped
+        # the scale, fault and inject stacks, the next due last
         self._directives = [
             sorted(batch, key=itemgetter(0))[::-1] for batch in (scales, faults, injections)
         ]
@@ -472,49 +463,48 @@ class Kernel:
             ))
             activations.append((group, replica, ch.target_port, payload, tokens))
         # every delivery is traced before the first activation runs
-        ctx = self._ctx
-        ctx.step = step
         channels_from = self.topology.channels_from
         for group, replica, port, payload, tokens in activations:
-            ctx.rng = replica.rng
-            state, actions = group.behavior.handle(replica.state, port, payload, ctx)
-            if not actions:
-                replica.state = state
+            behavior = group.behavior
+            try:
+                state, emits = behavior.handle(replica.state, port, payload, step, replica.rng)
+            except Fault as fault:
+                # a fault abandons the activation: no state commit, no sends
+                self._fault(group.path, replica.rid, fault.kind)
+                continue
+            replica.state = state
+            if not emits:
                 replica.held.update(tokens)
                 continue
-            for act in actions:
-                if isinstance(act, Raise):
-                    # a fault abandons the activation: no state commit, no sends
-                    self._fault(group.path, replica.rid, act.kind)
-                    break
+            mode = behavior.mode
+            if mode == MODE_ONE:
+                for out_port, out_payload in emits:
+                    for out in channels_from.get((group.path, out_port), ()):
+                        self._dispatch(out, out_payload, tokens)
             else:
-                replica.state = state
-                for act in actions:
-                    if act.mode == MODE_ONE:
-                        for out in channels_from.get((group.path, act.port), ()):
-                            self._dispatch(out, act.payload, tokens)
-                    else:
-                        self._send(group.path, act, tokens)
+                for emit in emits:
+                    self._send(group.path, mode, emit, tokens)
 
     # -- sending ------------------------------------------------------------
 
-    def _send(self, path: str, emit: Emit, tokens: tuple) -> None:
-        """Send a broadcast or index emit into the one replica group its
-        port reaches."""
-        channels = self.topology.channels_from.get((path, emit.port), [])
+    def _send(self, path: str, mode: str, emit: tuple, tokens: tuple) -> None:
+        """Send a broadcast emit (port, payload) or an index emit (port,
+        payload, index) into the one replica group its port reaches."""
+        port, payload = emit[0], emit[1]
+        channels = self.topology.channels_from.get((path, port), [])
         if len(channels) != 1 or not channels[0].group:
             raise KernelError(
-                f"{emit.mode} through '{path}.{emit.port}' needs exactly one "
+                f"{mode} through '{path}.{port}' needs exactly one "
                 "channel into a replica group"
             )
         ch = channels[0]
         live = self.groups[ch.target_path].live()
-        if emit.mode == MODE_BROADCAST:
+        if mode == MODE_BROADCAST:
             for replica in live:
-                self._dispatch(ch, emit.payload, tokens, pinned=replica.rid, bind=False)
+                self._dispatch(ch, payload, tokens, pinned=replica.rid, bind=False)
         else:
-            replica = live[emit.index % len(live)]
-            self._dispatch(ch, emit.payload, tokens, pinned=replica.rid)
+            replica = live[emit[2] % len(live)]
+            self._dispatch(ch, payload, tokens, pinned=replica.rid)
 
     def _dispatch(
         self,

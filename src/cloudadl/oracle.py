@@ -21,7 +21,7 @@ from collections import deque
 from operator import itemgetter
 
 from .analyzer import ROOT_PATH, elaborate
-from .behaviors import MODE_ONE, ActivationContext, Raise
+from .behaviors import MODE_ONE, Fault
 from .model import OUT, Record
 from .scenario import Scenario
 from .values import Value
@@ -72,7 +72,6 @@ def predict(scenario: Scenario) -> OracleResult:
     for p in topology.root.type_def.ports:
         if p.direction == OUT:
             result.streams[p.name] = []
-    ctx = ActivationContext(0, None)  # sample, the one builtin that draws, is refused
     work: deque = deque()
     # sorted is stable, so same-step injects keep their declaration order
     for _step, port, payload, _line in sorted(scenario.injections, key=itemgetter(0)):
@@ -90,14 +89,15 @@ def predict(scenario: Scenario) -> OracleResult:
             continue
         path = ch.target_path
         behavior = behaviors[path]
-        state, actions = behavior.handle(states[path], ch.target_port, payload, ctx)
-        for act in actions:
-            if isinstance(act, Raise):
-                raise OracleInapplicable(f"behavior at {path} raised '{act.kind}'")
+        try:
+            # no steps, and no generator: sample, the one builtin that draws, is refused
+            state, emits = behavior.handle(states[path], ch.target_port, payload, 0, None)
+        except Fault as fault:
+            raise OracleInapplicable(f"behavior at {path} raised '{fault.kind}'") from None
         states[path] = state
-        for act in actions:
-            for ch2 in topology.channels_from.get((path, act.port), []):
-                work.append((ch2, act.payload))
+        for out_port, out_payload in emits:
+            for ch2 in topology.channels_from.get((path, out_port), []):
+                work.append((ch2, out_payload))
     # store rows are read once, from the final states
     for inst in topology.instances.values():
         if inst.atomic and inst.type_def.behavior is not None:

@@ -205,7 +205,7 @@ def _int_arg(word: str, what: str) -> int:
     try:
         return int(word)
     except ValueError:
-        digits = word[1:] if word[0] in "+-" else word
+        digits = word[1:] if word[:1] in ("+", "-") else word
         if digits.isdecimal():  # past the interpreter's limit on int() digits
             raise _LineError(f"{what} of {len(digits)} digits is too long") from None
         raise _LineError(f"{what} must be an integer, got {quoted(word)}") from None

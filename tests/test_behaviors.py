@@ -11,14 +11,12 @@ from cloudadl import cli
 from cloudadl.analyzer import check, elaborate
 from cloudadl.behaviors import (
     BUILTINS,
-    ActivationContext,
     BehaviorConfigError,
-    Emit,
+    Fault,
     Guard,
     MODE_BROADCAST,
     MODE_INDEX,
     MODE_ONE,
-    Raise,
     _guards_disjoint,
     instantiate,
 )
@@ -38,8 +36,9 @@ def rec(model, tname, **vals):
     return make_record(model.message_types[tname], vals)
 
 
-def ctx(step: int = 0, seed: int = 0) -> ActivationContext:
-    return ActivationContext(step, Random(seed))
+def handle(b, state, port, payload, step: int = 0, seed: int = 0):
+    """One activation at `step`, with a generator seeded by `seed`."""
+    return b.handle(state, port, payload, step, Random(seed))
 
 
 def errors(text: str, name: str = "A") -> list[str]:
@@ -61,8 +60,8 @@ UV = U + "message V { ok: boolean; }\n"
 
 def test_forward_sole_out():
     b, m = make(U + "component A { port in U u; port out U o; behavior forward(); }")
-    state, acts = b.handle(b.initial_state(), "u", rec(m, "U", v=3), ctx())
-    assert acts == [Emit("o", rec(m, "U", v=3))]
+    state, emits = handle(b, b.initial_state(), "u", rec(m, "U", v=3))
+    assert emits == [("o", rec(m, "U", v=3))]
 
 
 def test_forward_named_out():
@@ -70,8 +69,8 @@ def test_forward_named_out():
         U + "component A { port in U u; port out U a; port out U b;"
         " behavior forward(out=b); }"
     )
-    _, acts = b.handle(b.initial_state(), "u", rec(m, "U", v=1), ctx())
-    assert [a.port for a in acts] == ["b"]
+    _, emits = handle(b, b.initial_state(), "u", rec(m, "U", v=1))
+    assert [port for port, _ in emits] == ["b"]
 
 
 def test_forward_broadcast_mode():
@@ -79,8 +78,9 @@ def test_forward_broadcast_mode():
         U + "component A { port in U u; port out U o replicating;"
         " behavior forward(out=o, broadcast=true); }"
     )
-    _, acts = b.handle(b.initial_state(), "u", rec(m, "U", v=1), ctx())
-    assert acts[0].mode == MODE_BROADCAST
+    assert b.mode == MODE_BROADCAST
+    _, emits = handle(b, b.initial_state(), "u", rec(m, "U", v=1))
+    assert emits == [("o", rec(m, "U", v=1))]
 
 
 def test_forward_config_errors():
@@ -108,8 +108,9 @@ def test_route_by_emits_index_mode():
         U + "component A { port in U u; port out U o replicating;"
         " behavior route_by(field=v); }"
     )
-    _, acts = b.handle(b.initial_state(), "u", rec(m, "U", v=5), ctx())
-    assert acts == [Emit("o", rec(m, "U", v=5), mode=MODE_INDEX, index=5)]
+    assert b.mode == MODE_INDEX
+    _, emits = handle(b, b.initial_state(), "u", rec(m, "U", v=5))
+    assert emits == [("o", rec(m, "U", v=5), 5)]
 
 
 def test_route_by_needs_integer_field():
@@ -130,10 +131,10 @@ def test_approve_if_verdicts():
         ' behavior approve_if(field=cred, equals="valid"); }'
     )
     s = b.initial_state()
-    s, acts = b.handle(s, "u", rec(m, "U", v=1, cred="valid"), ctx())
-    assert acts == [Emit("r", rec(m, "V", ok=True))]
-    s, acts = b.handle(s, "u", rec(m, "U", v=1, cred="forged"), ctx())
-    assert acts == [Emit("r", rec(m, "V", ok=False))]
+    s, emits = handle(b, s, "u", rec(m, "U", v=1, cred="valid"))
+    assert emits == [("r", rec(m, "V", ok=True))]
+    s, emits = handle(b, s, "u", rec(m, "U", v=1, cred="forged"))
+    assert emits == [("r", rec(m, "V", ok=False))]
 
 
 def test_approve_if_literal_must_match_field_primitive():
@@ -161,8 +162,8 @@ def test_validate_range_bounds():
     )
     s = b.initial_state()
     for v, ok in ((0, True), (10, True), (-1, False), (11, False)):
-        s, acts = b.handle(s, "u", rec(m, "U", v=v), ctx())
-        assert acts == [Emit("r", rec(m, "V", ok=ok))], v
+        s, emits = handle(b, s, "u", rec(m, "U", v=v))
+        assert emits == [("r", rec(m, "V", ok=ok))], v
 
 
 def test_validate_range_single_bound():
@@ -170,8 +171,8 @@ def test_validate_range_single_bound():
         UV + "component A { port in U u; port out V r;"
         " behavior validate_range(field=v, min=5); }"
     )
-    _, acts = b.handle(b.initial_state(), "u", rec(m, "U", v=999999), ctx())
-    assert acts[0].payload.get("ok") is True
+    _, [(_, verdict)] = handle(b, b.initial_state(), "u", rec(m, "U", v=999999))
+    assert verdict.get("ok") is True
 
 
 def test_validate_range_needs_some_bound():
@@ -187,9 +188,9 @@ def test_validate_range_needs_some_bound():
 def test_store_accumulates_rows():
     b, m = make(U + "component A { port in U u; behavior store(); }")
     s = b.initial_state()
-    s, acts = b.handle(s, "u", rec(m, "U", v=9), ctx(step=4))
-    assert acts == []
-    s, _ = b.handle(s, "u", rec(m, "U", v=10), ctx(step=6))
+    s, emits = handle(b, s, "u", rec(m, "U", v=9), step=4)
+    assert emits == []
+    s, _ = handle(b, s, "u", rec(m, "U", v=10), step=6)
     assert s == [(4, rec(m, "U", v=9)), (6, rec(m, "U", v=10))]
 
 
@@ -197,8 +198,8 @@ def test_store_appends_to_the_list_it_was_given():
     b, m = make(U + "component A { port in U u; behavior store(); }")
     rows = b.initial_state()
     rows.append((1, rec(m, "U", v=1)))
-    s, acts = b.handle(rows, "u", rec(m, "U", v=2), ctx(step=3))
-    assert s is rows and acts == []
+    s, emits = handle(b, rows, "u", rec(m, "U", v=2), step=3)
+    assert s is rows and emits == []
     assert rows == [(1, rec(m, "U", v=1)), (3, rec(m, "U", v=2))]
 
 
@@ -213,8 +214,8 @@ def test_collect_every_nth():
     s = b.initial_state()
     emitted = []
     for i in range(9):
-        s, acts = b.handle(s, "u", rec(m, "U", v=i), ctx())
-        emitted.extend(a.payload.get("v") for a in acts)
+        s, emits = handle(b, s, "u", rec(m, "U", v=i))
+        emitted.extend(payload.get("v") for _, payload in emits)
     assert emitted == [2, 5, 8]
 
 
@@ -229,15 +230,15 @@ def test_delay_shift_register():
     s = b.initial_state()
     seen = []
     for i in range(5):
-        s, acts = b.handle(s, "u", rec(m, "U", v=i), ctx())
-        seen.append([a.payload.get("v") for a in acts])
+        s, emits = handle(b, s, "u", rec(m, "U", v=i))
+        seen.append([payload.get("v") for _, payload in emits])
     assert seen == [[], [], [0], [1], [2]]
 
 
 def test_delay_zero_is_forward():
     b, m = make(U + "component A { port in U u; port out U o; behavior delay(k=0); }")
-    _, acts = b.handle(b.initial_state(), "u", rec(m, "U", v=7), ctx())
-    assert [a.payload.get("v") for a in acts] == [7]
+    _, emits = handle(b, b.initial_state(), "u", rec(m, "U", v=7))
+    assert emits == [("o", rec(m, "U", v=7))]
 
 
 # --- sample / fault_at ---
@@ -251,8 +252,8 @@ def test_sample_uses_activation_rng():
     s = b.initial_state()
     hits = 0
     for i in range(100):
-        s, acts = b.handle(s, "u", rec(m, "U", v=i), ActivationContext(0, rng))
-        hits += bool(acts)
+        s, emits = b.handle(s, "u", rec(m, "U", v=i), 0, rng)
+        hits += bool(emits)
     assert hits == 42  # frozen for Random(1)'s stream
 
 
@@ -260,13 +261,13 @@ def test_sample_edges():
     b, m = make(
         U + "component A { port in U u; port out U o; behavior sample(percent=0); }"
     )
-    _, acts = b.handle(b.initial_state(), "u", rec(m, "U", v=1), ctx())
-    assert acts == []
+    _, emits = handle(b, b.initial_state(), "u", rec(m, "U", v=1))
+    assert emits == []
     b, m = make(
         U + "component A { port in U u; port out U o; behavior sample(percent=100); }"
     )
-    _, acts = b.handle(b.initial_state(), "u", rec(m, "U", v=1), ctx())
-    assert len(acts) == 1
+    _, emits = handle(b, b.initial_state(), "u", rec(m, "U", v=1))
+    assert emits == [("o", rec(m, "U", v=1))]
 
 
 def test_sample_percent_range():
@@ -280,22 +281,25 @@ def test_fault_at_raises_only_on_step():
         U + "component A { port in U u; port out U o; behavior fault_at(step=3); }"
     )
     s = b.initial_state()
-    s, acts = b.handle(s, "u", rec(m, "U", v=0), ctx(step=2))
-    assert acts == [Emit("o", rec(m, "U", v=0))]
-    s, acts = b.handle(s, "u", rec(m, "U", v=0), ctx(step=3))
-    assert acts == [Raise("induced")]
-    s, acts = b.handle(s, "u", rec(m, "U", v=0), ctx(step=4))
-    assert acts == [Emit("o", rec(m, "U", v=0))]
+    s, emits = handle(b, s, "u", rec(m, "U", v=0), step=2)
+    assert emits == [("o", rec(m, "U", v=0))]
+    with pytest.raises(Fault) as exc:
+        handle(b, s, "u", rec(m, "U", v=0), step=3)
+    assert exc.value.kind == "induced"
+    s, emits = handle(b, s, "u", rec(m, "U", v=0), step=4)
+    assert emits == [("o", rec(m, "U", v=0))]
 
 
 def test_fault_at_custom_kind_and_sink():
     b, m = make(
         U + 'component A { port in U u; behavior fault_at(step=1, kind="boom"); }'
     )
-    s, acts = b.handle(b.initial_state(), "u", rec(m, "U", v=0), ctx(step=1))
-    assert acts == [Raise("boom")]
-    s, acts = b.handle(s, "u", rec(m, "U", v=0), ctx(step=2))
-    assert acts == []  # no out port, off-step messages are absorbed
+    s = b.initial_state()
+    with pytest.raises(Fault) as exc:
+        handle(b, s, "u", rec(m, "U", v=0), step=1)
+    assert exc.value.kind == "boom"
+    s, emits = handle(b, s, "u", rec(m, "U", v=0), step=2)
+    assert emits == []  # no out port, off-step messages are absorbed
 
 
 # --- approval_join ---
@@ -320,37 +324,34 @@ JOIN = (
 def test_approval_join_happy_path():
     b, m = make(JOIN, "J")
     s = b.initial_state()
-    s, acts = b.handle(s, "item", rec(m, "U", v=7), ctx())
-    assert acts == [Emit("req", rec(m, "U", v=7))]
-    s, acts = b.handle(s, "ver1", rec(m, "V", ok=True), ctx())
-    assert acts == []
-    s, acts = b.handle(s, "ver2", rec(m, "V", ok=True), ctx())
-    assert acts == [
-        Emit("fwd", rec(m, "U", v=7)),
-        Emit("ack", rec(m, "A2", ok=True)),
-    ]
+    s, emits = handle(b, s, "item", rec(m, "U", v=7))
+    assert emits == [("req", rec(m, "U", v=7))]
+    s, emits = handle(b, s, "ver1", rec(m, "V", ok=True))
+    assert emits == []
+    s, emits = handle(b, s, "ver2", rec(m, "V", ok=True))
+    assert emits == [("fwd", rec(m, "U", v=7)), ("ack", rec(m, "A2", ok=True))]
     assert s == {"item": (), "ver1": (), "ver2": ()}
 
 
 def test_approval_join_rejection_still_responds():
     b, m = make(JOIN, "J")
     s = b.initial_state()
-    s, _ = b.handle(s, "item", rec(m, "U", v=8), ctx())
-    s, _ = b.handle(s, "ver1", rec(m, "V", ok=False), ctx())
-    s, acts = b.handle(s, "ver2", rec(m, "V", ok=True), ctx())
-    assert acts == [Emit("ack", rec(m, "A2", ok=False))]
+    s, _ = handle(b, s, "item", rec(m, "U", v=8))
+    s, _ = handle(b, s, "ver1", rec(m, "V", ok=False))
+    s, emits = handle(b, s, "ver2", rec(m, "V", ok=True))
+    assert emits == [("ack", rec(m, "A2", ok=False))]
 
 
 def test_approval_join_queues_are_fifo_per_port():
     b, m = make(JOIN, "J")
     s = b.initial_state()
-    s, _ = b.handle(s, "item", rec(m, "U", v=1), ctx())
-    s, _ = b.handle(s, "item", rec(m, "U", v=2), ctx())
-    s, _ = b.handle(s, "ver1", rec(m, "V", ok=True), ctx())
-    s, _ = b.handle(s, "ver1", rec(m, "V", ok=True), ctx())
-    s, _ = b.handle(s, "ver2", rec(m, "V", ok=True), ctx())
-    s, acts = b.handle(s, "ver2", rec(m, "V", ok=True), ctx())
-    fwd = [a.payload.get("v") for a in acts if a.port == "fwd"]
+    s, _ = handle(b, s, "item", rec(m, "U", v=1))
+    s, _ = handle(b, s, "item", rec(m, "U", v=2))
+    s, _ = handle(b, s, "ver1", rec(m, "V", ok=True))
+    s, _ = handle(b, s, "ver1", rec(m, "V", ok=True))
+    s, _ = handle(b, s, "ver2", rec(m, "V", ok=True))
+    s, emits = handle(b, s, "ver2", rec(m, "V", ok=True))
+    fwd = [payload.get("v") for port, payload in emits if port == "fwd"]
     assert fwd == [2]
 
 
@@ -359,8 +360,8 @@ def verdicts_of(b, m, port, payloads):
     s = b.initial_state()
     out = []
     for in_port, payload in payloads:
-        s, acts = b.handle(s, in_port, payload, ctx())
-        out.extend(a.payload for a in acts if a.port == port)
+        s, emits = handle(b, s, in_port, payload)
+        out.extend(emitted for out_port, emitted in emits if out_port == port)
     return out
 
 
@@ -418,12 +419,12 @@ def test_automaton_transitions_and_emissions():
     b, m = make(AUTO)
     s = b.initial_state()
     assert s == "idle"
-    s, acts = b.handle(s, "go", rec(m, "U", v=3), ctx())
+    s, emits = handle(b, s, "go", rec(m, "U", v=3))
     assert s == "busy"
-    assert acts == [Emit("fwd", rec(m, "U", v=3))]
-    s, acts = b.handle(s, "halt", rec(m, "U", v=99), ctx())
+    assert emits == [("fwd", rec(m, "U", v=3))]
+    s, emits = handle(b, s, "halt", rec(m, "U", v=99))
     assert s == "idle"
-    assert acts == [Emit("fwd", rec(m, "U", v=0))]  # literal emission
+    assert emits == [("fwd", rec(m, "U", v=0))]  # literal emission
 
 
 def test_automaton_emissions_go_out_in_written_order():
@@ -431,21 +432,22 @@ def test_automaton_emissions_go_out_in_written_order():
         U + 'component A { port in U u; port out U o; behavior automaton('
         'initial="s", "s, u, * -> s, emit o U{v=0}; emit o"); }'
     )
-    s, acts = b.handle("s", "u", rec(m, "U", v=7), ctx())
+    s, emits = handle(b, "s", "u", rec(m, "U", v=7))
     assert s == "s"
-    assert acts == [Emit("o", rec(m, "U", v=0)), Emit("o", rec(m, "U", v=7))]
+    assert emits == [("o", rec(m, "U", v=0)), ("o", rec(m, "U", v=7))]
 
 
 def test_automaton_guard_filters():
     b, m = make(AUTO)
-    s, acts = b.handle("idle", "go", rec(m, "U", v=50), ctx())
-    assert s == "idle" and acts == []
+    s, emits = handle(b, "idle", "go", rec(m, "U", v=50))
+    assert s == "idle" and emits == []
 
 
 def test_automaton_no_transition_raises():
     b, m = make(AUTO)
-    _, acts = b.handle("idle", "halt", rec(m, "U", v=0), ctx())
-    assert acts == [Raise("no_transition")]
+    with pytest.raises(Fault) as exc:
+        handle(b, "idle", "halt", rec(m, "U", v=0))
+    assert exc.value.kind == "no_transition"
 
 
 def test_automaton_overlap_rejected():
@@ -560,7 +562,7 @@ def test_positional_after_named_only_for_variadic():
 
 def test_default_mode_is_one():
     b, _ = make(U + "component A { port in U u; port out U o; behavior forward(); }")
-    assert Emit("o", None).mode == MODE_ONE
+    assert b.mode == MODE_ONE
 
 
 # --- configured once per model ---

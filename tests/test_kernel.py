@@ -538,6 +538,31 @@ def test_faulted_activation_drops_tokens():
     assert not [e for e in events(k) if e.kind == "STRIP"]
 
 
+class Broken:
+    """A behavior whose handle() fails with an error that is not a Fault."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def handle(self, state, port, payload, step, rng):
+        raise ValueError("broken behavior")
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def test_an_error_that_is_not_a_fault_propagates_out_of_the_run():
+    model = parse_ok(POOL_TEXT)
+    # resume would absorb a fault: only an error that escapes the kernel
+    # stops this run
+    _, _, k = pool(strategies={"root/w": "resume"}, injections=jobs(model, "feed", [1]))
+    group = k.groups["root/w"]
+    group.behavior = Broken(group.behavior)
+    with pytest.raises(ValueError, match="broken behavior"):
+        k.run()
+    assert [e.kind for e in events(k) if e.kind in ("DELIVER", "RAISE")] == ["DELIVER"]
+
+
 # --- scaling lifecycle ---
 
 
@@ -693,6 +718,35 @@ def test_injection_payload_type_checked():
         Kernel(topo, injections=[
             (1, "feed", rec(model, "Other", s="x"), 0),
         ])
+
+
+def generated(directives):
+    return (d for d in directives)
+
+
+def test_directive_generators_run_as_their_lists_do():
+    # each argument is read once, so the checks do not use a generator up
+    model = parse_ok(POOL_TEXT)
+    directives = {
+        "scales": [(0, "root/w", 2, 0), (3, "root/w", 1, 0)],
+        "faults": [(2, "root/w", "boom", None, 0)],
+        "injections": jobs(model, "feed", [1, 1, 2]),
+    }
+    runs = []
+    for read in (list, generated):
+        _, _, k = pool(
+            strategies={"root/w": "resume"},
+            **{kind: read(batch) for kind, batch in directives.items()},
+        )
+        k.run()
+        runs.append((k.events, len(k.out_streams["drain"])))
+    assert runs[0] == runs[1]
+    assert {"SCALE", "RAISE"} <= {e[1] for e in runs[0][0]} and runs[0][1] == 3
+    # and the checks still name the first problem as declared
+    topo = elaborate(model, "Pool")
+    with pytest.raises(KernelError) as exc:
+        Kernel(topo, scales=generated([(0, "root/a", 2, 4), (0, "root/b", 2, 5)]))
+    assert (str(exc.value), exc.value.line) == ("unknown instance 'root/a'", 4)
 
 
 # --- agenda: step-indexed directives and arrivals ---
@@ -1014,14 +1068,14 @@ def test_sampling_replicas_each_get_their_own_generator(monkeypatch):
 
 
 class SeenContext:
-    """Records (group path, ctx.step, ctx.rng) of every handle() call."""
+    """Records (group path, step, rng) of every handle() call."""
 
     def __init__(self, inner, path: str, seen: list):
         self.inner, self.path, self.seen = inner, path, seen
 
-    def handle(self, state, port, payload, ctx):
-        self.seen.append((self.path, ctx.step, ctx.rng))
-        return self.inner.handle(state, port, payload, ctx)
+    def handle(self, state, port, payload, step, rng):
+        self.seen.append((self.path, step, rng))
+        return self.inner.handle(state, port, payload, step, rng)
 
     def __getattr__(self, name):
         return getattr(self.inner, name)

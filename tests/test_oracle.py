@@ -141,3 +141,24 @@ def test_refuses_looping_model(tmp_path):
     assert scenario, diags
     with pytest.raises(OracleInapplicable):
         predict(scenario)
+
+
+def test_refuses_a_behavior_that_faults(tmp_path):
+    from cloudadl.scenario import load_scenario_text
+
+    model_text = (
+        "message M { n: integer; }\n"
+        "component A { port in M i; port out M o;"
+        ' behavior automaton(initial="s", "s, i, n = 0 -> s, emit o"); }\n'
+        "component Sys { port in M feed; port out M drain; component A a;"
+        " connect feed -> a.i; connect a.o -> drain; }\n"
+    )
+    (tmp_path / "m.arc").write_text(model_text)
+    scenario, diags = load_scenario_text(
+        "scenario t\nmodel m.arc\nroot Sys\ninject feed at 1 M{n=0}\ninject feed at 2 M{n=1}\n",
+        "<scn>", str(tmp_path),
+    )
+    assert scenario, diags
+    with pytest.raises(OracleInapplicable) as exc:
+        predict(scenario)
+    assert str(exc.value) == "behavior at root/a raised 'no_transition'"

@@ -211,6 +211,10 @@ DIRECTIVE_DIAGNOSTICS = {
         ["fault root/w#0 at -2 boom"],
         ["4:1: E_SYNTAX: step must not be negative"],
     ),
+    "fault_empty_replica_id": (
+        ["fault root/w# at 1 boom"],
+        ["4:1: E_SYNTAX: replica id must be an integer, got ''"],
+    ),
     "inject_unknown_port": (
         ["inject nope at 1 Job{n=0}"],
         ["4:1: E_UNRESOLVED: the root component has no in port 'nope'"],

@@ -18,7 +18,7 @@ import pytest
 import cloudadl
 from cloudadl import lexer
 from cloudadl.analyzer import ChannelSpec, InstanceSpec, RuntimeTopology
-from cloudadl.behaviors import ActivationContext, Emit, Guard, Raise
+from cloudadl.behaviors import Guard
 from cloudadl.diagnostics import Diagnostic
 from cloudadl.harness import RunReport
 from cloudadl.kernel import Replica
@@ -65,15 +65,12 @@ FROZEN = {
     ComponentTypeDef: lambda pos, x: cdef(x, pos),
     Record: lambda pos, x: Record("M", (("n", x),)),
     Diagnostic: lambda pos, x: Diagnostic("E_SYNTAX", "m.arc", 1, 1, x),
-    Raise: lambda pos, x: Raise(x),
     Guard: lambda pos, x: Guard("n", "=", x),
 }
 
 MUTABLE = {
     ArchitectureModel: lambda pos, x: ArchitectureModel({x: MessageTypeDef(x, (), pos)}),
     Token: lambda pos, x: Token(lexer.IDENT, x, 1, 1),
-    Emit: lambda pos, x: Emit(x, None),
-    ActivationContext: lambda pos, x: ActivationContext(x, None),
     Replica: lambda pos, x: Replica(0, None, None, x, {}),
     # a fresh behavior object each time: it is not compared
     InstanceSpec: lambda pos, x: InstanceSpec(x, cdef("T", pos), None, False, object()),
@@ -86,7 +83,7 @@ MUTABLE = {
     _RawScenario: lambda pos, x: _RawScenario(x),
 }
 
-SLOTTED = {Token, Emit, ActivationContext}
+SLOTTED = {Token}
 
 # fields whose default is a fresh container per instance
 DEFAULT_CONTAINERS = {
