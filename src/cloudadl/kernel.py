@@ -27,8 +27,10 @@ directive's scenario line, or 0 for one built directly.
 The run loop keeps an agenda. Each kind of directive waits on its own
 stack, sorted by step with the earliest on top, and a step pops the
 directives due then; the sort is stable, so those of one step keep their
-declaration order. In-flight messages are bucketed by arrival step. A
-heap holds the steps that have a directive or a bucket. After a step the
+declaration order. Only a step that has a directive runs phase 1, and
+only a step with a retiring replica runs phase 4. In-flight messages are
+bucketed by arrival step. A heap holds the steps that have a directive
+or a bucket. After a step the
 kernel jumps straight to the next such step, so a step with no directive
 and no arrival costs nothing. Nothing can happen on such a step (no
 phase has work, and no replica can become drained), so step numbers in
@@ -40,12 +42,19 @@ All choice points (replica selection, token binding, escalation) are
 functions of this order plus the scenario seed, so a run is reproducible
 event for event.
 
-The delivery loop picks the replica of each message into a group: a
-pinned message (a broadcast copy or an index emit) goes to its replica;
+The delivery loop picks the replica of each message. An instance that
+does not replicate has one replica for the whole run (scale directives
+refuse it, and pins and bindings need a channel into a replica group), so
+its messages go to that replica directly. Into a replica group, a pinned
+message (a broadcast copy or an index emit) goes to its replica;
 otherwise a tokened message goes to the replica bound to its least bound
-token; otherwise round robin over the live replicas. On a replica-group
-channel the message's fresh tokens then bind to that replica, except for
-broadcast copies, and the BIND is traced before its DELIVER.
+token; otherwise round robin over the live replicas. The message's fresh
+tokens then bind to that replica, except for broadcast copies, and the
+BIND is traced before its DELIVER.
+
+A payload is rendered to text once per send and the text travels with
+the message to its DELIVER and into the activation it starts; an emit
+that forwards that same Record object sends the same text again.
 
 The kernel configures no behaviors: each group runs the behavior that
 analyzer.elaborate() configured for its component type and put on the
@@ -146,9 +155,13 @@ class Group:
         self.rr = 0  # round-robin cursor, advanced only on round-robin picks
         self.target = 1
         self.in_ports = [p.name for p in inst.type_def.ports if p.direction == IN]
+        # out port -> the channels leaving it; Kernel fills it in
+        self.routes: dict[str, list[ChannelSpec]] = {}
         # live replicas in id order; None until the next live() rebuilds it
         self._live: list[Replica] | None = None
         self.grow(1)
+        # the replica of an instance that does not replicate, for the whole run
+        self.sole = None if inst.replicating else self.replicas[0]
 
     def grow(self, count: int) -> None:
         self._live = None
@@ -314,6 +327,10 @@ class Kernel:
             for inst in topology.instances.values()
             if inst.atomic
         }
+        for (path, port), channels in topology.channels_from.items():
+            group = self.groups.get(path)
+            if group is not None:
+                group.routes[port] = channels
 
         self.seq_counters: dict[str, int] = {}
         self.token_counters: dict[str, int] = {}
@@ -355,8 +372,10 @@ class Kernel:
         self._directives = [
             sorted(batch, key=itemgetter(0))[::-1] for batch in (scales, faults, injections)
         ]
+        # the steps that have a directive, the next due last
+        self._directive_steps = sorted({d[0] for batch in self._directives for d in batch})[::-1]
         # steps with a directive or an in-flight bucket, may repeat; sorted is a heap
-        self._agenda: list[int] = sorted({d[0] for batch in self._directives for d in batch})
+        self._agenda: list[int] = self._directive_steps[::-1]
         # groups with a retiring replica, visited by the sweep in group order
         self._retiring: set[str] = set()
         self._group_rank = {path: i for i, path in enumerate(self.groups)}
@@ -381,10 +400,14 @@ class Kernel:
     def run(self) -> None:
         """Execute until quiescence, a step budget, or an unhandled fault."""
         agenda = self._agenda
+        directive_steps = self._directive_steps
         while self.step <= self.maxsteps:
-            self._run_directives()
+            if directive_steps and directive_steps[-1] == self.step:
+                directive_steps.pop()
+                self._run_directives()
             self._deliver_and_activate()
-            self._sweep()
+            if self._retiring:
+                self._sweep()
             while agenda and agenda[0] <= self.step:
                 heapq.heappop(agenda)
             if not agenda:
@@ -411,8 +434,9 @@ class Kernel:
             self._fault(path, rid, kind)
         while injections and injections[-1][0] == step:
             _step, port, payload, _line = injections.pop()
+            text = payload.render()
             for ch in self.topology.channels_from.get((ROOT_PATH, port), []):
-                self._dispatch(ch, payload, ())
+                self._dispatch(ch, payload, text, ())
 
     def _deliver_and_activate(self) -> None:
         due = self.in_flight.pop(self.step, None)
@@ -421,6 +445,7 @@ class Kernel:
         due.sort()
         step = self.step
         events = self.events
+        groups = self.groups
         bindings = self.bindings
         activations = []
         for cid, seq, ch, payload, text, tokens, pinned, bind in due:
@@ -431,40 +456,43 @@ class Kernel:
                 ))
                 self.out_streams[ch.target_port].append((step, payload))
                 continue
-            group = self.groups[ch.target_path]
-            replica = None
-            if pinned is not None:
-                replica = group.replicas.get(pinned)
-                if replica is None:
-                    raise KernelError(
-                        f"message pinned to missing replica {group.path}#{pinned}"
-                    )
-            elif tokens:
-                # tokens are sorted, so the first bound one is the least
-                for tok in tokens:
-                    rid = bindings.get((group.path, tok))
-                    if rid is not None:
-                        replica = group.replicas[rid]
-                        break
+            group = groups[ch.target_path]
+            replica = group.sole
             if replica is None:
-                live = group.live()
-                if not live:
-                    raise KernelError(f"no live replica of '{group.path}'")
-                replica = live[group.rr % len(live)]
-                group.rr += 1
-            if tokens and bind and ch.group:
-                fresh = tuple(tok for tok in tokens if (group.path, tok) not in bindings)
-                if fresh:
-                    for tok in fresh:
-                        bindings[(group.path, tok)] = replica.rid
-                    events.append((step, BIND, replica.name, seq, fresh, "-", cid))
+                if pinned is not None:
+                    replica = group.replicas.get(pinned)
+                    if replica is None:
+                        raise KernelError(
+                            f"message pinned to missing replica {group.path}#{pinned}"
+                        )
+                elif tokens:
+                    # tokens are sorted, so the first bound one is the least
+                    for tok in tokens:
+                        rid = bindings.get((group.path, tok))
+                        if rid is not None:
+                            replica = group.replicas[rid]
+                            break
+                if replica is None:
+                    live = group.live()
+                    if not live:
+                        raise KernelError(f"no live replica of '{group.path}'")
+                    replica = live[group.rr % len(live)]
+                    group.rr += 1
+                if tokens and bind:
+                    fresh = tuple(tok for tok in tokens if (group.path, tok) not in bindings)
+                    if fresh:
+                        for tok in fresh:
+                            bindings[(group.path, tok)] = replica.rid
+                        events.append((step, BIND, replica.name, seq, fresh, "-", cid))
             events.append((
                 step, DELIVER, replica.subjects[ch.target_port], seq, tokens, text, cid,
             ))
-            activations.append((group, replica, ch.target_port, payload, tokens))
+            activations.append((group, replica, ch.target_port, payload, text, tokens))
         # every delivery is traced before the first activation runs
-        channels_from = self.topology.channels_from
-        for group, replica, port, payload, tokens in activations:
+        seq_counters = self.seq_counters
+        in_flight = self.in_flight
+        agenda = self._agenda
+        for group, replica, port, payload, text, tokens in activations:
             behavior = group.behavior
             try:
                 state, emits = behavior.handle(replica.state, port, payload, step, replica.rng)
@@ -477,43 +505,63 @@ class Kernel:
                 replica.held.update(tokens)
                 continue
             mode = behavior.mode
-            if mode == MODE_ONE:
-                for out_port, out_payload in emits:
-                    for out in channels_from.get((group.path, out_port), ()):
-                        self._dispatch(out, out_payload, tokens)
-            else:
+            if mode != MODE_ONE:
                 for emit in emits:
-                    self._send(group.path, mode, emit, tokens)
+                    out_text = text if emit[1] is payload else emit[1].render()
+                    self._send(group, mode, emit, out_text, tokens)
+                continue
+            for out_port, out_payload in emits:
+                out_text = text if out_payload is payload else out_payload.render()
+                for out in group.routes.get(out_port, ()):
+                    if out.gates:
+                        self._dispatch(out, out_payload, out_text, tokens)
+                        continue
+                    # a gateless send, as _dispatch makes it: the sender's
+                    # tokens pass on as they are
+                    cid = out.id
+                    seq = seq_counters.get(cid, 0) + 1
+                    seq_counters[cid] = seq
+                    events.append((step, SEND, cid, seq, tokens, out_text, cid))
+                    arrive = step + out.latency
+                    bucket = in_flight.get(arrive)
+                    if bucket is None:
+                        bucket = in_flight[arrive] = []
+                        heapq.heappush(agenda, arrive)
+                    bucket.append((cid, seq, out, out_payload, out_text, tokens, None, True))
 
     # -- sending ------------------------------------------------------------
 
-    def _send(self, path: str, mode: str, emit: tuple, tokens: tuple) -> None:
+    def _send(self, group: Group, mode: str, emit: tuple, text: str, tokens: tuple) -> None:
         """Send a broadcast emit (port, payload) or an index emit (port,
-        payload, index) into the one replica group its port reaches."""
+        payload, index), whose payload renders to text, into the one replica
+        group its port reaches."""
         port, payload = emit[0], emit[1]
-        channels = self.topology.channels_from.get((path, port), [])
+        channels = group.routes.get(port, ())
         if len(channels) != 1 or not channels[0].group:
             raise KernelError(
-                f"{mode} through '{path}.{port}' needs exactly one "
+                f"{mode} through '{group.path}.{port}' needs exactly one "
                 "channel into a replica group"
             )
         ch = channels[0]
         live = self.groups[ch.target_path].live()
         if mode == MODE_BROADCAST:
             for replica in live:
-                self._dispatch(ch, payload, tokens, pinned=replica.rid, bind=False)
+                self._dispatch(ch, payload, text, tokens, pinned=replica.rid, bind=False)
         else:
             replica = live[emit[2] % len(live)]
-            self._dispatch(ch, payload, tokens, pinned=replica.rid)
+            self._dispatch(ch, payload, text, tokens, pinned=replica.rid)
 
     def _dispatch(
         self,
         ch: ChannelSpec,
         payload: Record,
+        text: str,
         tokens: tuple,
         pinned: int | None = None,
         bind: bool = True,
     ) -> None:
+        """Send payload, rendered as text, on ch: count its seq, apply the
+        channel's gates, trace the SEND and put the message in flight."""
         cid = ch.id
         seq = self.seq_counters.get(cid, 0) + 1
         self.seq_counters[cid] = seq
@@ -533,7 +581,6 @@ class Kernel:
                         toks.difference_update(stripped)
                         self._event(STRIP, cid, seq, stripped, "-", cid)
             tokens = tuple(sorted(toks))
-        text = payload.render()
         self.events.append((self.step, SEND, cid, seq, tokens, text, cid))
         arrive = self.step + ch.latency
         bucket = self.in_flight.get(arrive)

@@ -32,13 +32,19 @@ def render_trace(events: Iterable[tuple], out: TextIO) -> None:
     columns: dict[tuple, str] = {(): "-"}
     lines: list[str] = []
     append = lines.append
+    # The kernel's events of one step share its step object: format the
+    # step column once per run of such events.
+    last_step = head = None
     for step, kind, subject, seq, tokens, payload, _channel in events:
+        if step is not last_step:
+            last_step = step
+            head = f"{step}\t"
         toks = columns.get(tokens)
         if toks is None:
             toks = columns[tokens] = render_tokens(tokens)
         if seq is None:
             seq = "-"
-        append(f"{step}\t{kind}\t{subject}\t{seq}\t{toks}\t{payload}\n")
+        append(f"{head}{kind}\t{subject}\t{seq}\t{toks}\t{payload}\n")
         if len(lines) == BATCH_LINES:
             out.write("".join(lines))
             lines.clear()

@@ -11,7 +11,7 @@ import pytest
 
 from cloudadl.analyzer import apply_latency_overrides, check, elaborate
 from cloudadl.kernel import FatalUnhandled, Kernel, KernelError
-from cloudadl.model import make_record
+from cloudadl.model import Record, make_record
 from cloudadl.parser import load_files, parse_model
 from cloudadl.scenario import build_kernel, load_scenario, load_scenario_text, run_scenario
 
@@ -313,6 +313,64 @@ def test_token_rides_interior_hops():
     interior = [e for e in events(k)
                 if e.kind == "SEND" and "root/b" in e.channel]
     assert interior and all(e.tokens == (("chain", 0),) for e in interior)
+
+
+def test_tokened_messages_through_an_instance_that_does_not_replicate():
+    # the session binds at the replica group e; p does not replicate, so it
+    # takes every message on its one replica and no binding names it
+    text = (
+        "message M { n: integer; }\n"
+        "component E { port in M i; port out M o; behavior forward(out=o); }\n"
+        "component P { port in M i; port out M o; behavior collect(n=2, out=o); }\n"
+        "component Sys { port in M feed; port out M drain;"
+        " replicating component E e; component P p;"
+        " connect feed -> e.i; connect e.o -> p.i; connect p.o -> drain;"
+        " context sess { open feed -> e.i; close p.o -> drain; } }"
+    )
+    model = parse_ok(text)
+    _, _, k = build(
+        text, "Sys",
+        strategies={"root/p": "restart"},
+        scales=[(0, "root/e", 2, 0)],
+        injections=jobs(model, "feed", range(1, 7), "M"),
+        faults=[(4, "root/p", "boom", None, 0)],
+    )
+    k.run()
+    assert len(k.bindings) == 6
+    assert {path for path, _tok in k.bindings} == {"root/e"}
+    binds = [e.subject for e in events(k) if e.kind == "BIND"]
+    assert binds == ["root/e#0", "root/e#1"] * 3
+    into_p = deliveries(k, "root/p")
+    assert [(e.step, e.subject) for e in into_p] == [(s, "root/p#0.i") for s in range(3, 9)]
+    assert all(len(e.tokens) == 1 for e in into_p)
+    assert [(e.step, e.subject) for e in events(k) if e.kind == "RESTART"] == [(4, "root/p")]
+    # n=0 arrived before the restart; the fresh count pairs n=1 with n=2
+    # and n=3 with n=4, where the old count would have passed on 1, 3 and 5
+    assert [p.get("n") for _t, p in k.out_streams["drain"]] == [2, 4]
+
+
+def test_a_forward_chain_renders_each_injected_payload_once(monkeypatch):
+    scenario, diags = load_scenario(str(SCENARIOS_DIR / "pipeline4.scn"))
+    assert not diags, [d.render() for d in diags]
+    k = build_kernel(scenario)
+    calls = []
+    render = Record.render
+
+    def counted(record):
+        calls.append(record)
+        return render(record)
+
+    monkeypatch.setattr(Record, "render", counted)
+    k.run()
+    # five injects through four forwarding stages: each text is made once,
+    # at the inject's SEND, and rides every later hop
+    assert len(calls) == 5
+    assert len(set(map(id, calls))) == 5
+    trace = trace_text(k.events).encode()
+    # the trace pinned for pipeline4.scn in tests/test_cli.py
+    assert hashlib.sha256(trace).hexdigest() == (
+        "d683dc105c3e859738e0c458fe0c8cc7d9c1adda0d798ff5ade1f421dd98d32e"
+    )
 
 
 def test_absorbed_tokens_are_held():

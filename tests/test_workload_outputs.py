@@ -1,11 +1,12 @@
 """The benchmark workloads' outputs, pinned byte for byte.
 
 Each generator of `perfbench/workloads.py` runs at a small size and two
-seeds through `harness.run_file`. The SHA-256 of the trace file, the store
-file and stdout must not move: any change to the kernel that alters the
-order, the content or the count of events fails here, on inputs with
-replica groups, tokens, scaling and deep in-flight queues that the bundled
-scenarios do not have.
+seeds, and at the benchmark's full size and seed 1, through
+`harness.run_file`. The SHA-256 of the trace file, the store file and
+stdout must not move: any change to the kernel that alters the order, the
+content or the count of events fails here, on inputs with replica groups,
+tokens, scaling and deep in-flight queues that the bundled scenarios do
+not have.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from helpers import PKG_ROOT
 
 sys.path.insert(0, str(PKG_ROOT / "perfbench"))
 import workloads  # noqa: E402
+from runner import FULL_SIZE  # noqa: E402
 
 SMALL = {"stream": 60, "sessions": 80, "bigmodel": 20}
 
@@ -59,15 +61,44 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("name, seed", sorted(PINNED))
-def test_workload_outputs_match_pinned_digests(tmp_path, capsys, name, seed):
-    inputs = workloads.GENERATORS[name](str(tmp_path), seed, SMALL[name])
+# workload -> SHA-256 of (trace, store, stdout) at FULL_SIZE and seed 1
+PINNED_FULL = {
+    "bigmodel": (
+        "57f460fbacf2d57110715766d367dab6bb9b145d46c81a3720fb969e79e377c5",
+        "e725f326e471c563a6c18969947cf39e9e410a9edf7fa1d12baa5cbc1411b7d2",
+        "38c755f86c9314f6542131b9c62d0ed3e66df6af76ff86f2cff485ba3c193164",
+    ),
+    "sessions": (
+        "3aa49608a0efabb1b1211646fc2125679824a53ff142313ba5d8bb9b5c9530fd",
+        "7232ec21c6db8d11f07e9af06214efe22da193822e342c0d646dab561e56f7a2",
+        "2abdc6d4264d7256fe86e28afa8d3f968340e85eb08aab21b87e6f4f04ad9871",
+    ),
+    "stream": (
+        "04cd6e6101d26190b35f39215b86fd75ff01805cc118c51347ce28ef152cade1",
+        "26cc2865ae8d66841eb5588d545aa2032b0ac5d42003d7c569cd68f530fb65f0",
+        "f4a735b0ae01dbd3c32632205d95aa561a8bf05fffab423b4b50b9b9e80bae9c",
+    ),
+}
+
+
+def output_digests(tmp_path, capsys, name: str, seed: int, size: int) -> tuple:
+    inputs = workloads.GENERATORS[name](str(tmp_path), seed, size)
     trace, store = tmp_path / "run.trace", tmp_path / "run.store"
     report = harness.run_file(inputs.scenario, str(trace), str(store))
     assert report.status == harness.STATUS_PASS, report.render()
     stdout = capsys.readouterr().out.encode()
-    got = tuple(
+    return tuple(
         hashlib.sha256(data).hexdigest()
         for data in (trace.read_bytes(), store.read_bytes(), stdout)
     )
-    assert got == PINNED[name, seed]
+
+
+@pytest.mark.parametrize("name, seed", sorted(PINNED))
+def test_workload_outputs_match_pinned_digests(tmp_path, capsys, name, seed):
+    assert output_digests(tmp_path, capsys, name, seed, SMALL[name]) == PINNED[name, seed]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FULL))
+def test_full_size_workload_outputs_match_pinned_digests(tmp_path, capsys, name):
+    got = output_digests(tmp_path, capsys, name, 1, FULL_SIZE[name])
+    assert got == PINNED_FULL[name]
