@@ -30,13 +30,13 @@ directives due then; the sort is stable, so those of one step keep their
 declaration order. Only a step that has a directive runs phase 1, and
 only a step with a retiring replica runs phase 4. In-flight messages are
 bucketed by arrival step. A heap holds the steps that have a directive
-or a bucket. After a step the
-kernel jumps straight to the next such step, so a step with no directive
-and no arrival costs nothing. Nothing can happen on such a step (no
-phase has work, and no replica can become drained), so step numbers in
-traces are those of a run that ticks through every step. A run that
-ends by quiescence stops on its last active step; a run whose next
-active step lies past `maxsteps` stops at `maxsteps + 1`, truncated.
+or a bucket. After a step the kernel jumps straight to the next such
+step, so a step with no directive and no arrival costs nothing. Nothing
+can happen on such a step (no phase has work, and no replica can become
+drained), so step numbers in traces are those of a run that ticks
+through every step. A run that ends by quiescence stops on its last
+active step; a run whose next active step lies past `maxsteps` stops at
+`maxsteps + 1`, truncated.
 
 All choice points (replica selection, token binding, escalation) are
 functions of this order plus the scenario seed, so a run is reproducible
@@ -51,10 +51,6 @@ otherwise a tokened message goes to the replica bound to its least bound
 token; otherwise round robin over the live replicas. The message's fresh
 tokens then bind to that replica, except for broadcast copies, and the
 BIND is traced before its DELIVER.
-
-A payload is rendered to text once per send and the text travels with
-the message to its DELIVER and into the activation it starts; an emit
-that forwards that same Record object sends the same text again.
 
 The kernel configures no behaviors: each group runs the behavior that
 analyzer.elaborate() configured for its component type and put on the
@@ -434,9 +430,8 @@ class Kernel:
             self._fault(path, rid, kind)
         while injections and injections[-1][0] == step:
             _step, port, payload, _line = injections.pop()
-            text = payload.render()
             for ch in self.topology.channels_from.get((ROOT_PATH, port), []):
-                self._dispatch(ch, payload, text, ())
+                self._dispatch(ch, payload, ())
 
     def _deliver_and_activate(self) -> None:
         due = self.in_flight.pop(self.step, None)
@@ -487,12 +482,9 @@ class Kernel:
             events.append((
                 step, DELIVER, replica.subjects[ch.target_port], seq, tokens, text, cid,
             ))
-            activations.append((group, replica, ch.target_port, payload, text, tokens))
+            activations.append((group, replica, ch.target_port, payload, tokens))
         # every delivery is traced before the first activation runs
-        seq_counters = self.seq_counters
-        in_flight = self.in_flight
-        agenda = self._agenda
-        for group, replica, port, payload, text, tokens in activations:
+        for group, replica, port, payload, tokens in activations:
             behavior = group.behavior
             try:
                 state, emits = behavior.handle(replica.state, port, payload, step, replica.rng)
@@ -505,36 +497,20 @@ class Kernel:
                 replica.held.update(tokens)
                 continue
             mode = behavior.mode
-            if mode != MODE_ONE:
+            if mode == MODE_ONE:
+                routes = group.routes
+                for out_port, out_payload in emits:
+                    for out in routes.get(out_port, ()):
+                        self._dispatch(out, out_payload, tokens)
+            else:
                 for emit in emits:
-                    out_text = text if emit[1] is payload else emit[1].render()
-                    self._send(group, mode, emit, out_text, tokens)
-                continue
-            for out_port, out_payload in emits:
-                out_text = text if out_payload is payload else out_payload.render()
-                for out in group.routes.get(out_port, ()):
-                    if out.gates:
-                        self._dispatch(out, out_payload, out_text, tokens)
-                        continue
-                    # a gateless send, as _dispatch makes it: the sender's
-                    # tokens pass on as they are
-                    cid = out.id
-                    seq = seq_counters.get(cid, 0) + 1
-                    seq_counters[cid] = seq
-                    events.append((step, SEND, cid, seq, tokens, out_text, cid))
-                    arrive = step + out.latency
-                    bucket = in_flight.get(arrive)
-                    if bucket is None:
-                        bucket = in_flight[arrive] = []
-                        heapq.heappush(agenda, arrive)
-                    bucket.append((cid, seq, out, out_payload, out_text, tokens, None, True))
+                    self._send(group, mode, emit, tokens)
 
     # -- sending ------------------------------------------------------------
 
-    def _send(self, group: Group, mode: str, emit: tuple, text: str, tokens: tuple) -> None:
+    def _send(self, group: Group, mode: str, emit: tuple, tokens: tuple) -> None:
         """Send a broadcast emit (port, payload) or an index emit (port,
-        payload, index), whose payload renders to text, into the one replica
-        group its port reaches."""
+        payload, index) into the one replica group its port reaches."""
         port, payload = emit[0], emit[1]
         channels = group.routes.get(port, ())
         if len(channels) != 1 or not channels[0].group:
@@ -546,22 +522,19 @@ class Kernel:
         live = self.groups[ch.target_path].live()
         if mode == MODE_BROADCAST:
             for replica in live:
-                self._dispatch(ch, payload, text, tokens, pinned=replica.rid, bind=False)
+                self._dispatch(ch, payload, tokens, pinned=replica.rid, bind=False)
         else:
             replica = live[emit[2] % len(live)]
-            self._dispatch(ch, payload, text, tokens, pinned=replica.rid)
+            self._dispatch(ch, payload, tokens, pinned=replica.rid)
 
     def _dispatch(
         self,
         ch: ChannelSpec,
         payload: Record,
-        text: str,
         tokens: tuple,
         pinned: int | None = None,
         bind: bool = True,
     ) -> None:
-        """Send payload, rendered as text, on ch: count its seq, apply the
-        channel's gates, trace the SEND and put the message in flight."""
         cid = ch.id
         seq = self.seq_counters.get(cid, 0) + 1
         self.seq_counters[cid] = seq
@@ -581,6 +554,7 @@ class Kernel:
                         toks.difference_update(stripped)
                         self._event(STRIP, cid, seq, stripped, "-", cid)
             tokens = tuple(sorted(toks))
+        text = payload.render()
         self.events.append((self.step, SEND, cid, seq, tokens, text, cid))
         arrive = self.step + ch.latency
         bucket = self.in_flight.get(arrive)
