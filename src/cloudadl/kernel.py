@@ -42,15 +42,33 @@ All choice points (replica selection, token binding, escalation) are
 functions of this order plus the scenario seed, so a run is reproducible
 event for event.
 
-The delivery loop picks the replica of each message. An instance that
-does not replicate has one replica for the whole run (scale directives
-refuse it, and pins and bindings need a channel into a replica group), so
-its messages go to that replica directly. Into a replica group, a pinned
-message (a broadcast copy or an index emit) goes to its replica;
-otherwise a tokened message goes to the replica bound to its least bound
-token; otherwise round robin over the live replicas. The message's fresh
-tokens then bind to that replica, except for broadcast copies, and the
-BIND is traced before its DELIVER.
+Every message is sent by one loop, _activate, which takes a batch of
+activations: the directive phase hands it the step's injects, and the
+delivery phase the step's deliveries. It runs each behavior and sends each
+emit to its send targets, (channel, pinned replica id or None, bind). A
+group's routes map each out port to the targets of its channels, built
+once when the kernel is; a broadcast or index emit builds its targets,
+pinned to live replicas, when it is sent. A send numbers the message on
+its channel, passes its tokens through the channel's gates (_gate), traces
+the SEND and puts the message in flight.
+
+Tokens on a message are a sorted tuple without duplicates. _gate keeps
+them so: an opening gate inserts the fresh token in order and a closing
+gate filters out its context's tokens, so a gateless hop passes the tuple
+on as it is.
+
+The delivery loop picks the replica of each message from the channel's
+delivery plan, (group, sole replica, DELIVER subject), resolved when the
+kernel is built. A channel to the root boundary has no group. An instance
+that does not replicate has one replica for the whole run (scale
+directives refuse it, and pins and bindings need a channel into a replica
+group), so its plan names that replica and its DELIVER subject. Into a
+replica group, a pinned message (a broadcast copy or an index emit) goes
+to its replica; otherwise a tokened message goes to the replica bound to
+its least bound token; otherwise round robin over the live replicas. One
+pass over the tokens finds the bound one and the fresh ones, which then
+bind to that replica, except on broadcast copies, and the BIND is traced
+before its DELIVER.
 
 The kernel configures no behaviors: each group runs the behavior that
 analyzer.elaborate() configured for its component type and put on the
@@ -85,6 +103,7 @@ collections the garbage collector stops tracking an event.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from collections.abc import Iterable
 from operator import itemgetter
 from random import Random
@@ -151,13 +170,12 @@ class Group:
         self.rr = 0  # round-robin cursor, advanced only on round-robin picks
         self.target = 1
         self.in_ports = [p.name for p in inst.type_def.ports if p.direction == IN]
-        # out port -> the channels leaving it; Kernel fills it in
-        self.routes: dict[str, list[ChannelSpec]] = {}
+        # out port -> the send targets (channel, None, True) of its
+        # channels; Kernel fills it in
+        self.routes: dict[str, list[tuple]] = {}
         # live replicas in id order; None until the next live() rebuilds it
         self._live: list[Replica] | None = None
         self.grow(1)
-        # the replica of an instance that does not replicate, for the whole run
-        self.sole = None if inst.replicating else self.replicas[0]
 
     def grow(self, count: int) -> None:
         self._live = None
@@ -323,10 +341,16 @@ class Kernel:
             for inst in topology.instances.values()
             if inst.atomic
         }
+        # root port -> the send targets of its injects; an atomic root is
+        # also a group, whose own in ports feed it
+        self._inject_routes: dict[str, list[tuple]] = {}
         for (path, port), channels in topology.channels_from.items():
+            targets = [(ch, None, True) for ch in channels]
             group = self.groups.get(path)
             if group is not None:
-                group.routes[port] = channels
+                group.routes[port] = targets
+            if path == ROOT_PATH:
+                self._inject_routes[port] = targets
 
         self.seq_counters: dict[str, int] = {}
         self.token_counters: dict[str, int] = {}
@@ -335,10 +359,8 @@ class Kernel:
         # tuple (channel id, seq, channel, payload, text, tokens, pinned, bind):
         # - (channel id, seq) is unique, so the tuple's own order is the
         #   delivery order within one arrival step;
-        # - text is the payload rendered once at send, reused for its DELIVER;
-        # - tokens is () or the tuple(sorted(...)) of a gated dispatch: always
-        #   sorted and free of duplicates, so a gateless hop passes it on as
-        #   it is;
+        # - text is the payload rendered at send, reused for its DELIVER;
+        # - tokens is a sorted, duplicate-free tuple (see _gate);
         # - pinned is the replica id fixed at send time, or None;
         # - bind is False for broadcast copies, which never bind tokens.
         self.in_flight: dict[int, list[tuple]] = {}
@@ -350,7 +372,23 @@ class Kernel:
             if p.direction == OUT
         }
         # root out port -> "root.port", the subject of its DELIVER events
-        self._root_subjects = {port: f"{ROOT_PATH}.{port}" for port in self.out_streams}
+        root_subjects = {port: f"{ROOT_PATH}.{port}" for port in self.out_streams}
+        # channel id -> its delivery plan (group, sole replica, DELIVER
+        # subject): (None, None, "root.port") for a channel to the root
+        # boundary, (group, None, None) for one into a replica group
+        self._plans: dict[str, tuple] = {}
+        for ch in topology.channels:
+            if ch.external:
+                plan = (None, None, root_subjects[ch.target_port])
+            elif ch.group:
+                plan = (self.groups[ch.target_path], None, None)
+            else:
+                # an instance that does not replicate keeps one replica for
+                # the whole run
+                group = self.groups[ch.target_path]
+                sole = group.replicas[0]
+                plan = (group, sole, sole.subjects[ch.target_port])
+            self._plans[ch.id] = plan
         self.step = 0
         self.truncated = False
 
@@ -428,10 +466,12 @@ class Kernel:
             elif rid not in group.replicas:
                 raise KernelError(f"no replica {path}#{rid} at step {step} to fault", line)
             self._fault(path, rid, kind)
+        batch = []
         while injections and injections[-1][0] == step:
             _step, port, payload, _line = injections.pop()
-            for ch in self.topology.channels_from.get((ROOT_PATH, port), []):
-                self._dispatch(ch, payload, ())
+            batch.append((None, None, port, payload, ()))
+        if batch:
+            self._activate(batch)
 
     def _deliver_and_activate(self) -> None:
         due = self.in_flight.pop(self.step, None)
@@ -440,128 +480,147 @@ class Kernel:
         due.sort()
         step = self.step
         events = self.events
-        groups = self.groups
+        plans = self._plans
         bindings = self.bindings
         activations = []
         for cid, seq, ch, payload, text, tokens, pinned, bind in due:
-            if ch.external:
-                events.append((
-                    step, DELIVER, self._root_subjects[ch.target_port],
-                    seq, tokens, text, cid,
-                ))
+            group, replica, subject = plans[cid]
+            if group is None:
+                events.append((step, DELIVER, subject, seq, tokens, text, cid))
                 self.out_streams[ch.target_port].append((step, payload))
                 continue
-            group = groups[ch.target_path]
-            replica = group.sole
             if replica is None:
-                if pinned is not None:
-                    replica = group.replicas.get(pinned)
-                    if replica is None:
-                        raise KernelError(
-                            f"message pinned to missing replica {group.path}#{pinned}"
-                        )
-                elif tokens:
-                    # tokens are sorted, so the first bound one is the least
+                # into a replica group: a pin, else the replica bound to the
+                # least bound token (tokens are sorted, so the first bound
+                # one), else round robin; the one pass also finds the tokens
+                # this group has not bound yet
+                path = group.path
+                rid = pinned
+                fresh = ()
+                if bind:
                     for tok in tokens:
-                        rid = bindings.get((group.path, tok))
-                        if rid is not None:
-                            replica = group.replicas[rid]
-                            break
-                if replica is None:
+                        bound = bindings.get((path, tok))
+                        if bound is None:
+                            fresh += (tok,)
+                        elif rid is None:
+                            rid = bound
+                if rid is None:
                     live = group.live()
                     if not live:
-                        raise KernelError(f"no live replica of '{group.path}'")
+                        raise KernelError(f"no live replica of '{path}'")
                     replica = live[group.rr % len(live)]
                     group.rr += 1
-                if tokens and bind:
-                    fresh = tuple(tok for tok in tokens if (group.path, tok) not in bindings)
-                    if fresh:
-                        for tok in fresh:
-                            bindings[(group.path, tok)] = replica.rid
-                        events.append((step, BIND, replica.name, seq, fresh, "-", cid))
-            events.append((
-                step, DELIVER, replica.subjects[ch.target_port], seq, tokens, text, cid,
-            ))
+                else:
+                    replica = group.replicas.get(rid)
+                    if replica is None:
+                        raise KernelError(f"message pinned to missing replica {path}#{pinned}")
+                if fresh:
+                    for tok in fresh:
+                        bindings[(path, tok)] = replica.rid
+                    events.append((step, BIND, replica.name, seq, fresh, "-", cid))
+                subject = replica.subjects[ch.target_port]
+            events.append((step, DELIVER, subject, seq, tokens, text, cid))
             activations.append((group, replica, ch.target_port, payload, tokens))
         # every delivery is traced before the first activation runs
-        for group, replica, port, payload, tokens in activations:
-            behavior = group.behavior
-            try:
-                state, emits = behavior.handle(replica.state, port, payload, step, replica.rng)
-            except Fault as fault:
-                # a fault abandons the activation: no state commit, no sends
-                self._fault(group.path, replica.rid, fault.kind)
-                continue
-            replica.state = state
-            if not emits:
-                replica.held.update(tokens)
-                continue
-            mode = behavior.mode
-            if mode == MODE_ONE:
-                routes = group.routes
-                for out_port, out_payload in emits:
-                    for out in routes.get(out_port, ()):
-                        self._dispatch(out, out_payload, tokens)
+        self._activate(activations)
+
+    # -- activation and sending ------------------------------------------------
+
+    def _activate(self, batch: list[tuple]) -> None:
+        """Run each activation of `batch` in order and send what it emits.
+
+        An activation is (group, replica, port, payload, tokens): the
+        message delivered on `port` and its tokens. An inject is one with
+        group None: the root passes the payload on from its in port.
+        """
+        step = self.step
+        events = self.events
+        in_flight = self.in_flight
+        seq_counters = self.seq_counters
+        for group, replica, port, payload, tokens in batch:
+            if group is None:
+                emits = ((port, payload),)
+                routes = self._inject_routes
+                mode = MODE_ONE
             else:
-                for emit in emits:
-                    self._send(group, mode, emit, tokens)
+                behavior = group.behavior
+                try:
+                    state, emits = behavior.handle(replica.state, port, payload, step, replica.rng)
+                except Fault as fault:
+                    # a fault abandons the activation: no state commit, no sends
+                    self._fault(group.path, replica.rid, fault.kind)
+                    continue
+                replica.state = state
+                if not emits:
+                    replica.held.update(tokens)
+                    continue
+                routes = group.routes
+                mode = behavior.mode
+            for emit in emits:
+                if mode == MODE_ONE:
+                    targets = routes.get(emit[0])
+                    if not targets:
+                        continue
+                else:
+                    targets = self._pinned_targets(group, mode, emit)
+                out = emit[1]
+                text = out.render()
+                for ch, pinned, bind in targets:
+                    cid = ch.id
+                    seq = seq_counters.get(cid, 0) + 1
+                    seq_counters[cid] = seq
+                    out_tokens = self._gate(ch, seq, tokens) if ch.gates else tokens
+                    events.append((step, SEND, cid, seq, out_tokens, text, cid))
+                    arrive = step + ch.latency
+                    bucket = in_flight.get(arrive)
+                    if bucket is None:
+                        bucket = in_flight[arrive] = []
+                        heapq.heappush(self._agenda, arrive)
+                    bucket.append((cid, seq, ch, out, text, out_tokens, pinned, bind))
 
-    # -- sending ------------------------------------------------------------
-
-    def _send(self, group: Group, mode: str, emit: tuple, tokens: tuple) -> None:
-        """Send a broadcast emit (port, payload) or an index emit (port,
-        payload, index) into the one replica group its port reaches."""
-        port, payload = emit[0], emit[1]
-        channels = group.routes.get(port, ())
-        if len(channels) != 1 or not channels[0].group:
+    def _pinned_targets(self, group: Group, mode: str, emit: tuple) -> list[tuple]:
+        """The send targets of a broadcast emit (port, payload), a copy to
+        each live replica that binds nothing, or of an index emit (port,
+        payload, index), to the live replica at index modulo their count.
+        Either needs its port to reach one replica group by one channel."""
+        port = emit[0]
+        targets = group.routes.get(port, ())
+        if len(targets) != 1 or not targets[0][0].group:
             raise KernelError(
                 f"{mode} through '{group.path}.{port}' needs exactly one "
                 "channel into a replica group"
             )
-        ch = channels[0]
+        ch = targets[0][0]
         live = self.groups[ch.target_path].live()
         if mode == MODE_BROADCAST:
-            for replica in live:
-                self._dispatch(ch, payload, tokens, pinned=replica.rid, bind=False)
-        else:
-            replica = live[emit[2] % len(live)]
-            self._dispatch(ch, payload, tokens, pinned=replica.rid)
+            return [(ch, replica.rid, False) for replica in live]
+        return [(ch, live[emit[2] % len(live)].rid, True)]
 
-    def _dispatch(
-        self,
-        ch: ChannelSpec,
-        payload: Record,
-        tokens: tuple,
-        pinned: int | None = None,
-        bind: bool = True,
-    ) -> None:
+    def _gate(self, ch: ChannelSpec, seq: int, tokens: tuple) -> tuple:
+        """The tokens a message carries past the gates of `ch`, tracing a
+        MINT per opened context and a STRIP per closed one that strips any.
+
+        Tokens are kept sorted and free of duplicates, so a gateless hop
+        passes them on as they are: OPEN inserts the fresh token in order,
+        and CLOSE filters out its context's tokens, which keeps the order.
+        """
         cid = ch.id
-        seq = self.seq_counters.get(cid, 0) + 1
-        self.seq_counters[cid] = seq
-        # a gateless hop passes the sender's tokens on as they are
-        if ch.gates:
-            toks = set(tokens)
-            for action, ctx_name in ch.gates:
-                if action == OPEN:
-                    serial = self.token_counters.get(ctx_name, 0)
-                    self.token_counters[ctx_name] = serial + 1
-                    tok = (ctx_name, serial)
-                    toks.add(tok)
-                    self._event(MINT, cid, seq, (tok,), "-", cid)
-                else:
-                    stripped = tuple(sorted(t for t in toks if t[0] == ctx_name))
-                    if stripped:
-                        toks.difference_update(stripped)
-                        self._event(STRIP, cid, seq, stripped, "-", cid)
-            tokens = tuple(sorted(toks))
-        text = payload.render()
-        self.events.append((self.step, SEND, cid, seq, tokens, text, cid))
-        arrive = self.step + ch.latency
-        bucket = self.in_flight.get(arrive)
-        if bucket is None:
-            bucket = self.in_flight[arrive] = []
-            heapq.heappush(self._agenda, arrive)
-        bucket.append((cid, seq, ch, payload, text, tokens, pinned, bind))
+        step = self.step
+        events = self.events
+        for action, ctx_name in ch.gates:
+            if action == OPEN:
+                serial = self.token_counters.get(ctx_name, 0)
+                self.token_counters[ctx_name] = serial + 1
+                tok = (ctx_name, serial)
+                at = bisect_right(tokens, tok)
+                tokens = tokens[:at] + (tok,) + tokens[at:]
+                events.append((step, MINT, cid, seq, (tok,), "-", cid))
+            else:
+                stripped = tuple(t for t in tokens if t[0] == ctx_name)
+                if stripped:
+                    events.append((step, STRIP, cid, seq, stripped, "-", cid))
+                    tokens = tuple(t for t in tokens if t[0] != ctx_name)
+        return tokens
 
     # -- supervision ---------------------------------------------------------
 

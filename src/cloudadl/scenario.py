@@ -538,7 +538,7 @@ def store_rows(kernel: Kernel, path: str) -> list[tuple[int, int, int, Record]]:
     for rid, replica in sorted(group.replicas.items()):
         for index, (step, payload) in enumerate(replica.state or ()):
             rows.append((step, rid, index, payload))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    rows.sort()  # (step, rid, index) never ties, so no payload is compared
     return rows
 
 

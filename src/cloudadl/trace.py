@@ -27,9 +27,9 @@ def render_tokens(tokens: tuple[tuple[str, int], ...]) -> str:
 
 
 def render_trace(events: Iterable[tuple], out: TextIO) -> None:
-    # Events share tokens tuples: a message's SEND and DELIVER, its gateless
-    # hops, and every untokened event. Render each distinct tuple once.
-    columns: dict[tuple, str] = {(): "-"}
+    # Events share tokens tuples: a message's SEND and DELIVER and its
+    # gateless hops. Render each distinct tuple once.
+    columns: dict[tuple, str] = {}
     lines: list[str] = []
     append = lines.append
     # The kernel's events of one step share its step object: format the
@@ -39,9 +39,12 @@ def render_trace(events: Iterable[tuple], out: TextIO) -> None:
         if step is not last_step:
             last_step = step
             head = f"{step}\t"
-        toks = columns.get(tokens)
-        if toks is None:
-            toks = columns[tokens] = render_tokens(tokens)
+        if tokens:
+            toks = columns.get(tokens)
+            if toks is None:
+                toks = columns[tokens] = render_tokens(tokens)
+        else:
+            toks = "-"
         if seq is None:
             seq = "-"
         append(f"{head}{kind}\t{subject}\t{seq}\t{toks}\t{payload}\n")

@@ -159,6 +159,28 @@ def test_one_replica_handles_same_step_arrivals_in_channel_order():
     assert [(step, p.get("n")) for step, p in rows] == [(4, 3), (4, 1), (4, 2)]
 
 
+def test_injects_reach_an_atomic_root():
+    # the root is its own instance: its in port feeds it, its out port the boundary
+    text = (
+        "message M { n: integer; }\n"
+        "component Solo { port in M i; port out M o; behavior forward(out=o); }"
+    )
+    model = parse_ok(text)
+    _, _, k = build(text, "Solo", injections=jobs(model, "i", [1, 2], "M"))
+    k.run()
+    assert trace_text(k.events) == (
+        "1\tSEND\troot.i\t1\t-\tM{n=0}\n"
+        "2\tSEND\troot.i\t2\t-\tM{n=1}\n"
+        "2\tDELIVER\troot#0.i\t1\t-\tM{n=0}\n"
+        "2\tSEND\troot.o\t1\t-\tM{n=0}\n"
+        "3\tDELIVER\troot#0.i\t2\t-\tM{n=1}\n"
+        "3\tDELIVER\troot.o\t1\t-\tM{n=0}\n"
+        "3\tSEND\troot.o\t2\t-\tM{n=1}\n"
+        "4\tDELIVER\troot.o\t2\t-\tM{n=1}\n"
+    )
+    assert [(step, p.get("n")) for step, p in k.out_streams["o"]] == [(3, 0), (4, 1)]
+
+
 def test_identical_runs_identical_traces():
     for seed in (0, 7):
         text, root, _ = pipeline_text(Random(3))
@@ -446,6 +468,73 @@ def test_context_serials_are_global_per_context():
     k.run()
     mints = [e.tokens for e in events(k) if e.kind == "MINT"]
     assert mints == [(("c1", 0),), (("c2", 0),), (("c1", 1),)]
+
+
+NESTED_CONTEXTS = (
+    "message M { n: integer; }\n"
+    "component X { port in M i; port out M o replicating; behavior forward(out=o); }\n"
+    "component F { port in M i; port out M o; behavior forward(out=o); }\n"
+    "component Inner { port in M i; port out M o;"
+    " component X x; replicating component F y;"
+    " connect i -> x.i; connect x.o -> y.i; connect y.o -> o;"
+    " context a { open i -> x.i; close y.o -> o; }"
+    " context zed { open x.o -> y.i; } }\n"
+    "component Sys { port in M feed; port out M drain;"
+    " component Inner i1; component Inner i2;"
+    " connect feed -> i1.i; connect i1.o -> i2.i; connect i2.o -> drain;"
+    " context zed { open feed -> i1.i; close i2.o -> drain; } }"
+)
+
+
+def test_a_message_carries_several_tokens_through_nested_contexts():
+    model = parse_ok(NESTED_CONTEXTS)
+    _, _, k = build(NESTED_CONTEXTS, "Sys", injections=jobs(model, "feed", [1, 1, 1], "M"))
+    k.run()
+    rows = [line.split("\t") for line in trace_text(k.events).splitlines()]
+    # the first inject's message, seq 1 on each channel it crosses
+    first = [row[1:5] for row in rows if row[1] in ("MINT", "STRIP", "BIND") and row[3] == "1"]
+    feed = "root.feed->root/i1.i->root/i1/x.i"
+    hop = "root/i1/y.o->root/i1.o->root/i2.i->root/i2/x.i"
+    drain = "root/i2/y.o->root/i2.o->root.drain"
+    assert first == [
+        ["MINT", feed, "1", "zed#0"],
+        ["MINT", feed, "1", "a#0"],
+        ["MINT", "root/i1/x.o->root/i1/y.i", "1", "zed#3"],
+        ["BIND", "root/i1/y#0", "1", "a#0,zed#0,zed#3"],
+        ["STRIP", hop, "1", "a#0"],
+        ["MINT", hop, "1", "a#3"],
+        ["MINT", "root/i2/x.o->root/i2/y.i", "1", "zed#6"],
+        ["BIND", "root/i2/y#0", "1", "a#3,zed#0,zed#3,zed#6"],
+        ["STRIP", drain, "1", "a#3"],
+        ["STRIP", drain, "1", "zed#0,zed#3,zed#6"],
+    ]
+    # each hop carries the sorted, duplicate-free tokens its gates leave
+    for e in events(k):
+        assert list(e.tokens) == sorted(set(e.tokens))
+    assert [e.tokens for e in deliveries(k, "root.drain")] == [()] * 3
+    assert [p.get("n") for _t, p in k.out_streams["drain"]] == [0, 1, 2]
+
+
+def test_each_send_carries_the_text_of_its_own_payload():
+    # one activation emits a new record and then the delivered one
+    text = (
+        "message M { v: integer; }\n"
+        "component A { port in M i; port out M o;"
+        ' behavior automaton(initial="s", "s, i, * -> s, emit o M{v=0}; emit o"); }\n'
+        "component Sys { port in M feed; port out M drain; component A a;"
+        " connect feed -> a.i; connect a.o -> drain; }"
+    )
+    model = parse_ok(text)
+    _, _, k = build(text, "Sys", injections=[(1, "feed", rec(model, "M", v=7), 0)])
+    k.run()
+    sends = [(e.channel, e.seq, e.payload) for e in events(k) if e.kind == "SEND"]
+    assert sends == [
+        ("root.feed->root/a.i", 1, "M{v=7}"),
+        ("root/a.o->root.drain", 1, "M{v=0}"),
+        ("root/a.o->root.drain", 2, "M{v=7}"),
+    ]
+    assert [e.payload for e in deliveries(k, "root.drain")] == ["M{v=0}", "M{v=7}"]
+    assert [p.get("v") for _t, p in k.out_streams["drain"]] == [0, 7]
 
 
 # --- supervision ---
