@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import hashlib
+import io
+import itertools
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -694,11 +697,16 @@ def test_bundled_scenario_outputs_match_pinned_digests(tmp_path, capsys):
         assert got == PINNED_OUTPUTS[path.name], path.name
 
 
-def sim_in_a_new_process(path: str, hash_seed: str) -> subprocess.CompletedProcess:
-    """`cloudadl sim PATH --trace - --store -` in a fresh interpreter."""
+def child_env() -> dict:
+    """The environment of a fresh interpreter that imports cloudadl from src/."""
     src = str(PKG_ROOT / "src")
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=pythonpath, PYTHONHASHSEED=hash_seed)
+    return dict(os.environ, PYTHONPATH=pythonpath)
+
+
+def sim_in_a_new_process(path: str, hash_seed: str) -> subprocess.CompletedProcess:
+    """`cloudadl sim PATH --trace - --store -` in a fresh interpreter."""
+    env = dict(child_env(), PYTHONHASHSEED=hash_seed)
     return subprocess.run(
         [sys.executable, "-c", "import sys; from cloudadl.cli import main; sys.exit(main())",
          "sim", path, "--trace", "-", "--store", "-"],
@@ -717,3 +725,176 @@ def test_outputs_do_not_depend_on_string_hashing(name):
     assert (second.returncode, second.stdout, second.stderr) == (
         first.returncode, first.stdout, first.stderr
     )
+
+
+# --- the plain command line reader ---
+
+
+@pytest.fixture(scope="module")
+def parser():
+    return cli.build_parser()
+
+
+def argparse_values(parser, argv: list[str]) -> dict | None:
+    """vars() of what argparse reads from argv, or None where it exits."""
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return vars(parser.parse_args(argv))
+    except SystemExit:
+        return None
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_plain_reader_agrees_with_argparse(parser, command):
+    # every line of up to four words after the command, from its files, "-",
+    # its options, an abbreviation, an --opt=value and -h
+    options = cli.COMMANDS[command][3]
+    alphabet = ["a.arc", "b.arc", "-", *options, "--top", "--trace=x", "-h"]
+    read = 0
+    for length in range(5):
+        for words in itertools.product(alphabet, repeat=length):
+            argv = [command, *words]
+            values = cli.read_plain(argv)
+            if values is not None:
+                read += 1
+                assert values == argparse_values(parser, argv), argv
+    assert read > 100
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "a.arc", "b.arc", "--root", "R", "--topology"],
+        ["check", "--topology", "--root", "-", "a.arc"],
+        ["fmt", "--write", "a.arc", "-"],
+        ["sim", "s.scn", "--trace", "-", "--store", "-"],
+        ["sim", "--store", "s.tsv", "", "--trace", "t.tsv"],
+    ],
+)
+def test_plain_reader_reads_plain_lines(parser, argv):
+    assert cli.read_plain(argv) == argparse_values(parser, argv) is not None
+
+
+def test_files_split_by_an_option_are_left_to_argparse(parser, capsys):
+    argv = ["check", "a.arc", "--root", "R", "b.arc"]
+    assert cli.read_plain(argv) is None
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "cloudadl: error: unrecognized arguments: b.arc\n"
+    )
+
+
+def test_plain_runs_do_not_import_argparse():
+    script = (
+        "import io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "import cloudadl.cli\n"
+        "for argv in sys.argv[1:]:\n"
+        "    with redirect_stdout(io.StringIO()):\n"
+        "        assert cloudadl.cli.main(argv.split()) == 0, argv\n"
+        "print('argparse' in sys.modules)\n"
+    )
+    model = str(MODELS_DIR / "pipeline4.arc")
+    scn = str(SCENARIOS_DIR / "pipeline4.scn")
+    argvs = [f"check {model} --root Pipeline --topology", f"fmt {model}", f"sim {scn}"]
+    # -S: a site hook must not import argparse before the program does
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script, *argvs],
+        env=child_env(), capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def test_help_is_argparse_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: cloudadl check [-h] [--root ROOT] [--topology] MODEL")
+    assert "also elaborate with this root component type" in out
+
+
+# argv -> stderr of the usage error; each exits 2 with nothing on stdout
+USAGE_ERRORS = {
+    "no_command": (
+        [],
+        "usage: cloudadl [-h] {check,fmt,sim} ...\n"
+        "cloudadl: error: the following arguments are required: command\n",
+    ),
+    "check_without_files": (
+        ["check"],
+        "usage: cloudadl check [-h] [--root ROOT] [--topology] MODEL [MODEL ...]\n"
+        "cloudadl check: error: the following arguments are required: MODEL\n",
+    ),
+    "topology_without_root": (
+        ["check", SENSOR, "--topology"],
+        "usage: cloudadl [-h] {check,fmt,sim} ...\n"
+        "cloudadl: error: check: --topology needs --root\n",
+    ),
+    "trace_without_a_value": (
+        ["sim", str(SCENARIOS_DIR / "pipeline4.scn"), "--trace"],
+        "usage: cloudadl sim [-h] [--trace FILE] [--store FILE] SCENARIO [SCENARIO ...]\n"
+        "cloudadl sim: error: argument --trace: expected one argument\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_errors_are_argparse_errors(monkeypatch, capsys, case):
+    argv, stderr = USAGE_ERRORS[case]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", stderr)
+
+
+# --- stdout that cannot be written ---
+
+
+def cloudadl_writing_to(stdout, *args: str) -> subprocess.CompletedProcess:
+    """`cloudadl ARGS` in a fresh interpreter with stdout on the given file."""
+    return subprocess.run(
+        [sys.executable, "-m", "cloudadl.cli", *args],
+        env=child_env(), stdout=stdout, stderr=subprocess.PIPE, text=True,
+        timeout=120, check=False,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_stdout_is_an_io_diagnostic():
+    scn = str(SCENARIOS_DIR / "pipeline4.scn")
+    with open("/dev/full", "w") as full:
+        proc = cloudadl_writing_to(full, "sim", scn, "--trace", "-", "--store", "-")
+    # one diagnostic: no traceback, and no second failure when stdout is
+    # flushed at exit
+    assert (proc.returncode, proc.stderr) == (2, "-:0:0: E_IO: No space left on device\n")
+
+
+def test_a_closed_stdout_pipe_is_an_io_diagnostic():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # before the child writes anything
+    try:
+        proc = cloudadl_writing_to(
+            write_end, "check", str(MODELS_DIR / "pipeline4.arc"), "--root", "Pipeline",
+            "--topology",
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, "-:0:0: E_IO: Broken pipe\n")
+
+
+class ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_failed_write_to_a_stream_in_place_of_stdout(capsys):
+    fd_target = os.fstat(1)
+    with redirect_stdout(ClosedPipe()):
+        assert main(["fmt", str(MODELS_DIR / "pipeline4.arc")]) == 2
+    assert capsys.readouterr().err == "-:0:0: E_IO: Broken pipe\n"
+    # the process's own stdout is left as it was
+    assert os.path.samestat(os.fstat(1), fd_target)
