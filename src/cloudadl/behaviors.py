@@ -199,12 +199,12 @@ class _Shape:
             raise self.fail(f"port {quoted(name)} must be an {direction} port")
         return p
 
-    def pick_out(self, bound: dict[str, object], arg: str = "out") -> PortDecl:
-        if arg in bound:
-            return self.port(as_name(self.builtin, arg, bound[arg]), OUT)
+    def pick_out(self, bound: dict[str, object]) -> PortDecl:
+        if "out" in bound:
+            return self.port(as_name(self.builtin, "out", bound["out"]), OUT)
         if len(self.out_ports) == 1:
             return self.out_ports[0]
-        raise self.fail(f"component has {len(self.out_ports)} out ports, name one with {arg}=")
+        raise self.fail(f"component has {len(self.out_ports)} out ports, name one with out=")
 
     def message_type(self, port: PortDecl) -> MessageTypeDef:
         return self.model.message_types[port.message_type]

@@ -11,6 +11,7 @@ on a small model.
 
 from __future__ import annotations
 
+import errno
 import os
 import sys
 
@@ -202,18 +203,44 @@ def main(argv: list[str] | None = None) -> int:
     if values is None or usage_problem(values):
         values = parse_args(argv)
     func = COMMANDS[values.pop("command")][0]
+    streams = sys.stdout, sys.stderr
+    # None when the process started without fd 1 or fd 2; print() would
+    # then drop the text or send it to the other stream
+    sys.stdout, sys.stderr = (_CLOSED if s is None else s for s in streams)
     try:
         status = func(**values)
-        if sys.stdout is not None:  # None when the process started without fd 1
-            sys.stdout.flush()
+        sys.stdout.flush()
     except OSError as exc:
         # Every file a command opens reports its own errors as E_IO, so an
-        # OSError that gets here is a failed write to stdout: a closed pipe
-        # or a full disk.
-        _discard_stdout()
-        print(io_error("-", exc).render(), file=sys.stderr)
-        return STATUS_DIAGNOSTICS
+        # OSError that gets here is a failed write to stdout (a closed pipe,
+        # a full disk, no fd 1) or to stderr, which only diagnostics reach:
+        # status 2 either way.
+        status = STATUS_DIAGNOSTICS
+        try:
+            sys.stdout.flush()
+        except OSError:
+            _discard_stdout()
+        try:
+            print(io_error("-", exc).render(), file=sys.stderr)
+        except OSError:
+            pass  # stderr cannot be written either
+    finally:
+        sys.stdout, sys.stderr = streams
     return status
+
+
+class _Closed:
+    """Stands in for a standard stream the process started without: each
+    write fails as on a closed descriptor, and a flush has nothing to do."""
+
+    def write(self, text: str) -> int:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+    def flush(self) -> None:
+        pass
+
+
+_CLOSED = _Closed()
 
 
 def _discard_stdout() -> None:

@@ -70,6 +70,14 @@ pass over the tokens finds the bound one and the fresh ones, which then
 bind to that replica, except on broadcast copies, and the BIND is traced
 before its DELIVER.
 
+Building the kernel checks the directives (directive_problems) and that
+each port that selects replicas feeds one channel into a replica group
+(analyzer.check_selection_ports). The run then relies on two invariants:
+a group always has a live replica, since a scale count is at least 1; and
+a replica is removed only when _drained finds no token held by it, no
+binding to it and no message in flight pinned to it, so a pin or a
+binding always names a replica that exists.
+
 The kernel configures no behaviors: each group runs the behavior that
 analyzer.elaborate() configured for its component type and put on the
 instance, shared with every other instance of that type. Only the
@@ -108,8 +116,8 @@ from collections.abc import Iterable
 from operator import itemgetter
 from random import Random
 
-from .analyzer import ROOT_PATH, ChannelSpec, InstanceSpec, RuntimeTopology
-from .behaviors import MODE_BROADCAST, MODE_ONE, Behavior, Fault
+from .analyzer import ROOT_PATH, ChannelSpec, InstanceSpec, RuntimeTopology, check_selection_ports
+from .behaviors import MODE_BROADCAST, MODE_ONE, Fault
 from .diagnostics import E_SYNTAX, E_TYPE_MISMATCH, E_UNRESOLVED, quoted
 from .model import IN, OPEN, OUT, Record
 from .values import Value
@@ -138,14 +146,7 @@ class Replica(Value):
     _fields = ("rid", "state", "rng", "name", "subjects", "held", "retiring")
 
     def __init__(
-        self,
-        rid: int,
-        state: object,
-        rng: Random | None,
-        name: str,
-        subjects: dict[str, str],
-        held: set | None = None,
-        retiring: bool = False,
+        self, rid: int, state: object, rng: Random | None, name: str, subjects: dict[str, str]
     ):
         self.rid = rid
         self.state = state
@@ -153,17 +154,17 @@ class Replica(Value):
         self.name = name  # "path#rid", the subject of its BIND events
         # in port -> "path#rid.port", the subject of its DELIVER events
         self.subjects = subjects
-        self.held = set() if held is None else held
-        self.retiring = retiring
+        self.held: set = set()  # tokens absorbed by activations that emitted nothing
+        self.retiring = False
 
 
 class Group:
     """All replicas of one atomic instance; size 1 unless replicating."""
 
-    def __init__(self, inst: InstanceSpec, behavior: Behavior | None, seed: int):
+    def __init__(self, inst: InstanceSpec, seed: int):
         self.inst = inst
         self.path = inst.path
-        self.behavior = behavior
+        self.behavior = inst.behavior
         self.seed = seed
         self.replicas: dict[int, Replica] = {}
         self.next_rid = 0
@@ -222,8 +223,8 @@ Problem = tuple[int, str, str]
 DEFAULT_MAXSTEPS = 1000  # the step budget of a run that sets none
 
 
-def maxsteps_problem(maxsteps: int, line: int = 0) -> Problem | None:
-    return (line, E_SYNTAX, "maxsteps must not be negative") if maxsteps < 0 else None
+def maxsteps_problem(maxsteps: int) -> Problem | None:
+    return (0, E_SYNTAX, "maxsteps must not be negative") if maxsteps < 0 else None
 
 
 def strategy_problem(strategy: str, line: int = 0) -> Problem | None:
@@ -337,7 +338,7 @@ class Kernel:
         self.maxsteps = maxsteps
 
         self.groups: dict[str, Group] = {
-            inst.path: Group(inst, inst.behavior, seed)
+            inst.path: Group(inst, seed)
             for inst in topology.instances.values()
             if inst.atomic
         }
@@ -401,6 +402,9 @@ class Kernel:
         if problems:
             line, _code, message = problems[0]
             raise KernelError(message, line)
+        diags = check_selection_ports(topology)
+        if diags:
+            raise KernelError(diags[0].message)
 
         # the scale, fault and inject stacks, the next due last
         self._directives = [
@@ -418,16 +422,9 @@ class Kernel:
 
     # -- event helpers ----------------------------------------------------
 
-    def _event(
-        self,
-        kind: str,
-        subject: str,
-        seq: int | None = None,
-        tokens: tuple = (),
-        payload: str = "-",
-        channel: str = "",
-    ) -> None:
-        self.events.append((self.step, kind, subject, seq, tokens, payload, channel))
+    def _event(self, kind: str, subject: str, payload: str) -> None:
+        """Trace an event that is not about a message."""
+        self.events.append((self.step, kind, subject, None, (), payload, ""))
 
     # -- run loop ----------------------------------------------------------
 
@@ -459,10 +456,7 @@ class Kernel:
             _step, path, kind, rid, line = faults.pop()
             group = self.groups[path]
             if rid is None:
-                live = group.live()
-                if not live:
-                    raise KernelError(f"no live replica of '{path}' to fault", line)
-                rid = live[0].rid
+                rid = group.live()[0].rid
             elif rid not in group.replicas:
                 raise KernelError(f"no replica {path}#{rid} at step {step} to fault", line)
             self._fault(path, rid, kind)
@@ -506,14 +500,10 @@ class Kernel:
                             rid = bound
                 if rid is None:
                     live = group.live()
-                    if not live:
-                        raise KernelError(f"no live replica of '{path}'")
                     replica = live[group.rr % len(live)]
                     group.rr += 1
                 else:
-                    replica = group.replicas.get(rid)
-                    if replica is None:
-                        raise KernelError(f"message pinned to missing replica {path}#{pinned}")
+                    replica = group.replicas[rid]
                 if fresh:
                     for tok in fresh:
                         bindings[(path, tok)] = replica.rid
@@ -582,15 +572,9 @@ class Kernel:
         """The send targets of a broadcast emit (port, payload), a copy to
         each live replica that binds nothing, or of an index emit (port,
         payload, index), to the live replica at index modulo their count.
-        Either needs its port to reach one replica group by one channel."""
-        port = emit[0]
-        targets = group.routes.get(port, ())
-        if len(targets) != 1 or not targets[0][0].group:
-            raise KernelError(
-                f"{mode} through '{group.path}.{port}' needs exactly one "
-                "channel into a replica group"
-            )
-        ch = targets[0][0]
+        The port feeds one channel into a replica group (check_selection_ports,
+        run when the kernel is built)."""
+        ch = group.routes[emit[0]][0][0]
         live = self.groups[ch.target_path].live()
         if mode == MODE_BROADCAST:
             return [(ch, replica.rid, False) for replica in live]
@@ -625,7 +609,7 @@ class Kernel:
     # -- supervision ---------------------------------------------------------
 
     def _fault(self, path: str, rid: int, kind: str) -> None:
-        self._event(RAISE, f"{path}#{rid}", None, (), kind)
+        self._event(RAISE, f"{path}#{rid}", kind)
         child = path
         decider = path
         while True:
@@ -633,12 +617,12 @@ class Kernel:
             if strategy == RESUME:
                 return
             if strategy == RESTART_STRATEGY:
-                self._event(RESTART, child, None, (), kind)
+                self._event(RESTART, child, kind)
                 self._restart_subtree(child)
                 return
-            self._event(ESCALATE, decider, None, (), kind)
+            self._event(ESCALATE, decider, kind)
             if decider == ROOT_PATH:
-                self._event(FATAL, ROOT_PATH, None, (), kind)
+                self._event(FATAL, ROOT_PATH, kind)
                 raise FatalUnhandled(path, kind)
             child = decider
             decider = self.topology.instances[decider].parent
@@ -674,7 +658,7 @@ class Kernel:
         self._scale_event(group)
 
     def _scale_event(self, group: Group) -> None:
-        self._event(SCALE, group.path, None, (), f"target={group.target},size={group.size()}")
+        self._event(SCALE, group.path, f"target={group.target},size={group.size()}")
 
     def _sweep(self) -> None:
         for path in sorted(self._retiring, key=self._group_rank.__getitem__):

@@ -898,3 +898,51 @@ def test_a_failed_write_to_a_stream_in_place_of_stdout(capsys):
     assert capsys.readouterr().err == "-:0:0: E_IO: Broken pipe\n"
     # the process's own stdout is left as it was
     assert os.path.samestat(os.fstat(1), fd_target)
+
+
+# --- a standard stream closed when the process starts ---
+
+# (command line, status with fd 1 closed, status with fd 2 closed); MODEL,
+# SCN, MISSING and COPY stand for files filled in by the test
+CLOSED_STREAM_CASES = [
+    (("fmt", "MODEL"), 2, 0),
+    (("fmt", "--write", "COPY"), 0, 0),
+    (("check", "MODEL"), 2, 0),
+    (("check", "MODEL", "--root", "Pipeline", "--topology"), 2, 0),
+    (("check", "MISSING.arc"), 2, 2),
+    (("sim", "SCN"), 2, 0),
+    (("sim", "SCN", "--trace", "-"), 2, 0),
+    (("sim", "SCN", "--store", "-"), 2, 0),
+    (("sim", "MISSING.scn"), 2, 2),
+]
+
+
+@pytest.mark.parametrize("closed", [1, 2], ids=["stdout", "stderr"])
+@pytest.mark.parametrize(
+    "words, stdout_closed, stderr_closed", CLOSED_STREAM_CASES,
+    ids=[" ".join(case[0]) for case in CLOSED_STREAM_CASES],
+)
+def test_a_stream_closed_at_start(tmp_path, closed, words, stdout_closed, stderr_closed):
+    copy = tmp_path / "copy.arc"
+    copy.write_text((MODELS_DIR / "pipeline4.arc").read_text())
+    files = {
+        "MODEL": str(MODELS_DIR / "pipeline4.arc"),
+        "SCN": str(SCENARIOS_DIR / "pipeline4.scn"),
+        "COPY": str(copy),
+        "MISSING.arc": str(tmp_path / "missing.arc"),
+        "MISSING.scn": str(tmp_path / "missing.scn"),
+    }
+    args = [files.get(word, word) for word in words]
+    # the shell closes the descriptor, as `cloudadl ARGS >&-` or `2>&-` does
+    proc = subprocess.run(
+        ["sh", "-c", f'exec "$@" {closed}>&-', "sh", sys.executable, "-m", "cloudadl.cli", *args],
+        env=child_env(), capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == (stdout_closed if closed == 1 else stderr_closed)
+    readable = proc.stderr if closed == 1 else proc.stdout
+    assert "Traceback" not in readable
+    if closed == 1 and proc.returncode == 2 and "MISSING" not in words[-1]:
+        # nothing else failed, so the one diagnostic is the missing stdout
+        assert readable == "-:0:0: E_IO: Bad file descriptor\n"
+    if closed == 2:
+        assert ": E_" not in readable  # no diagnostic goes to stdout

@@ -834,6 +834,44 @@ def test_directive_errors_use_the_scenario_wording_and_line():
         assert (str(exc.value), exc.value.line) == (message, line)
 
 
+SELECTION_PORTS = {
+    # a broadcast port that feeds two replica groups
+    "broadcast_into_two_channels": (
+        "message M { n: integer; }\n"
+        "component W { port in M i; behavior store(); }\n"
+        "component H { port in M i; port out M o replicating;"
+        " behavior forward(out=o, broadcast=true); }\n"
+        "component Sys { port in M feed; component H h;"
+        " replicating component W w; replicating component W v;"
+        " connect feed -> h.i; connect h.o -> w.i; connect h.o -> v.i; }",
+        "'root/h' selects replicas with forward, so its out port 'o' must feed"
+        " exactly one replica group",
+    ),
+    # a route_by port into an instance that does not replicate
+    "route_by_into_a_sole_instance": (
+        "message M { v: integer; }\n"
+        "component W { port in M i; behavior store(); }\n"
+        "component R { port in M i; port out M o; behavior route_by(field=v); }\n"
+        "component Sys { port in M feed; component R r; component W w;"
+        " connect feed -> r.i; connect r.o -> w.i; }",
+        "'root/r' selects replicas with route_by, so its out port 'o' must feed"
+        " exactly one replica group",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SELECTION_PORTS))
+def test_a_selection_port_is_checked_when_the_kernel_is_built(case):
+    # check() passes these models; the rule needs the elaborated topology,
+    # and a kernel built on it refuses it before any message is sent
+    text, message = SELECTION_PORTS[case]
+    model = parse_ok(text)
+    assert not check(model, "Sys")
+    with pytest.raises(KernelError) as exc:
+        Kernel(elaborate(model, "Sys"))
+    assert (str(exc.value), exc.value.line) == (message, 0)
+
+
 def test_injection_payload_type_checked():
     model = parse_ok(POOL_TEXT + "message Other { s: text; }\n")
     topo = elaborate(model, "Pool")
@@ -932,15 +970,17 @@ def test_same_step_directives_run_scales_then_faults_then_injects(tmp_path):
     assert scn is not None, diags
     k = build_kernel(scn)
     k.run()
-    at_two = [(e.kind, e.payload) for e in events(k) if e.step == 2]
+    at_two = [(e.kind, e.subject, e.payload) for e in events(k) if e.step == 2]
     assert at_two == [
-        ("SCALE", "target=3,size=3"),
-        ("SCALE", "target=2,size=3"),
-        ("RAISE", "first"),
-        ("RAISE", "second"),
-        ("SEND", "Job{n=1}"),
-        ("SEND", "Job{n=2}"),
-        ("SCALE", "target=2,size=2"),  # the retirement sweep ends the step
+        ("SCALE", "root/w", "target=3,size=3"),
+        ("SCALE", "root/w", "target=2,size=3"),
+        # a fault with no replica id, after the scale-down, goes to the
+        # lowest live replica
+        ("RAISE", "root/w#0", "first"),
+        ("RAISE", "root/w#0", "second"),
+        ("SEND", "root.feed->root/w.i", "Job{n=1}"),
+        ("SEND", "root.feed->root/w.i", "Job{n=2}"),
+        ("SCALE", "root/w", "target=2,size=2"),  # the retirement sweep ends the step
     ]
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from cloudadl.cli import main
 from cloudadl.scenario import (
     load_scenario,
     load_scenario_text,
@@ -143,6 +144,54 @@ def test_bundled_scenarios_load(tmp_path):
 def test_load_rejections(tmp_path, body):
     diags = bad(tmp_path, POOL_TEXT, body)
     assert all(d.code.startswith("E_") for d in diags)
+
+
+# A scenario's text with a bad line, and the one diagnostic it gives: each
+# usage text of a directive read with the wrong number of words, and a
+# scenario that names no model file.
+HEAD = "scenario t\nmodel m.arc\nroot Pool\n"
+USAGE_DIAGNOSTICS = {
+    "model_without_path": (
+        "scenario t\nmodel\nroot Pool\n", "2:1: E_SYNTAX: usage: model <path>",
+    ),
+    "seed_arity": (HEAD + "seed 1 2\n", "4:1: E_SYNTAX: usage: seed <int>"),
+    "maxsteps_arity": (HEAD + "maxsteps\n", "4:1: E_SYNTAX: usage: maxsteps <int>"),
+    "scale_arity": (
+        HEAD + "scale root/w 2 at\n", "4:1: E_SYNTAX: usage: scale <path> <count> at <step>",
+    ),
+    "fault_arity": (
+        HEAD + "fault root/w at 1\n", "4:1: E_SYNTAX: usage: fault <path[#rid]> at <step> <kind>",
+    ),
+    "expect_without_kind": (HEAD + "expect\n", "4:1: E_SYNTAX: expect needs a kind"),
+    "expect_prefix_arity": (
+        HEAD + "expect prefix drain\n",
+        "4:1: E_SYNTAX: usage: expect prefix <port> <Type{...}> ...",
+    ),
+    "expect_store_arity": (
+        HEAD + "expect store root/w\n", "4:1: E_SYNTAX: usage: expect store <path> <n>",
+    ),
+    "no_model_line": ("scenario t\nroot Pool\n", "0:0: E_SYNTAX: scenario names no model file"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_DIAGNOSTICS))
+def test_usage_diagnostics(tmp_path, case):
+    text, expected = USAGE_DIAGNOSTICS[case]
+    (tmp_path / "m.arc").write_text(POOL_TEXT)
+    scenario, diags = load_scenario_text(text, "<scn>", str(tmp_path))
+    assert scenario is None
+    assert [d.render() for d in diags] == [f"<scn>:{expected}"]
+
+
+def test_a_usage_diagnostic_is_status_2(tmp_path, capsys):
+    text, expected = USAGE_DIAGNOSTICS["fault_arity"]
+    (tmp_path / "m.arc").write_text(POOL_TEXT)
+    path = tmp_path / "s.scn"
+    path.write_text(text)
+    assert main(["sim", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[0] == f"{path}:{expected}"
 
 
 POOL_OTHER_TEXT = POOL_TEXT + "message Other { s: text; }\n"
